@@ -281,7 +281,8 @@ def suite_arith(cfg) -> list:
     lv1 = tower.level(1)
     checks.append(
         CheckResult(
-            "dlog-normalization", lv1.dlog[lv1.gen] == 1 and lv1.dlog[1] == 0
+            "dlog-normalization",
+            lv1.dlog[lv1.gen] == 1 % (lv1.size - 1) and lv1.dlog[1] == 0,
         )
     )
     ok = True

@@ -55,6 +55,12 @@ def test_run_suite_reports_pass():
     assert "hasse-davenport" in names
 
 
+def test_arith_passes_at_q2():
+    # F_2's generator is 1, so its dlog is 0, which is 1 modulo the unit order
+    reports = run_suite(dict(BASE_CFG, p=2))
+    assert [c.name for c in reports[0].checks if not c.passed] == []
+
+
 def test_reports_byte_identical():
     out1 = emit(run_suite(BASE_CFG))
     out2 = emit(run_suite(BASE_CFG))
