@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .matrices import EXACT, row_reduce
+
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -217,6 +219,9 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.num)
 
+    def __bool__(self):
+        return any(self.num)
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -284,6 +289,9 @@ class CycNum:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.num):
@@ -345,32 +353,12 @@ def solve_linear_system(rows, rhs):
     """
     if not rows:
         return [], 0, True
-    ring = rhs[0].ring
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(aug)):
-            if not aug[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = aug[rank][col].inverse()
-        aug[rank] = [v * inv for v in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    consistent = all(
-        row[-1].is_zero() for row in aug[rank:]
+    reduced, pivots = row_reduce(
+        EXACT, [list(r) + [b] for r, b in zip(rows, rhs)], ncols
     )
-    solution = [ring.zero] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][-1]
-    return solution, rank, consistent
+    solution = [rhs[0].ring.zero] * ncols
+    for row, col in zip(reduced, pivots):
+        solution[col] = row[-1]
+    consistent = not any(row[-1] for row in reduced[len(pivots):])
+    return solution, len(pivots), consistent

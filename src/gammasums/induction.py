@@ -18,55 +18,19 @@ from fractions import Fraction
 from .errors import CapExceeded, NotComputableLocus, NotTopStratum
 from .matrices import (
     char_coeffs_to_poly,
+    mat_identity,
+    mat_inv,
     mat_mul,
     mat_vec,
     pol_divmod,
     pol_eval_embedded,
+    reduce_against,
+    row_reduce,
 )
 from .mirabolic import GroupPoint, group_point, stratum_index, u_q_matrix
 from .torus import perm_cycles, twisted_point
 
 # -- subspaces and flags ------------------------------------------------------
-
-
-def _echelon_columns(lv, vectors):
-    """Column-reduced echelon basis of the span, as a canonical tuple."""
-    rows = [list(v) for v in vectors]
-    basis = []
-    for v in rows:
-        for b in basis:
-            lead = next(i for i, c in enumerate(b) if c)
-            if v[lead]:
-                f = v[lead]
-                v = [lv.sub(a, lv.mul(f, c)) for a, c in zip(v, b)]
-        if any(v):
-            lead = next(i for i, c in enumerate(v) if c)
-            inv = lv.inv(v[lead])
-            v = [lv.mul(inv, c) for c in v]
-            basis.append(v)
-            basis.sort(key=lambda b: next(i for i, c in enumerate(b) if c))
-            # re-reduce upper entries for canonical form
-            for i, b in enumerate(basis):
-                for j, other in enumerate(basis):
-                    if i != j:
-                        lead = next(k for k, c in enumerate(other) if c)
-                        if b[lead]:
-                            f = b[lead]
-                            basis[i] = [
-                                lv.sub(a, lv.mul(f, c)) for a, c in zip(b, other)
-                            ]
-                            b = basis[i]
-    return tuple(tuple(b) for b in basis)
-
-
-def _in_span(lv, basis, v):
-    v = list(v)
-    for b in basis:
-        lead = next(i for i, c in enumerate(b) if c)
-        if v[lead]:
-            f = v[lead]
-            v = [lv.sub(a, lv.mul(f, c)) for a, c in zip(v, b)]
-    return not any(v)
 
 
 def enumerate_lines(tower, n):
@@ -77,7 +41,7 @@ def enumerate_lines(tower, n):
     for v in itertools.product(lv.elements(), repeat=n):
         if not any(v):
             continue
-        basis = _echelon_columns(lv, [v])
+        basis = (tuple(row_reduce(lv, [v], n)[0][0]),)
         if basis not in seen:
             seen.add(basis)
             out.append(basis)
@@ -98,9 +62,10 @@ def full_flags(tower, n):
     for line in lines:
         seen = set()
         for v in itertools.product(lv.elements(), repeat=n):
-            if not any(v) or _in_span(lv, line, v):
+            rows, pivots = row_reduce(lv, [line[0], v], n)
+            if len(pivots) < 2:
                 continue
-            plane = _echelon_columns(lv, [line[0], v])
+            plane = tuple(tuple(r) for r in rows)
             if plane not in seen:
                 seen.add(plane)
                 flags.append((line, plane))
@@ -109,9 +74,9 @@ def full_flags(tower, n):
 
 def flag_is_stable(lv, g_rows, flag):
     for basis in flag:
-        for b in basis:
-            if not _in_span(lv, basis, mat_vec(lv, g_rows, b)):
-                return False
+        span = list(basis)
+        if any(reduce_against(lv, span, mat_vec(lv, g_rows, b)) for b in basis):
+            return False
     return True
 
 
@@ -122,33 +87,22 @@ def flag_fixed_points(g: GroupPoint):
 
 
 def flag_grading(g: GroupPoint, flag):
-    """Scalars by which g acts on the successive flag quotients."""
+    """Scalars by which g acts on the successive flag quotients.
+
+    One vector from each flag step outside the step below gives a basis F in
+    which g is upper triangular; the scalars are the diagonal of F^(-1) g F.
+    """
     lv = g.level()
-    n = g.n
-    full = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-    chain = list(flag) + [full]
-    out = []
-    prev = ()
-    for basis in chain:
-        vec = next(b for b in basis if not _in_span(lv, prev, b))
-        img = mat_vec(lv, g.rows, vec)
-
-        def _reduce(v):
-            v = list(v)
-            for b in prev:
-                lead = next(i for i, c in enumerate(b) if c)
-                if v[lead]:
-                    f = v[lead]
-                    v = [lv.sub(a, lv.mul(f, c)) for a, c in zip(v, b)]
-            return v
-
-        # img = t * vec mod prev; compare the reductions mod prev
-        red_img = _reduce(img)
-        red_vec = _reduce(vec)
-        lead = next(i for i, c in enumerate(red_vec) if c)
-        out.append(lv.mul(red_img[lead], lv.inv(red_vec[lead])))
-        prev = _echelon_columns(lv, list(prev) + [vec])
-    return tuple(out)
+    span = []
+    cols = [
+        next(b for b in basis if reduce_against(lv, span, b))
+        for basis in list(flag) + [mat_identity(g.n)]
+    ]
+    f_inv = mat_inv(lv, tuple(zip(*cols)))
+    return tuple(
+        mat_vec(lv, (row,), mat_vec(lv, g.rows, c))[0]
+        for row, c in zip(f_inv, cols)
+    )
 
 
 def induced_trace(traces, g: GroupPoint):

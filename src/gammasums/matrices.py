@@ -1,7 +1,10 @@
-"""Dense matrix and polynomial helpers over one tower level.
+"""Dense linear algebra over a tower level, Q or Q(zeta_N).
 
-Matrices are tuples of row tuples of encoded field elements.  Characteristic
-polynomials are returned as the coefficient vector (a_1, ..., a_n) of
+Matrices are tuples of row tuples of field elements.  Gaussian elimination
+lives in row_reduce, with reduce_against for spans built one vector at a
+time; both take any field with sub, mul and inv, so they serve a tower level
+(encoded elements) as well as EXACT (Fraction and CycNum values).  The other
+helpers work over a tower level.  Characteristic polynomials are returned as the coefficient vector (a_1, ..., a_n) of
 t^n + a_1 t^(n-1) + ... + a_n, matching the companion-matrix convention used
 throughout the mirabolic module.
 """
@@ -9,7 +12,9 @@ throughout the mirabolic module.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
+from types import SimpleNamespace
 
 
 def mat_identity(n):
@@ -45,65 +50,77 @@ def mat_vec(level, a, v):
     return tuple(out)
 
 
-def mat_add(level, a, b):
-    return tuple(
-        tuple(level.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def row_reduce(field, rows, ncols):
+    """Reduced row echelon form of rows over field, and its pivot columns.
+
+    field supplies sub, mul and inv on its elements, whose zero is falsy: a
+    tower Level, or EXACT for Fraction and CycNum values.  Pivots are sought
+    in the first ncols columns only; columns beyond them (an augmented block)
+    are carried along.  Returns (rows, pivots) with the rows as lists, the
+    pivot rows first in pivot order.
+    """
+    rows = [list(r) for r in rows]
+    sub, mul, inv = field.sub, field.mul, field.inv
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        lead = inv(rows[r][col])
+        prow = [mul(lead, c) if c else c for c in rows[r]]
+        rows[r] = rows[rank]
+        rows[rank] = prow
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(row, prow)]
+        pivots.append(col)
+    return rows, pivots
 
 
-def mat_scale(level, c, a):
-    return tuple(tuple(level.mul(c, x) for x in row) for row in a)
+def reduce_against(field, basis, v):
+    """Extend an echelon basis by v; False, leaving it as is, if v is in its span.
+
+    Each row of basis has a 1 at its pivot, its first nonzero entry, and a 0
+    at the pivots of the rows before it, as the pivot rows of row_reduce do.
+    A v outside the span is reduced against the rows and appended, scaled to
+    a 1 at its pivot, so a span built one vector at a time keeps that form.
+    """
+    sub, mul = field.sub, field.mul
+    for row in basis:
+        f = v[row.index(1)]
+        if f:
+            v = [sub(a, mul(f, b)) if b else a for a, b in zip(v, row)]
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return False
+    lead = field.inv(lead)
+    basis.append([mul(lead, c) if c else c for c in v])
+    return True
+
+
+# Q and Q(zeta_N) for row_reduce, on Fraction and CycNum values.
+EXACT = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda x: 1 / x)
 
 
 def mat_inv(level, a):
     """Gauss-Jordan inverse; raises ValueError on singular input."""
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = level.inv(aug[col][col])
-        aug[col] = [level.mul(inv, v) for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [
-                    level.sub(v, level.mul(f, w)) for v, w in zip(aug[i], aug[col])
-                ]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, pivots = row_reduce(
+        level, [list(r) + list(e) for r, e in zip(a, mat_identity(n))], n
+    )
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_rank(level, a):
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = level.inv(rows[rank][col])
-        rows[rank] = [level.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [
-                    level.sub(v, level.mul(f, w)) for v, w in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-    return rank
+    return len(row_reduce(level, a, len(a[0]))[1]) if a else 0
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +204,6 @@ def poly_to_char_coeffs(poly):
     return tuple(poly[n - 1 - i] for i in range(n))
 
 
-def det(level, a):
-    n = len(a)
-    cp = charpoly(level, a)
-    d = cp[-1] if cp else 1
-    return level.neg(d) if n % 2 else d
-
-
 # -- polynomials over a level (low degree first), for factorization ----------
 
 
@@ -226,13 +236,6 @@ def pol_divmod(level, a, b):
                 a[k + i] = level.sub(a[k + i], level.mul(c, b[i]))
     rem = a[:db] if db else [0]
     return tuple(q), tuple(rem if any(rem) else [0])
-
-
-def pol_eval(level, poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = level.add(level.mul(acc, x), c)
-    return acc
 
 
 def pol_eval_embedded(tower, poly, level_from, x, level_to):

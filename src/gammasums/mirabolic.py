@@ -28,6 +28,8 @@ from .matrices import (
     pol_divmod,
     pol_mul,
     poly_to_char_coeffs,
+    reduce_against,
+    row_reduce,
 )
 
 
@@ -64,49 +66,25 @@ def group_point(tower, rows) -> GroupPoint:
 
 def stratum_index(x: GroupPoint) -> int:
     """Dimension of the span of e_1 under powers of x."""
-    lv = x.level()
-    n = x.n
-    basis = []
-    v = tuple(1 if i == 0 else 0 for i in range(n))
-    for _ in range(n):
-        red = _reduce_against(lv, basis, v)
-        if not any(red):
-            break
-        basis.append(_normalize_vec(lv, red))
-        v = mat_vec(lv, x.rows, v)
-    return len(basis)
-
-
-def _reduce_against(lv, basis, v):
-    v = list(v)
-    for b in basis:
-        lead = next(i for i, c in enumerate(b) if c)
-        if v[lead]:
-            f = v[lead]
-            v = [lv.sub(a, lv.mul(f, c)) for a, c in zip(v, b)]
-    return v
-
-
-def _normalize_vec(lv, v):
-    lead = next(i for i, c in enumerate(v) if c)
-    inv = lv.inv(v[lead])
-    return tuple(lv.mul(inv, c) for c in v)
+    return len(krylov_basis(x))
 
 
 def krylov_basis(x: GroupPoint):
     """The vectors e_1, x e_1, ..., up to the stratum dimension."""
-    lv = x.level()
-    n = x.n
+    return _krylov(x.level(), x.rows, [])
+
+
+def _krylov(level, rows, basis):
+    """e_1, x e_1, ... while each lies outside the span of those before it.
+
+    basis, an echelon basis as reduce_against keeps it, is extended by them.
+    """
+    n = len(rows)
     out = []
-    reduced = []
-    v = tuple(1 if i == 0 else 0 for i in range(n))
-    for _ in range(n):
-        red = _reduce_against(lv, reduced, v)
-        if not any(red):
-            break
-        reduced.append(_normalize_vec(lv, red))
+    v = mat_identity(n)[0]
+    while len(out) < n and reduce_against(level, basis, v):
         out.append(v)
-        v = mat_vec(lv, x.rows, v)
+        v = mat_vec(level, rows, v)
     return out
 
 
@@ -137,21 +115,13 @@ def companion_normalize(level, x_f):
     The columns of g are the cyclic basis e_1, x_f e_1, ...; raises NotCyclic
     when e_1 is not cyclic for x_f.
     """
-    m = len(x_f)
-    cols = []
-    reduced = []
-    v = tuple(1 if i == 0 else 0 for i in range(m))
-    for _ in range(m):
-        red = _reduce_against(level, reduced, v)
-        if not any(red):
-            raise NotCyclic("e_1 is not a cyclic vector for the block")
-        reduced.append(_normalize_vec(level, red))
-        cols.append(v)
-        v = mat_vec(level, x_f, v)
-    g = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+    cols = _krylov(level, x_f, [])
+    if len(cols) < len(x_f):
+        raise NotCyclic("e_1 is not a cyclic vector for the block")
+    g = tuple(zip(*cols))
     comp = mat_mul(level, mat_inv(level, g), mat_mul(level, x_f, g))
     a = charpoly(level, x_f)
-    if comp != companion_matrix(level, a, m):
+    if comp != companion_matrix(level, a):
         raise ArithmeticError("cyclic-basis conjugation is not companion")
     return g, a
 
@@ -165,21 +135,15 @@ def normalize_stratum(x: GroupPoint):
     """
     lv = x.level()
     n = x.n
-    kry = krylov_basis(x)
-    m = len(kry)
-    cols = list(kry)
-    red_rows = []
-    for c in cols:
-        red_rows.append(_normalize_vec(lv, _reduce_against(lv, red_rows, c)))
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        red = _reduce_against(lv, red_rows, e)
-        if any(red):
-            red_rows.append(_normalize_vec(lv, red))
-            cols.append(e)
+    basis = []
+    cols = _krylov(lv, x.rows, basis)
+    m = len(cols)
+    for e in mat_identity(n):
         if len(cols) == n:
             break
-    h = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        if reduce_against(lv, basis, e):
+            cols.append(e)
+    h = tuple(zip(*cols))
     y = mat_mul(lv, mat_inv(lv, h), mat_mul(lv, x.rows, h))
     return h, group_point(x.tower, y), m
 
@@ -193,7 +157,6 @@ class StratumData:
     """
 
     m: int
-    g_f: tuple  # the Q_1 conjugator used to reach the normalized form
     a: tuple  # (a_1, ..., a_m)
     x_e: tuple
     v1: tuple  # first-row block, shape 1 x (n-m)
@@ -267,7 +230,6 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
     if k == 0:
         data = StratumData(
             m=m,
-            g_f=mat_identity(n),
             a=charpoly(lv, x_f),
             x_e=(),
             v1=((),),
@@ -291,7 +253,6 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
     ]
     data = StratumData(
         m=m,
-        g_f=mat_identity(n),
         a=charpoly(lv, x_f),
         x_e=x_e,
         v1=(tuple(v1),),
@@ -348,11 +309,6 @@ def u_q_matrix(tower, n, v):
     for j, c in enumerate(v):
         rows[0][j + 1] = c
     return tuple(tuple(r) for r in rows)
-
-
-def u_q_vectors(tower, n):
-    lv = tower.level(1)
-    return itertools.product(lv.elements(), repeat=n - 1)
 
 
 def coset_charpoly(x: GroupPoint, v, m=None):
@@ -659,49 +615,24 @@ def _pivot_form(n_rows, n_cols, r):
 
 
 def _field_smith(lv, c):
-    """Invertible (A, B) with A C B = [[I_r, 0], [0, 0]]; returns (A, B, r)."""
-    n_rows = len(c)
-    n_cols = len(c[0]) if n_rows else 0
-    a = [list(r) for r in mat_identity(n_rows)]
-    b = [list(r) for r in mat_identity(n_cols)]
-    m = [list(r) for r in c]
-    r = 0
-    for _ in range(min(n_rows, n_cols)):
-        pivot = None
-        for i in range(r, n_rows):
-            for j in range(r, n_cols):
-                if m[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        pi, pj = pivot
-        m[r], m[pi] = m[pi], m[r]
-        a[r], a[pi] = a[pi], a[r]
-        for row in m:
-            row[r], row[pj] = row[pj], row[r]
-        for row in b:
-            row[r], row[pj] = row[pj], row[r]
-        inv = lv.inv(m[r][r])
-        m[r] = [lv.mul(inv, v) for v in m[r]]
-        a[r] = [lv.mul(inv, v) for v in a[r]]
-        for i in range(n_rows):
-            if i != r and m[i][r]:
-                f = m[i][r]
-                m[i] = [lv.sub(v, lv.mul(f, w)) for v, w in zip(m[i], m[r])]
-                a[i] = [lv.sub(v, lv.mul(f, w)) for v, w in zip(a[i], a[r])]
-        for j in range(n_cols):
-            if j != r and m[r][j]:
-                f = m[r][j]
-                for row in m:
-                    row[j] = lv.sub(row[j], lv.mul(f, row[r]))
-                for row in b:
-                    row[j] = lv.sub(row[j], lv.mul(f, row[r]))
-        r += 1
-    return (
-        tuple(tuple(rw) for rw in a),
-        tuple(tuple(rw) for rw in b),
-        r,
+    """Invertible (A, B) with A C B = [[I_r, 0], [0, 0]]; returns (A, B, r).
+
+    Row reducing [C | I] gives R = A C in reduced echelon form.  B's first r
+    columns are the unit vectors at R's pivot columns; each other column j
+    is e_j minus R's column j spread over those pivot columns, so R B keeps
+    only the identity block.
+    """
+    n_cols = len(c[0])
+    rows, pivots = row_reduce(
+        lv, [list(r) + list(e) for r, e in zip(c, mat_identity(len(c)))], n_cols
     )
+    units = mat_identity(n_cols)
+    cols = [units[p] for p in pivots]
+    for j in range(n_cols):
+        if j not in pivots:
+            col = list(units[j])
+            for row, p in zip(rows, pivots):
+                col[p] = lv.neg(row[j])
+            cols.append(col)
+    a = tuple(tuple(row[n_cols:]) for row in rows)
+    return a, tuple(zip(*cols)), len(pivots)

@@ -36,6 +36,7 @@ from .errors import (
     TowerTooShallow,
 )
 from .fields import FieldTower, MultCharacter, gauss_sum
+from .matrices import EXACT, mat_rank
 
 # -- permutations (tuples mapping position i to image perm[i]) --------------
 
@@ -199,28 +200,6 @@ def _named_weights(shape, rep):
     raise ValueError(f"unknown representation name {rep!r}")
 
 
-def _integer_rank(rows, d):
-    mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def validate_weight_system(shape, rep) -> WeightSystem:
     """Expand, validate and freeze a weight system.
 
@@ -258,7 +237,7 @@ def validate_weight_system(shape, rep) -> WeightSystem:
             image[img] = image.get(img, 0) + mult
         if image != mult_map:
             raise NotWStable("weight multiset is not Weyl stable")
-    rank = _integer_rank([list(vec) for vec in ws.slots], d)
+    rank = mat_rank(EXACT, [[Fraction(c) for c in vec] for vec in ws.slots])
     if rank < d:
         raise NotSurjective(
             f"weight matrix has rank {rank} < {d}: the representation "
