@@ -428,6 +428,14 @@ def gauss_sum(chi: MultCharacter) -> CycNum:
     return total
 
 
+def psi_sum(tower, counts, arity) -> CycNum:
+    """(-1)^arity * sum of c * psi(s) over the F_q points s with counts c."""
+    total = tower.ring.zero
+    for s, c in counts.items():
+        total = total + tower.psi(s) * c
+    return -total if arity % 2 else total
+
+
 def kloosterman(tower, t, r) -> CycNum:
     """(-1)^r * sum of psi(x_1 + ... + x_r) over units with product t."""
     if r < 1:
@@ -445,9 +453,5 @@ def kloosterman(tower, t, r) -> CycNum:
         last = lv.mul(t, lv.inv(prod))
         s = lv.add(s, last)
         counts[s] = counts.get(s, 0) + 1
-    total = tower.ring.zero
-    for s, c in counts.items():
-        total = total + tower.psi(s) * c
-    if r % 2:
-        total = -total
-    return total
+    return psi_sum(tower, counts, r)
+

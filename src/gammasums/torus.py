@@ -35,7 +35,7 @@ from .errors import (
     NotWStable,
     TowerTooShallow,
 )
-from .fields import FieldTower, MultCharacter, gauss_sum
+from .fields import FieldTower, MultCharacter, gauss_sum, psi_sum
 from .matrices import EXACT, mat_rank
 
 # -- permutations (tuples mapping position i to image perm[i]) --------------
@@ -454,13 +454,8 @@ class TorusTraces:
             for x_last in self._last_slot_table.get(tuple(coords), ()):
                 sv = lv.add(s, x_last)
                 counts[sv] = counts.get(sv, 0) + 1
-        total = tower.ring.zero
-        for s, c in counts.items():
-            total = total + tower.psi(s) * c
-        if r % 2:
-            total = -total
-        self._hyper[t] = total
-        return total
+        self._hyper[t] = psi_sum(tower, counts, r)
+        return self._hyper[t]
 
     # -- twisted points ---------------------------------------------------
 
@@ -524,13 +519,8 @@ class TorusTraces:
                 s_elt = lv.add(s_elt, lv.exp[slot_dlog[s]])
             s1 = tower.unembed(s_elt, work, 1)
             counts[s1] = counts.get(s1, 0) + 1
-        total = tower.ring.zero
-        for s, c in counts.items():
-            total = total + tower.psi(s) * c
-        if r % 2:
-            total = -total
-        self._local[key] = total
-        return total
+        self._local[key] = psi_sum(tower, counts, r)
+        return self._local[key]
 
     def twisted_stalk_trace(
         self, pt: TwistedTorusPoint, xi=None, weyl_sign=True
