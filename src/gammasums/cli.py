@@ -1,7 +1,7 @@
 """Command line entry point.
 
     verify run --config cfg.json [--suite NAME ...] [--out report.json|csv]
-               [--jobs N] [--seed S] [--timings]
+               [--seed S] [--timings]
     verify list-suites
     verify explain SUITE
 
@@ -34,13 +34,6 @@ def _build_parser():
         help="override the config's suite list (repeatable)",
     )
     run.add_argument("--out", default=None, help="report path (.json or .csv)")
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for interface stability; suites run sequentially and "
-        "aggregate order-independently",
-    )
     run.add_argument("--seed", type=int, default=None, help="override the seed")
     run.add_argument(
         "--timings",

@@ -113,14 +113,6 @@ def _irreducible(poly, p):
     return True
 
 
-def _digits(e, p, k):
-    out = []
-    for _ in range(k):
-        e, r = divmod(e, p)
-        out.append(r)
-    return out
-
-
 class Level:
     """One extension F_{q^m} in a tower, with exp/dlog tables."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CycNum
 from .errors import (
@@ -472,9 +473,7 @@ class TorusTraces:
         tower, ws = self.tower, self.ws
         xi_cycles = perm_cycles(xi)
         w_cycles = perm_cycles(pt.w)
-        work = 1
-        for c in xi_cycles + w_cycles:
-            work = work * len(c) // _gcd(work, len(c))
+        work = lcm(*(len(c) for c in xi_cycles + w_cycles))
         if work > tower.max_level:
             raise TowerTooShallow(
                 f"needs level {work}, tower bound is {tower.max_level}"
@@ -662,9 +661,3 @@ class TorusTraces:
                 if point_block_norm(tower, pt, block) == z:
                     total = total + self.twisted_stalk_trace(pt)
         return total * Fraction(1, len(elements))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
