@@ -4,9 +4,10 @@ Matrices are tuples of row tuples of field elements.  Gaussian elimination
 lives in row_reduce, with reduce_against for spans built one vector at a
 time; both take any field with sub, mul and inv, so they serve a tower level
 (encoded elements) as well as EXACT (Fraction and CycNum values).  The other
-helpers work over a tower level.  Characteristic polynomials are returned as the coefficient vector (a_1, ..., a_n) of
-t^n + a_1 t^(n-1) + ... + a_n, matching the companion-matrix convention used
-throughout the mirabolic module.
+helpers work over a tower level.  Characteristic polynomials are returned as
+the coefficient vector (a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n,
+matching the companion-matrix convention used throughout the mirabolic
+module.
 """
 
 from __future__ import annotations
