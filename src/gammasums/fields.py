@@ -446,4 +446,3 @@ def kloosterman(tower, t, r) -> CycNum:
         s = lv.add(s, last)
         counts[s] = counts.get(s, 0) + 1
     return psi_sum(tower, counts, r)
-

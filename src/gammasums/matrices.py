@@ -3,17 +3,19 @@
 Matrices are tuples of row tuples of field elements.  Gaussian elimination
 lives in row_reduce, with reduce_against for spans built one vector at a
 time; both take any field with sub, mul and inv, so they serve a tower level
-(encoded elements) as well as EXACT (Fraction and CycNum values).  The other
-helpers work over a tower level.  Characteristic polynomials are returned as
-the coefficient vector (a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n,
-matching the companion-matrix convention used throughout the mirabolic
-module.
+(encoded elements) as well as EXACT (int, Fraction and CycNum values).  The
+other helpers work over a tower level.
+
+Characteristic polynomials are returned as the coefficient vector
+(a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
+companion-matrix convention used throughout the mirabolic module.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -55,9 +57,9 @@ def row_reduce(field, rows, ncols):
     """Reduced row echelon form of rows over field, and its pivot columns.
 
     field supplies sub, mul and inv on its elements, whose zero is falsy: a
-    tower Level, or EXACT for Fraction and CycNum values.  Pivots are sought
-    in the first ncols columns only; columns beyond them (an augmented block)
-    are carried along.  Returns (rows, pivots) with the rows as lists, the
+    tower Level, or EXACT for int, Fraction and CycNum values.  Pivots are
+    sought in the first ncols columns only; columns beyond them (an augmented
+    block) are carried along.  Returns (rows, pivots) with the rows as lists, the
     pivot rows first in pivot order.
     """
     rows = [list(r) for r in rows]
@@ -105,8 +107,10 @@ def reduce_against(field, basis, v):
     return True
 
 
-# Q and Q(zeta_N) for row_reduce, on Fraction and CycNum values.
-EXACT = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda x: 1 / x)
+# Q and Q(zeta_N) for row_reduce, on int, Fraction and CycNum values.
+EXACT = SimpleNamespace(
+    sub=operator.sub, mul=operator.mul, inv=lambda x: Fraction(1) / x
+)
 
 
 def mat_inv(level, a):

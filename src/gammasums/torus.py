@@ -238,7 +238,7 @@ def validate_weight_system(shape, rep) -> WeightSystem:
             image[img] = image.get(img, 0) + mult
         if image != mult_map:
             raise NotWStable("weight multiset is not Weyl stable")
-    rank = mat_rank(EXACT, [[Fraction(c) for c in vec] for vec in ws.slots])
+    rank = mat_rank(EXACT, ws.slots)
     if rank < d:
         raise NotSurjective(
             f"weight matrix has rank {rank} < {d}: the representation "
