@@ -455,8 +455,9 @@ class TorusTraces:
             for x_last in self._last_slot_table.get(tuple(coords), ()):
                 sv = lv.add(s, x_last)
                 counts[sv] = counts.get(sv, 0) + 1
-        self._hyper[t] = psi_sum(tower, counts, r)
-        return self._hyper[t]
+        total = psi_sum(tower, counts, r)
+        self._hyper[t] = total
+        return total
 
     # -- twisted points ---------------------------------------------------
 
@@ -518,8 +519,9 @@ class TorusTraces:
                 s_elt = lv.add(s_elt, lv.exp[slot_dlog[s]])
             s1 = tower.unembed(s_elt, work, 1)
             counts[s1] = counts.get(s1, 0) + 1
-        self._local[key] = psi_sum(tower, counts, r)
-        return self._local[key]
+        total = psi_sum(tower, counts, r)
+        self._local[key] = total
+        return total
 
     def twisted_stalk_trace(
         self, pt: TwistedTorusPoint, xi=None, weyl_sign=True
