@@ -668,7 +668,6 @@ def suite_induction(cfg) -> list:
     # flag sum vs eigenvalue-ordering sum on regular semisimple points
     ok = True
     count = 0
-    sign = (-1) ** (n * n - n)
     for x in pool:
         if not _squarefree(tower, x.char):
             continue
@@ -679,7 +678,7 @@ def suite_induction(cfg) -> list:
             fiber_route = fiber_route + traces.hyper_trace(
                 expand_twisted_point(tower, pt, 1)
             )
-        if flag_route != fiber_route * sign:
+        if flag_route != fiber_route:
             ok = False
     checks.append(
         CheckResult(
