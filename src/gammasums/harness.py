@@ -28,7 +28,6 @@ from .gl2 import (
     build_gl2_table,
     calibrate_generic_units,
     class_of,
-    gl2_classes,
     gl2_order,
     oracle_phi,
 )
@@ -263,6 +262,16 @@ def _random_group_point(tower, n, rng):
             continue
 
 
+def iter_invertible(tower, n):
+    lv = tower.level(1)
+    for entries in itertools.product(lv.elements(), repeat=n * n):
+        rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
+        try:
+            yield group_point(tower, rows)
+        except ValueError:
+            continue
+
+
 def _squarefree(tower, char_coeffs):
     return all(
         mult == 1
@@ -273,10 +282,44 @@ def _squarefree(tower, char_coeffs):
 # -- suite: arith ----------------------------------------------------------------
 
 
+def gauss_failures(tower):
+    """Level-1 and level-2 characters failing g(chi) g(conj chi) = chi(-1) q^m
+    (g = -1 if trivial), and those failing |g(chi)| = q^(m/2)."""
+    product, magnitude = [], []
+    for m in (1, 2):
+        if m not in tower.levels:
+            continue
+        size = tower.q**m
+        minus_one = tower.level(m).neg(1)
+        for chi in all_characters(tower, m):
+            g = gauss_sum(chi)
+            if chi.is_trivial():
+                if g != tower.ring.from_int(-1):
+                    product.append((m, chi.exponent))
+                continue
+            if g * gauss_sum(chi.conj()) != chi.value(minus_one) * size:
+                product.append((m, chi.exponent))
+            if abs(abs(g.complex_value()) - size**0.5) > 1e-9:
+                magnitude.append((m, chi.exponent))
+    return product, magnitude
+
+
+def hasse_davenport_failures(tower):
+    """(chi, m) with (-g(chi))^m != -g(chi o N) for levels 2 and 3."""
+    bad = []
+    for chi in all_characters(tower, 1):
+        if chi.is_trivial():
+            continue
+        g1 = gauss_sum(chi)
+        for m in tower.levels:
+            if 1 < m <= 3 and (-g1) ** m != -gauss_sum(chi.lift(m)):
+                bad.append((chi.exponent, m))
+    return bad
+
+
 def suite_arith(cfg) -> list:
     checks = []
     tower, _ = _context(cfg)
-    q = tower.q
     ring = tower.ring
     lv1 = tower.level(1)
     checks.append(
@@ -311,35 +354,10 @@ def suite_arith(cfg) -> list:
         if not total.is_zero():
             ok = False
     checks.append(CheckResult("psi-orthogonality", ok))
-    ok_exact = ok_float = True
-    for m in (1, 2):
-        if m not in tower.levels:
-            continue
-        size = q**m
-        for chi in all_characters(tower, m):
-            g = gauss_sum(chi)
-            if chi.is_trivial():
-                if g != ring.from_int(-1):
-                    ok_exact = False
-                continue
-            minus_one = tower.level(m).neg(1)
-            if g * gauss_sum(chi.conj()) != chi.value(minus_one) * size:
-                ok_exact = False
-            if abs(abs(g.complex_value()) - size**0.5) > 1e-9:
-                ok_float = False
-    checks.append(CheckResult("gauss-product-identity", ok_exact))
-    checks.append(CheckResult("gauss-magnitude", ok_float))
-    ok = True
-    for chi in all_characters(tower, 1):
-        if chi.is_trivial():
-            continue
-        g1 = gauss_sum(chi)
-        for m in tower.levels:
-            if m == 1 or m > 3:
-                continue
-            if (-g1) ** m != -gauss_sum(chi.lift(m)):
-                ok = False
-    checks.append(CheckResult("hasse-davenport", ok))
+    product_bad, magnitude_bad = gauss_failures(tower)
+    checks.append(CheckResult("gauss-product-identity", not product_bad))
+    checks.append(CheckResult("gauss-magnitude", not magnitude_bad))
+    checks.append(CheckResult("hasse-davenport", not hasse_davenport_failures(tower)))
     rng = random.Random(cfg["seed"])
     ok = True
     triples = 200 if ring.degree <= 200 else 25
@@ -365,6 +383,70 @@ def suite_arith(cfg) -> list:
 
 
 # -- suite: torus ----------------------------------------------------------------
+
+
+def kloosterman_failures(tower, arities):
+    """(r, t) where the arity-r hypergeometric trace at t differs from Kl_r(t)."""
+    bad = []
+    for r in arities:
+        traces = TorusTraces(tower, validate_weight_system([1], [[(1,), r]]))
+        for t in tower.level(1).units():
+            if traces.hyper_trace((t,)) != kloosterman(tower, t, r):
+                bad.append((r, t))
+    return bad
+
+
+def _sample_torus_points(tower, d, rng):
+    """Twenty points of the rank-d split torus, in shuffled order."""
+    pts = list(itertools.product(tower.level(1).units(), repeat=d))
+    rng.shuffle(pts)
+    return pts[:20]
+
+
+def sign_action_failures(traces, points):
+    """(t, xi) where xi does not act on the local sum at t by its sign."""
+    tower, ws = traces.tower, traces.ws
+    bad = []
+    for t in points:
+        pt = twisted_point(tower, perm_identity(ws.d), dict(enumerate(t)))
+        base = traces.hyper_trace(t)
+        for xi in ws.sigma_block_elements():
+            want = base if perm_sign(xi) == 1 else -base
+            if traces.twisted_local_sum(xi, pt) != want:
+                bad.append((t, xi))
+    return bad
+
+
+def mellin_failures(traces):
+    """(w, theta): the Mellin transform is not the frozen unit times Gauss sums."""
+    return [
+        (w, theta)
+        for w in traces.ws.weyl()
+        for theta in torus_characters(traces.tower, w)
+        if traces.mellin_gamma(w, theta) != traces.mellin_reference(w, theta)
+    ]
+
+
+def kummer_failures(traces):
+    """Rational characters whose Kummer convolution is not a multiple of them."""
+    bad = []
+    for exps in itertools.product(range(traces.tower.q - 1), repeat=traces.ws.d):
+        try:
+            traces.kummer_convolution_scalar(rational_character(traces.tower, exps))
+        except GammasumsError:
+            bad.append(exps)
+    return bad
+
+
+def sigma_fiber_failures(traces):
+    """(j, z) where the factor-j (rank >= 2) fiber sum over det z is nonzero."""
+    return [
+        (j, z)
+        for j, n in enumerate(traces.ws.shape)
+        if n >= 2
+        for z in traces.tower.level(1).units()
+        if not traces.sigma_fiber_sum(j, z).is_zero()
+    ]
 
 
 def _aux_multiplicity_systems(cfg):
@@ -394,14 +476,11 @@ def suite_torus(cfg) -> list:
     rng = random.Random(cfg["seed"])
     units = list(lv1.units())
     d = ws.d
-    # hypergeometric trace vs Kloosterman on the one-dimensional torus
-    ok = True
-    for r in (1, 2, 3):
-        aux = TorusTraces(tower, validate_weight_system([1], [[(1,), r]]))
-        for t in units:
-            if aux.hyper_trace((t,)) != kloosterman(tower, t, r):
-                ok = False
-    checks.append(CheckResult("hyper-equals-kloosterman", ok))
+    checks.append(
+        CheckResult(
+            "hyper-equals-kloosterman", not kloosterman_failures(tower, (1, 2, 3))
+        )
+    )
     # untwisted consistency
     ok = True
     for t in itertools.product(units, repeat=d):
@@ -413,16 +492,8 @@ def suite_torus(cfg) -> list:
     ok = True
     for name, aux_ws in [("main", ws)] + _aux_multiplicity_systems(cfg):
         aux_tr = traces if aux_ws is ws else TorusTraces(tower, aux_ws)
-        dd = aux_ws.d
-        pts = list(itertools.product(units, repeat=dd))
-        rng.shuffle(pts)
-        for t in pts[:20]:
-            pt = twisted_point(tower, perm_identity(dd), dict(enumerate(t)))
-            base = aux_tr.hyper_trace(t)
-            for xi in aux_ws.sigma_block_elements():
-                want = base if perm_sign(xi) == 1 else -base
-                if aux_tr.twisted_local_sum(xi, pt) != want:
-                    ok = False
+        if sign_action_failures(aux_tr, _sample_torus_points(tower, aux_ws.d, rng)):
+            ok = False
     checks.append(
         CheckResult(
             "block-permutation-sign-action",
@@ -464,42 +535,23 @@ def suite_torus(cfg) -> list:
         )
     )
     # Mellin factorization for every twist and character
-    ok = True
     unit = traces.mellin_unit()
-    for w in ws.weyl():
-        for theta in torus_characters(tower, w):
-            if traces.mellin_gamma(w, theta) != traces.mellin_reference(w, theta):
-                ok = False
     checks.append(
         CheckResult(
             "mellin-factorization",
-            ok,
+            not mellin_failures(traces),
             value=unit,
             detail="unit frozen from the identity twist, trivial character",
         )
     )
-    # Kummer convolution constancy for every character
-    ok = True
-    try:
-        for exps in itertools.product(range(tower.q - 1), repeat=d):
-            traces.kummer_convolution_scalar(rational_character(tower, exps))
-    except GammasumsError:
-        ok = False
-    checks.append(CheckResult("kummer-convolution-constant", ok))
-    # determinant-fiber sign vanishing
-    ok = True
-    ran = False
-    for j, n in enumerate(ws.shape):
-        if n < 2:
-            continue
-        ran = True
-        for z in units:
-            if not traces.sigma_fiber_sum(j, z).is_zero():
-                ok = False
+    checks.append(
+        CheckResult("kummer-convolution-constant", not kummer_failures(traces))
+    )
+    ran = any(n >= 2 for n in ws.shape)
     checks.append(
         CheckResult(
             "sigma-fiber-vanishing",
-            ok,
+            not sigma_fiber_failures(traces),
             detail="" if ran else "no factor of rank >= 2",
         )
     )
@@ -507,6 +559,58 @@ def suite_torus(cfg) -> list:
 
 
 # -- suite: mirabolic --------------------------------------------------------------
+
+
+def roundtrip_failures(y, m):
+    """[y] unless the block coordinates of normalized y reassemble to y."""
+    return [] if bernstein_coords(y, m).reassemble(y.tower) == y.rows else [y.rows]
+
+
+def coset_failures(x, y, m):
+    """At x, normalized to y in stratum m: the v where u_v y breaks the coset
+    charpoly formula, and those of x, y whose coset map rank is not m - 1."""
+    formula = []
+    for v in itertools.product(y.level().elements(), repeat=y.n - 1):
+        _, info = coset_charpoly(y, v, m)
+        if not (
+            info["factorization_ok"] and info["closed_formula_ok"] and info["bm_fixed"]
+        ):
+            formula.append(v)
+    return formula, [pt.rows for pt in (y, x) if coset_rank(pt) != m - 1]
+
+
+def translation_map_failures(tower):
+    """(a1, a2, xe) where the GL(3) stratum-2 translation map is not bijective."""
+    lv = tower.level(1)
+    bad = []
+    for a1 in lv.elements():
+        for a2 in lv.units():
+            xf2 = companion_matrix(lv, (a1, a2), 2)
+            for xe in lv.units():
+                seen = {
+                    lemma_translation_map(lv, xf2, ((xe,),), (v1,), ((vm,), (0,)))
+                    for v1 in lv.elements()
+                    for vm in lv.elements()
+                }
+                if len(seen) != tower.q**2:
+                    bad.append((a1, a2, xe))
+    return bad
+
+
+def orbit_census_failures(tower, n):
+    """Charpolys of GL(n) whose orbit census differs from the recursion."""
+    lv = tower.level(1)
+    bad = []
+    for lead in itertools.product(lv.elements(), repeat=n - 1):
+        for const in lv.units():
+            a = tuple(lead) + (const,)
+            cen = orbit_census(tower, n, a)
+            pred = census_prediction(tower, n, a)
+            if cen["count"] != pred["count"] or {
+                k: len(v) for k, v in cen["by_stratum"].items()
+            } != pred["by_stratum"]:
+                bad.append(a)
+    return bad
 
 
 def suite_mirabolic(cfg) -> list:
@@ -522,15 +626,7 @@ def suite_mirabolic(cfg) -> list:
     # stratification stability under left unipotent translation
     ok = True
     if q ** (n * n) <= 1 << 16:
-        pool = []
-        for entries in itertools.product(lv.elements(), repeat=n * n):
-            rows = tuple(
-                tuple(entries[i * n + j] for j in range(n)) for i in range(n)
-            )
-            try:
-                pool.append(group_point(tower, rows))
-            except ValueError:
-                continue
+        pool = list(iter_invertible(tower, n))
     else:
         pool = [_random_group_point(tower, n, rng) for _ in range(300)]
     for x in pool:
@@ -546,35 +642,25 @@ def suite_mirabolic(cfg) -> list:
     )
     # normalization round trip, coset formulas, rank and linearity
     ok_round = ok_coset = ok_rank = ok_linear = True
+    vs = list(itertools.product(lv.elements(), repeat=n - 1))
     for idx in range(samples):
         x = _random_group_point(tower, n, rng)
-        h, y, m = normalize_stratum(x)
-        sd = bernstein_coords(y, m)
-        if sd.reassemble(tower) != y.rows:
-            ok_round = False
-        deltas = {}
-        for v in itertools.product(lv.elements(), repeat=n - 1):
-            b, info = coset_charpoly(y, v, m)
-            if not (
-                info["factorization_ok"]
-                and info["closed_formula_ok"]
-                and info["bm_fixed"]
-            ):
-                ok_coset = False
-            deltas[v] = tuple(
-                lv.sub(c, base) for c, base in zip(info["c_ux"], y.char)
+        _, y, m = normalize_stratum(x)
+        ok_round &= not roundtrip_failures(y, m)
+        formula_bad, rank_bad = coset_failures(x, y, m)
+        ok_coset &= not formula_bad
+        ok_rank &= not rank_bad
+        if idx >= 10:
+            continue
+        for _ in range(3):
+            v1, v2 = rng.choice(vs), rng.choice(vs)
+            # images under the coset map v -> c(u_v y) - c(y)
+            d1, d2, d12 = (
+                tuple(map(lv.sub, coset_charpoly(y, v, m)[1]["c_ux"], y.char))
+                for v in (v1, v2, tuple(map(lv.add, v1, v2)))
             )
-        if coset_rank(y) != m - 1 or coset_rank(x) != m - 1:
-            ok_rank = False
-        if idx < 10:
-            vs = list(deltas)
-            for _ in range(3):
-                v1, v2 = rng.choice(vs), rng.choice(vs)
-                vsum = tuple(lv.add(a, b) for a, b in zip(v1, v2))
-                if deltas[vsum] != tuple(
-                    lv.add(a, b) for a, b in zip(deltas[v1], deltas[v2])
-                ):
-                    ok_linear = False
+            if d12 != tuple(map(lv.add, d1, d2)):
+                ok_linear = False
     checks.append(CheckResult("normalization-roundtrip", ok_round))
     checks.append(
         CheckResult("coset-charpoly-formula", ok_coset, detail=f"{samples} points")
@@ -582,46 +668,22 @@ def suite_mirabolic(cfg) -> list:
     checks.append(CheckResult("coset-map-rank", ok_rank))
     checks.append(CheckResult("coset-map-linearity", ok_linear))
     # simple transitivity brute force on the (companion, scalar) layout
-    ok = True
-    ran = False
-    if n == 3 and q <= 3:
-        ran = True
-        for a1 in lv.elements():
-            for a2 in lv.units():
-                xf2 = companion_matrix(lv, (a1, a2), 2)
-                for xe in lv.units():
-                    seen = set()
-                    for v1 in lv.elements():
-                        for vm in lv.elements():
-                            y = lemma_translation_map(
-                                lv, xf2, ((xe,),), (v1,), ((vm,), (0,))
-                            )
-                            seen.add(y)
-                    if len(seen) != q * q:
-                        ok = False
+    ran = n == 3 and q <= 3
     checks.append(
         CheckResult(
             "translation-map-bijective",
-            ok,
+            not ran or not translation_map_failures(tower),
             detail="" if ran else "layout needs shape [3] at q <= 3",
         )
     )
     # census vs recursion
-    ok = True
-    tested = 0
-    if (n <= 3 and q <= 3) or (n == 2 and q <= 7):
-        for lead in itertools.product(lv.elements(), repeat=n - 1):
-            for const in lv.units():
-                a = tuple(lead) + (const,)
-                cen = orbit_census(tower, n, a)
-                pred = census_prediction(tower, n, a)
-                if cen["count"] != pred["count"] or {
-                    k: len(v) for k, v in cen["by_stratum"].items()
-                } != pred["by_stratum"]:
-                    ok = False
-                tested += 1
+    ran = (n <= 3 and q <= 3) or (n == 2 and q <= 7)
     checks.append(
-        CheckResult("orbit-census-recursion", ok, detail=f"{tested} charpolys")
+        CheckResult(
+            "orbit-census-recursion",
+            not ran or not orbit_census_failures(tower, n),
+            detail=f"{q ** (n - 1) * (q - 1) if ran else 0} charpolys",
+        )
     )
     # parabolic rank classification round trip
     ok = True
@@ -640,14 +702,33 @@ def suite_mirabolic(cfg) -> list:
 # -- suite: induction --------------------------------------------------------------
 
 
-def iter_invertible(tower, n):
-    lv = tower.level(1)
-    for entries in itertools.product(lv.elements(), repeat=n * n):
-        rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-        try:
-            yield group_point(tower, rows)
-        except ValueError:
-            continue
+def flag_vs_ordering_failures(traces, points):
+    """Regular semisimple points where the flag-sum trace differs from the sum
+    over the identity-twist eigenvalue orderings (no sign between them)."""
+    tower = traces.tower
+    bad = []
+    for x in points:
+        fiber_route = tower.ring.zero
+        for pt in steinberg_fiber(tower, x.char, perm_identity(x.n)):
+            fiber_route = fiber_route + traces.hyper_trace(
+                expand_twisted_point(tower, pt, 1)
+            )
+        if induced_trace(traces, x) != fiber_route:
+            bad.append(x.rows)
+    return bad
+
+
+def levi_restriction_failures(gamma):
+    """Pairs a != b whose Levi restriction sum is not q times the torus trace."""
+    lv = gamma.tower.level(1)
+    return [
+        (a, b)
+        for a in lv.units()
+        for b in lv.units()
+        if a != b
+        and levi_restriction_sum(gamma, (a, b))
+        != gamma.traces.hyper_trace((a, b)) * gamma.tower.q
+    ]
 
 
 def suite_induction(cfg) -> list:
@@ -666,23 +747,12 @@ def suite_induction(cfg) -> list:
     else:
         pool = [_random_group_point(tower, n, rng) for _ in range(200)]
     # flag sum vs eigenvalue-ordering sum on regular semisimple points
-    ok = True
-    count = 0
-    for x in pool:
-        if not _squarefree(tower, x.char):
-            continue
-        count += 1
-        flag_route = induced_trace(traces, x)
-        fiber_route = tower.ring.zero
-        for pt in steinberg_fiber(tower, x.char, perm_identity(n)):
-            fiber_route = fiber_route + traces.hyper_trace(
-                expand_twisted_point(tower, pt, 1)
-            )
-        if flag_route != fiber_route:
-            ok = False
+    rss = [x for x in pool if _squarefree(tower, x.char)]
     checks.append(
         CheckResult(
-            "flag-vs-ordering-consistency", ok, detail=f"{count} rss points"
+            "flag-vs-ordering-consistency",
+            not flag_vs_ordering_failures(traces, rss),
+            detail=f"{len(rss)} rss points",
         )
     )
     # conjugation invariance of the gamma trace
@@ -734,21 +804,11 @@ def suite_induction(cfg) -> list:
     checks.append(CheckResult("off-locus-refusal", ok))
     # restriction to the diagonal Levi: a frozen unit times the torus trace
     if n == 2 and q > 2:
-        ok = True
-        unit = q
-        for a in lv.units():
-            for b in lv.units():
-                if a == b:
-                    continue
-                if levi_restriction_sum(gamma, (a, b)) != traces.hyper_trace(
-                    (a, b)
-                ) * unit:
-                    ok = False
         checks.append(
             CheckResult(
                 "levi-restriction-unit",
-                ok,
-                value=unit,
+                not levi_restriction_failures(gamma),
+                value=q,
                 detail="frozen unit q, exact on all distinct-eigenvalue points",
             )
         )
@@ -772,27 +832,29 @@ def vanishing_sweep_gl2(cfg) -> list:
     traces = TorusTraces(tower, ws)
     gamma = GammaTrace(traces)
     oracle = oracle_phi(traces, gamma)
+    # mutation control: the untwisted descent must break at least one coset
+    gamma_mut = GammaTrace(traces, weyl_sign=False)
     bad = []
     route_mismatch = []
-    swept = 0
+    swept = broken = 0
     for g in iter_invertible(tower, 2):
         if in_borel(g.rows):
             continue
         swept += 1
-        geo = tower.ring.zero
-        orc = tower.ring.zero
+        geo = orc = mut = tower.ring.zero
         for v0 in lv.elements():
-            u = ((1, v0), (0, 1))
-            ug_rows = mat_mul(lv, u, g.rows)
-            key = class_of(tower, ug_rows)
-            geo_val = gamma.value_for_charpoly((key[0], key[1]))
+            key = class_of(tower, mat_mul(lv, ((1, v0), (0, 1)), g.rows))
+            geo_val = gamma.value_for_charpoly(key[:2])
             orc_val = oracle.values[key]
             if geo_val != orc_val:
                 route_mismatch.append((g.rows, v0))
             geo = geo + geo_val
             orc = orc + orc_val
+            mut = mut + gamma_mut.value_for_charpoly(key[:2])
         if not geo.is_zero() or not orc.is_zero():
             bad.append(g.rows)
+        if not mut.is_zero():
+            broken += 1
     checks.append(
         CheckResult(
             "coset-vanishing-both-routes",
@@ -801,19 +863,6 @@ def vanishing_sweep_gl2(cfg) -> list:
             f"route mismatches={len(route_mismatch)}",
         )
     )
-    # mutation control: the untwisted descent must break at least one coset
-    gamma_mut = GammaTrace(traces, weyl_sign=False)
-    broken = 0
-    for g in iter_invertible(tower, 2):
-        if in_borel(g.rows):
-            continue
-        s = tower.ring.zero
-        for v0 in lv.elements():
-            u = ((1, v0), (0, 1))
-            ug = group_point(tower, mat_mul(lv, u, g.rows))
-            s = s + gamma_mut.value_for_charpoly(ug.char)
-        if not s.is_zero():
-            broken += 1
     checks.append(
         CheckResult(
             "mutation-control-breaks",
@@ -852,38 +901,32 @@ def vanishing_sweep_gl3_top(cfg) -> list:
     traces = TorusTraces(tower, ws)
     gamma = GammaTrace(traces)
     rng = random.Random(cfg["seed"])
-    bad = []
-    tested = 0
-    for lead in itertools.product(lv.elements(), repeat=2):
-        for const in lv.units():
-            a = tuple(lead) + (const,)
-            x = group_point(tower, companion_matrix(lv, a, 3))
-            coset, det_fiber = gamma.coset_vanishing_top(x)
-            tested += 1
-            if not coset.is_zero() or coset != det_fiber:
-                bad.append(("companion", a))
+    points = [
+        group_point(tower, companion_matrix(lv, tuple(lead) + (const,), 3))
+        for lead in itertools.product(lv.elements(), repeat=2)
+        for const in lv.units()
+    ]
     extras = 0
     while extras < 100:
         x = _random_group_point(tower, 3, rng)
-        if stratum_index(x) != 3:
-            continue
+        if stratum_index(x) == 3:
+            points.append(x)
+            extras += 1
+    bad = []
+    for x in points:
         coset, det_fiber = gamma.coset_vanishing_top(x)
-        tested += 1
-        extras += 1
         if not coset.is_zero() or coset != det_fiber:
-            bad.append(("random", x.rows))
+            bad.append(x.rows)
     checks.append(
         CheckResult(
             "top-stratum-coset-vanishing",
             not bad,
-            detail=f"{tested} points tested ({extras} random), both routes",
+            detail=f"{len(points)} points tested ({extras} random), both routes",
         )
     )
-    ok = True
-    for z in lv.units():
-        if not traces.sigma_fiber_sum(0, z).is_zero():
-            ok = False
-    checks.append(CheckResult("sigma-fiber-gl3-torus", ok))
+    checks.append(
+        CheckResult("sigma-fiber-gl3-torus", not sigma_fiber_failures(traces))
+    )
     if bad:
         exc = VanishingFailed(f"gl3 coset vanishing failed at {bad[:3]}")
         exc.checks = checks
@@ -910,7 +953,7 @@ def suite_oracle(cfg) -> list:
     )
     result = oracle_phi(traces, gamma)
     ok = True
-    for cls in gl2_classes(tower):
+    for cls in table.classes:
         if cls.kind == "central":
             continue
         if result.values[cls.key] != gamma.value_for_charpoly(

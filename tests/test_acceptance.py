@@ -1,46 +1,21 @@
 """Acceptance gate: every criterion is exact (tolerance-free) except the
 stated float magnitude bound, and each prints one pass line with its runtime,
-which must stay inside the stated budget."""
+which must stay inside the stated budget.
 
-import itertools
+The criteria run the harness checks, the same functions the verify suites
+run, on their own fixed grids, seeds and sample counts; a check returns its
+failing inputs, so a criterion passes when every list it gets back is empty.
+Criteria 10 and 11 run whole suites through run_suite.
+"""
+
 import random
 import time
 
-from gammasums.fields import (
-    all_characters,
-    build_tower,
-    gauss_sum,
-    kloosterman,
-)
-from gammasums.harness import run_suite
-from gammasums.induction import (
-    GammaTrace,
-    factor_monic,
-    induced_trace,
-    levi_restriction_sum,
-    steinberg_fiber,
-)
-from gammasums.mirabolic import (
-    bernstein_coords,
-    census_prediction,
-    companion_matrix,
-    coset_charpoly,
-    coset_rank,
-    group_point,
-    lemma_translation_map,
-    normalize_stratum,
-    orbit_census,
-)
-from gammasums.torus import (
-    TorusTraces,
-    expand_twisted_point,
-    perm_identity,
-    perm_sign,
-    rational_character,
-    torus_characters,
-    twisted_point,
-    validate_weight_system,
-)
+from gammasums import harness
+from gammasums.fields import build_tower
+from gammasums.induction import GammaTrace
+from gammasums.mirabolic import normalize_stratum
+from gammasums.torus import TorusTraces, validate_weight_system
 
 TOWERS = {}
 
@@ -61,24 +36,9 @@ def report(criterion, started, budget_s, detail=""):
 def test_criterion_01_gauss_identities():
     started = time.perf_counter()
     for q, p, f in [(3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (9, 3, 2)]:
-        t = tower(p, f, 2)
-        for m in (1, 2):
-            size = q**m
-            lv = t.level(m)
-            for chi in all_characters(t, m):
-                if chi.is_trivial():
-                    continue
-                g = gauss_sum(chi)
-                assert g * gauss_sum(chi.conj()) == chi.value(lv.neg(1)) * size
-                assert abs(abs(g.complex_value()) - size**0.5) < 1e-9
+        assert harness.gauss_failures(tower(p, f, 2)) == ([], []), q
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]:
-        t = tower(p, f, 3)
-        for chi in all_characters(t, 1):
-            if chi.is_trivial():
-                continue
-            g1 = gauss_sum(chi)
-            for m in (2, 3):
-                assert (-g1) ** m == -gauss_sum(chi.lift(m))
+        assert harness.hasse_davenport_failures(tower(p, f, 3)) == [], q
     report(1, started, 10, "gauss products, magnitudes, norm lifts")
 
 
@@ -86,13 +46,8 @@ def test_criterion_02_hypergeometric_baseline():
     started = time.perf_counter()
     total = 0
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1)]:
-        t = tower(p, f, 1)
-        for r in (1, 2, 3, 4):
-            ws = validate_weight_system([1], [[(1,), r]])
-            traces = TorusTraces(t, ws)
-            for x in t.level(1).units():
-                assert traces.hyper_trace((x,)) == kloosterman(t, x, r)
-                total += 1
+        assert harness.kloosterman_failures(tower(p, f, 1), (1, 2, 3, 4)) == [], q
+        total += 4 * (q - 1)
     report(2, started, 30, f"{total} points across arities 1..4")
 
 
@@ -105,30 +60,15 @@ def test_criterion_03_sign_character():
         for shape, rep in systems:
             if rep == "sym2" and q % 2 == 0:
                 continue
-            ws = validate_weight_system(shape, rep)
-            traces = TorusTraces(t1, ws)
-            units = list(t1.level(1).units())
-            pts = list(itertools.product(units, repeat=ws.d))
-            rng.shuffle(pts)
-            for pt_coords in pts[:20]:
-                pt = twisted_point(
-                    t1, perm_identity(ws.d), dict(enumerate(pt_coords))
-                )
-                base = traces.hyper_trace(pt_coords)
-                for xi in ws.sigma_block_elements():
-                    want = base if perm_sign(xi) == 1 else -base
-                    assert traces.twisted_local_sum(xi, pt) == want
+            traces = TorusTraces(t1, validate_weight_system(shape, rep))
+            points = harness._sample_torus_points(t1, traces.ws.d, rng)
+            assert harness.sign_action_failures(traces, points) == [], (q, shape, rep)
         # repeated-weight systems carry the actual sign content
         t3l = tower(p, f, 3)
         for r in (2, 3):
-            ws = validate_weight_system([1], [[(1,), r]])
-            traces = TorusTraces(t3l, ws)
-            for x in t3l.level(1).units():
-                pt = twisted_point(t3l, (0,), {0: x})
-                base = traces.hyper_trace((x,))
-                for xi in ws.sigma_block_elements():
-                    want = base if perm_sign(xi) == 1 else -base
-                    assert traces.twisted_local_sum(xi, pt) == want
+            traces = TorusTraces(t3l, validate_weight_system([1], [[(1,), r]]))
+            points = [(x,) for x in t3l.level(1).units()]
+            assert harness.sign_action_failures(traces, points) == [], (q, r)
     report(3, started, 60, "block-permutation sign action, q <= 5")
 
 
@@ -141,31 +81,22 @@ def test_criterion_04_kummer_convolution():
         for shape, rep in systems:
             if rep == "sym2" and q % 2 == 0:
                 continue
-            ws = validate_weight_system(shape, rep)
-            traces = TorusTraces(t, ws)
-            for exps in itertools.product(range(q - 1), repeat=ws.d):
-                traces.kummer_convolution_scalar(rational_character(t, exps))
-                count += 1
+            traces = TorusTraces(t, validate_weight_system(shape, rep))
+            assert harness.kummer_failures(traces) == [], (q, shape, rep)
+            count += (q - 1) ** traces.ws.d
     report(4, started, 120, f"{count} characters, constancy exact")
 
 
 def test_criterion_05_mellin_factorization():
     started = time.perf_counter()
-    count = 0
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]:
         t = tower(p, f, 2)
         for rep in ("std", "sym2", "std*det^1"):
             if rep == "sym2" and q % 2 == 0:
                 continue
-            ws = validate_weight_system([2], rep)
-            traces = TorusTraces(t, ws)
-            for w in ws.weyl():
-                for theta in torus_characters(t, w):
-                    assert traces.mellin_gamma(w, theta) == traces.mellin_reference(
-                        w, theta
-                    )
-                    count += 1
-    report(5, started, 60, f"{count} (twist, character) pairs, one unit per system")
+            traces = TorusTraces(t, validate_weight_system([2], rep))
+            assert harness.mellin_failures(traces) == [], (q, rep)
+    report(5, started, 60, "every (twist, character) pair, one unit per system")
 
 
 def test_criterion_06_coset_charpoly_and_rank():
@@ -173,26 +104,11 @@ def test_criterion_06_coset_charpoly_and_rank():
     rng = random.Random(1789)
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2)]:
         t = tower(p, f, 1)
-        lv = t.level(1)
         for n in (2, 3, 4):
             for _ in range(500):
-                while True:
-                    rows = [
-                        [rng.randrange(q) for _ in range(n)] for _ in range(n)
-                    ]
-                    try:
-                        x = group_point(t, rows)
-                        break
-                    except ValueError:
-                        continue
-                h, y, m = normalize_stratum(x)
-                for v in itertools.product(lv.elements(), repeat=n - 1):
-                    b, info = coset_charpoly(y, v, m)
-                    assert info["closed_formula_ok"]
-                    assert info["factorization_ok"]
-                    assert info["bm_fixed"]
-                assert coset_rank(y) == m - 1
-                assert coset_rank(x) == m - 1
+                x = harness._random_group_point(t, n, rng)
+                _, y, m = normalize_stratum(x)
+                assert harness.coset_failures(x, y, m) == ([], []), x.rows
     report(6, started, 60, "500 points per (n, q), n <= 4, q <= 4, exhaustive u")
 
 
@@ -201,33 +117,13 @@ def test_criterion_07_simple_transitivity():
     rng = random.Random(1789)
     for q, p, f in [(2, 2, 1), (3, 3, 1)]:
         t = tower(p, f, 1)
-        lv = t.level(1)
         # brute-force bijectivity on the stratum-2 layout of GL(3),
         # including the shared-eigenvalue cases
-        for a1 in lv.elements():
-            for a2 in lv.units():
-                x_f = companion_matrix(lv, (a1, a2), 2)
-                for xe in lv.units():
-                    seen = set()
-                    for v1 in lv.elements():
-                        for vm in lv.elements():
-                            seen.add(
-                                lemma_translation_map(
-                                    lv, x_f, ((xe,),), (v1,), ((vm,), (0,))
-                                )
-                            )
-                    assert len(seen) == q * q
+        assert harness.translation_map_failures(t) == [], q
         # solver round trip on random points
         for _ in range(100):
-            while True:
-                rows = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-                try:
-                    x = group_point(t, rows)
-                    break
-                except ValueError:
-                    continue
-            h, y, m = normalize_stratum(x)
-            assert bernstein_coords(y, m).reassemble(t) == y.rows
+            _, y, m = normalize_stratum(harness._random_group_point(t, 3, rng))
+            assert harness.roundtrip_failures(y, m) == [], q
     report(7, started, 60, "exhaustive bijectivity + solver round trips")
 
 
@@ -235,18 +131,8 @@ def test_criterion_08_orbit_census():
     started = time.perf_counter()
     tested = 0
     for n, q, p, f in [(2, 2, 2, 1), (2, 3, 3, 1), (2, 4, 2, 2), (2, 5, 5, 1), (3, 2, 2, 1)]:
-        t = tower(p, f, 1)
-        lv = t.level(1)
-        for lead in itertools.product(lv.elements(), repeat=n - 1):
-            for const in lv.units():
-                a = tuple(lead) + (const,)
-                cen = orbit_census(t, n, a)
-                pred = census_prediction(t, n, a)
-                assert cen["count"] == pred["count"], (n, q, a)
-                assert {
-                    k: len(v) for k, v in cen["by_stratum"].items()
-                } == pred["by_stratum"], (n, q, a)
-                tested += 1
+        assert harness.orbit_census_failures(tower(p, f, 1), n) == [], (n, q)
+        tested += q ** (n - 1) * (q - 1)
     report(8, started, 300, f"{tested} characteristic polynomials")
 
 
@@ -255,49 +141,22 @@ def test_criterion_09_induction_consistency():
     count = 0
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1)]:
         t = tower(p, f, 2)
-        ws = validate_weight_system([2], "std")
-        traces = TorusTraces(t, ws)
-        lv = t.level(1)
-        for entries in itertools.product(lv.elements(), repeat=4):
-            rows = ((entries[0], entries[1]), (entries[2], entries[3]))
-            try:
-                x = group_point(t, rows)
-            except ValueError:
-                continue
-            if any(m > 1 for _, m in factor_monic(t, x.charpoly_low())):
-                continue
-            flag_route = induced_trace(traces, x)
-            fiber_route = t.ring.zero
-            for pt in steinberg_fiber(t, x.char, (0, 1)):
-                fiber_route = fiber_route + traces.hyper_trace(
-                    expand_twisted_point(t, pt, 1)
-                )
-            assert flag_route == fiber_route
-            count += 1
+        traces = TorusTraces(t, validate_weight_system([2], "std"))
+        pool = harness.iter_invertible(t, 2)
+        rss = [x for x in pool if harness._squarefree(t, x.char)]
+        assert harness.flag_vs_ordering_failures(traces, rss) == [], q
+        count += len(rss)
     for q, p, f in [(2, 2, 1), (3, 3, 1)]:
         t = tower(p, f, 3)
-        ws = validate_weight_system([3], "std")
-        traces = TorusTraces(t, ws)
-        lv = t.level(1)
+        traces = TorusTraces(t, validate_weight_system([3], "std"))
         rng = random.Random(1789)
-        sampled = 0
-        while sampled < 200:
-            rows = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-            try:
-                x = group_point(t, rows)
-            except ValueError:
-                continue
-            if any(m > 1 for _, m in factor_monic(t, x.charpoly_low())):
-                continue
-            flag_route = induced_trace(traces, x)
-            fiber_route = t.ring.zero
-            for pt in steinberg_fiber(t, x.char, (0, 1, 2)):
-                fiber_route = fiber_route - traces.hyper_trace(
-                    expand_twisted_point(t, pt, 1)
-                )
-            assert flag_route == fiber_route
-            sampled += 1
-            count += 1
+        rss = []
+        while len(rss) < 200:
+            x = harness._random_group_point(t, 3, rng)
+            if harness._squarefree(t, x.char):
+                rss.append(x)
+        assert harness.flag_vs_ordering_failures(traces, rss) == [], q
+        count += len(rss)
     report(9, started, 120, f"{count} regular semisimple points, two routes")
 
 
@@ -316,7 +175,7 @@ def test_criterion_10_main_gl2_vanishing():
                 "suites": ["gl2-main"],
                 "caps": {"tower": 2},
             }
-            reports = run_suite(cfg)
+            reports = harness.run_suite(cfg)
             assert all(r.passed for r in reports), (rep, q, [
                 (c.name, c.detail)
                 for r in reports
@@ -343,7 +202,7 @@ def test_criterion_11_main_gl3_top():
             "suites": ["gl3-top"],
             "caps": {"tower": 3},
         }
-        reports = run_suite(cfg)
+        reports = harness.run_suite(cfg)
         assert all(r.passed for r in reports), (q, [
             (c.name, c.detail)
             for r in reports
@@ -357,8 +216,7 @@ def test_criterion_11_main_gl3_top():
             if rep == "sym2" and q % 2 == 0:
                 continue
             traces = TorusTraces(t, validate_weight_system([2], rep))
-            for z in t.level(1).units():
-                assert traces.sigma_fiber_sum(0, z).is_zero()
+            assert harness.sigma_fiber_failures(traces) == [], (q, rep)
     report(11, started, 600, "GL(3) cosets q in {2,3} plus torus sign fibers")
 
 
@@ -366,30 +224,12 @@ def test_criterion_12_levi_restriction():
     started = time.perf_counter()
     for q, p, f in [(3, 3, 1), (4, 2, 2), (5, 5, 1)]:
         t = tower(p, f, 2)
-        lv = t.level(1)
         for rep in ("std", "sym2", "std*det^1"):
             if rep == "sym2" and q % 2 == 0:
                 continue
-            traces = TorusTraces(t, validate_weight_system([2], rep))
-            gamma = GammaTrace(traces)
-            pairs = []
-            for a in lv.units():
-                for b in lv.units():
-                    if a == b:
-                        continue
-                    pairs.append(
-                        (levi_restriction_sum(gamma, (a, b)),
-                         traces.hyper_trace((a, b)))
-                    )
-            nonzero = [(s, h) for s, h in pairs if not h.is_zero()]
-            if not nonzero:
-                # the torus trace vanishes on the whole distinct-eigenvalue
-                # locus (sym2 at q=3); the restriction sum must too
-                assert all(s.is_zero() for s, _ in pairs)
-                continue
-            s0, h0 = nonzero[0]
-            unit = s0 / h0
-            assert unit == t.ring.from_int(q)
-            for s, h in pairs:
-                assert s == unit * h
-    report(12, started, 60, "unit q calibrated once per system, exact after")
+            # the unit q on every distinct-eigenvalue point; where the torus
+            # trace vanishes on that whole locus (sym2 at q=3) the
+            # restriction sum must vanish too
+            gamma = GammaTrace(TorusTraces(t, validate_weight_system([2], rep)))
+            assert harness.levi_restriction_failures(gamma) == [], (q, rep)
+    report(12, started, 60, "unit q on every distinct-eigenvalue point")
