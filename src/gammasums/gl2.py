@@ -2,13 +2,16 @@
 
 The table is built from the classical four families (one-dimensional twists
 of det, their Steinberg companions, principal series, cuspidal) and verified
-internally by exact row and column orthogonality.  The oracle expands the
-gamma trace over irreducible characters: the generic coefficients come from
-the torus Mellin transform (identity twist for principal-series parameters,
-the long twist for cuspidal parameters), the finitely many non-generic ones
-are solved for exactly, and the overdetermined system must close on every
-regular class.  Both pairings chi(g) and chi(g^(-1)) are attempted and the
-consistent one is recorded.
+by exact row and column orthogonality in build_gl2_table.  The verified table
+is an input to the oracle and to the family-scale calibration, so a caller
+builds it once and passes it to both.  The oracle expands the gamma trace
+over irreducible characters: the generic coefficients come from the torus
+Mellin transform (identity twist for principal-series parameters, the long
+twist for cuspidal parameters), the finitely many non-generic ones are solved
+for exactly, and the overdetermined system must close on every regular class.
+Both pairings chi(g) and chi(g^(-1)) are attempted and the consistent one is
+recorded.  The oracle and the calibration share one regular-class system
+builder and one solve-and-substitute step.
 """
 
 from __future__ import annotations
@@ -306,139 +309,130 @@ class OracleResult:
     rank_deficient: bool
 
 
-def _generic_gamma(traces, irrep: Gl2Irrep):
-    """Gamma coefficient of a generic irreducible from the torus transform.
+# Each generic family enters the expansion as its raw torus Mellin transforms
+# times one scale per family.  The scale is q * sign_W(w) for the twist w of
+# the parametrizing torus (identity for principal series, the long element for
+# cuspidal): calibrate_generic_units solves for the scales, and the
+# regular-class system pins exactly these values wherever it has full rank
+# (q in {3, 4, 5, 7}, standard weights).
+GENERIC_SIGNS = {"principal": 1, "cuspidal": -1}
 
-    The torus Mellin value enters scaled by q * sign_W(w) for the twist w of
-    the parametrizing torus (identity for principal series, the long element
-    for cuspidal).  The scale is a calibrated normalization: re-solving with
-    family-level scale unknowns pins exactly these values wherever the
-    regular-class system has full rank (q in {3, 4, 5, 7}, standard weights).
-    """
-    tower = traces.tower
-    q = tower.q
+
+def _raw_mellin(traces, irrep: Gl2Irrep):
+    """Torus Mellin transform at the character parametrizing a generic irrep."""
     if irrep.family == "principal":
-        j1, j2 = irrep.params
-        theta = TorusCharacter((0, 1), ((0, j1), (1, j2)))
-        return traces.mellin_gamma((0, 1), theta) * q
-    if irrep.family == "cuspidal":
-        (k,) = irrep.params
-        theta = TorusCharacter((1, 0), ((0, k),))
-        return traces.mellin_gamma((1, 0), theta) * (-q)
-    raise ValueError("gamma of a non-generic family is solved for, not set")
+        w, exponents = (0, 1), tuple(enumerate(irrep.params))
+    else:
+        w, exponents = (1, 0), ((0, irrep.params[0]),)
+    return traces.mellin_gamma(w, TorusCharacter(w, exponents))
 
 
-def calibrate_generic_units(traces, gamma_calc):
+def _dim_characters(table, convention):
+    """Class key -> {irrep: dim(r) chi_r}, at g ("direct") or g^(-1) ("inverse")."""
+    chars = {}
+    for cls in table.classes:
+        key = cls.key
+        if convention == "inverse":
+            key = inverse_class_key(table.tower, key)
+        chars[cls.key] = {r: table.value(r, key) * r.dim for r in table.irreps}
+    return chars
+
+
+def _regular_system(traces, gamma_calc, table, chars):
+    """The equations sum_r dim(r) gamma_r chi_r(g) = |G| phi(g), g regular.
+
+    Returns (generic, unknown, rows, rhs).  generic maps each generic family
+    present (principal first) to {irrep: raw Mellin value}.  A row has one
+    column per family in generic, the coefficient of the family scale, then
+    one column per non-generic irrep in unknown.
+    """
+    zero = table.tower.ring.zero
+    order = gl2_order(table.tower.q)
+    generic = {}
+    for r in table.irreps:
+        if r.family in GENERIC_SIGNS:
+            generic.setdefault(r.family, {})[r] = _raw_mellin(traces, r)
+    unknown = [r for r in table.irreps if r.family not in GENERIC_SIGNS]
+    rows, rhs = [], []
+    for cls in table.classes:
+        if cls.kind == "central":
+            continue
+        dim_chi = chars[cls.key]
+        row = [
+            sum((g * dim_chi[r] for r, g in raw.items()), zero)
+            for raw in generic.values()
+        ]
+        rows.append(row + [dim_chi[r] for r in unknown])
+        rhs.append(gamma_calc.value_for_charpoly(cls.key[:2]) * order)
+    return generic, unknown, rows, rhs
+
+
+def _solve_and_substitute(rows, rhs, zero, what):
+    """Exact solution of the system, substituted back into every equation."""
+    solution, rank, consistent = solve_linear_system(rows, rhs)
+    if not consistent:
+        raise SystemInconsistent(f"{what}: elimination inconsistent")
+    for row, b in zip(rows, rhs):
+        if sum((c * s for c, s in zip(row, solution)), zero) != b:
+            raise SystemInconsistent(f"{what}: residual nonzero")
+    return solution, rank
+
+
+def calibrate_generic_units(traces, gamma_calc, table):
     """Re-derive the family scales (u_principal, u_cuspidal) from scratch.
 
-    Treats one scale per generic family plus every non-generic gamma as
-    unknowns and solves the regular-class system exactly.  Returns
-    (u_principal, u_cuspidal, rank, unknown_count); when the rank is full the
-    scales are forced and must equal (q, -q).  q = 2 has no principal series
-    and the scale slot is returned as None.
+    table is the verified character table.  Treats one scale per generic
+    family plus every non-generic gamma as unknowns and solves the
+    regular-class system exactly.  Returns (u_principal, u_cuspidal, rank,
+    unknown_count); when the rank is full the scales are forced and must
+    equal (q, -q).  q = 2 has no principal series and the scale slot is
+    returned as None.
     """
-    tower = traces.tower
-    ring = tower.ring
-    table = build_gl2_table(tower)
-    order = gl2_order(tower.q)
-    generic_p = [r for r in table.irreps if r.family == "principal"]
-    generic_c = [r for r in table.irreps if r.family == "cuspidal"]
-    unknown = [r for r in table.irreps if r.family in ("onedim", "steinberg")]
-    raw = {}
-    for r in generic_p + generic_c:
-        if r.family == "principal":
-            theta = TorusCharacter((0, 1), ((0, r.params[0]), (1, r.params[1])))
-            raw[r] = traces.mellin_gamma((0, 1), theta)
-        else:
-            theta = TorusCharacter((1, 0), ((0, r.params[0]),))
-            raw[r] = traces.mellin_gamma((1, 0), theta)
-    regular = [c for c in table.classes if c.kind != "central"]
-    rows, rhs = [], []
-    for cls in regular:
-        phi = gamma_calc.value_for_charpoly((cls.key[0], cls.key[1]))
-        coef_p = ring.zero
-        for r in generic_p:
-            coef_p = coef_p + raw[r] * table.value(r, cls.key) * r.dim
-        coef_c = ring.zero
-        for r in generic_c:
-            coef_c = coef_c + raw[r] * table.value(r, cls.key) * r.dim
-        row = [coef_c] + [table.value(r, cls.key) * r.dim for r in unknown]
-        if generic_p:
-            row = [coef_p] + row
-        rows.append(row)
-        rhs.append(phi * order)
-    solution, rank, consistent = solve_linear_system(rows, rhs)
-    if not consistent or not all(
-        sum((c * s for c, s in zip(row, solution)), ring.zero) == b
-        for row, b in zip(rows, rhs)
-    ):
-        raise SystemInconsistent("family-scale calibration system does not close")
-    if generic_p:
-        u_p, u_c = solution[0], solution[1]
-    else:
-        u_p, u_c = None, solution[0]
-    return u_p, u_c, rank, len(rows[0])
+    chars = _dim_characters(table, "direct")
+    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, chars)
+    zero = table.tower.ring.zero
+    solution, rank = _solve_and_substitute(rows, rhs, zero, "family-scale calibration")
+    scales = dict(zip(generic, solution))
+    return scales.get("principal"), scales["cuspidal"], rank, len(rows[0])
 
 
-def oracle_phi(traces, gamma_calc) -> OracleResult:
+def oracle_phi(traces, gamma_calc, table) -> OracleResult:
     """Solve the exact class-function expansion of the gamma trace.
 
     traces is the torus trace calculator of the weight system, gamma_calc the
-    GammaTrace used for the right-hand side on regular classes.  The result
-    carries values on every class, including central ones.
+    GammaTrace used for the right-hand side on regular classes, table the
+    verified character table.  The generic gammas are their raw Mellin values
+    times the family scales q * sign; the non-generic ones are solved for.
+    The result carries values on every class, including central ones.
     """
-    tower = traces.tower
-    ring = tower.ring
-    q = tower.q
-    order = gl2_order(q)
-    table = build_gl2_table(tower)
-    generic = [r for r in table.irreps if r.family in ("principal", "cuspidal")]
-    unknown = [r for r in table.irreps if r.family in ("onedim", "steinberg")]
-    gamma_generic = {r: _generic_gamma(traces, r) for r in generic}
-    regular = [c for c in table.classes if c.kind != "central"]
-    inv_order = Fraction(1, order)
+    tower = table.tower
+    zero = tower.ring.zero
+    inv_order = Fraction(1, gl2_order(tower.q))
     last_diag = None
     for convention in ("direct", "inverse"):
-        def val(irrep, cls):
-            key = cls.key
-            if convention == "inverse":
-                key = inverse_class_key(tower, key)
-            return table.value(irrep, key)
-
-        rows = []
-        rhs = []
-        for cls in regular:
-            phi = gamma_calc.value_for_charpoly((cls.key[0], cls.key[1]))
-            acc = ring.zero
-            for r in generic:
-                acc = acc + gamma_generic[r] * val(r, cls) * r.dim
-            rows.append([val(r, cls) * r.dim for r in unknown])
-            rhs.append(phi * order - acc)
-        solution, rank, consistent = solve_linear_system(rows, rhs)
-        if not consistent:
-            last_diag = f"elimination inconsistent under {convention} pairing"
+        chars = _dim_characters(table, convention)
+        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, chars)
+        scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
+        k = len(scales)
+        rhs = [
+            b - sum((c * u for c, u in zip(row, scales)), zero)
+            for row, b in zip(rows, rhs)
+        ]
+        try:
+            solution, rank = _solve_and_substitute(
+                [row[k:] for row in rows], rhs, zero, f"{convention} pairing"
+            )
+        except SystemInconsistent as exc:
+            last_diag = str(exc)
             continue
-        # substitute back into every equation
-        ok = True
-        for row, b in zip(rows, rhs):
-            acc = ring.zero
-            for coeff, s in zip(row, solution):
-                acc = acc + coeff * s
-            if acc != b:
-                ok = False
-                break
-        if not ok:
-            last_diag = f"residual nonzero under {convention} pairing"
-            continue
-        gammas = dict(gamma_generic)
-        for r, s in zip(unknown, solution):
-            gammas[r] = s
-        values = {}
-        for cls in table.classes:
-            acc = ring.zero
-            for r in table.irreps:
-                acc = acc + gammas[r] * val(r, cls) * r.dim
-            values[cls.key] = acc * inv_order
+        gammas = {}
+        for raw, scale in zip(generic.values(), scales):
+            gammas.update((r, g * scale) for r, g in raw.items())
+        gammas.update(zip(unknown, solution))
+        values = {
+            key: sum((gammas[r] * v for r, v in dim_chi.items()), zero) * inv_order
+            for key, dim_chi in chars.items()
+        }
         return OracleResult(
             values=values,
             gammas=gammas,

@@ -831,7 +831,7 @@ def vanishing_sweep_gl2(cfg) -> list:
     lv = tower.level(1)
     traces = TorusTraces(tower, ws)
     gamma = GammaTrace(traces)
-    oracle = oracle_phi(traces, gamma)
+    oracle = oracle_phi(traces, gamma, build_gl2_table(tower))
     # mutation control: the untwisted descent must break at least one coset
     gamma_mut = GammaTrace(traces, weyl_sign=False)
     bad = []
@@ -951,7 +951,7 @@ def suite_oracle(cfg) -> list:
             f"{gl2_order(tower.q)}",
         )
     )
-    result = oracle_phi(traces, gamma)
+    result = oracle_phi(traces, gamma, table)
     ok = True
     for cls in table.classes:
         if cls.kind == "central":
@@ -975,7 +975,7 @@ def suite_oracle(cfg) -> list:
             detail="rank deficiency is reported, never masked",
         )
     )
-    u_p, u_c, rank, n_unknowns = calibrate_generic_units(traces, gamma)
+    u_p, u_c, rank, n_unknowns = calibrate_generic_units(traces, gamma, table)
     full = rank == n_unknowns
     expect_p = tower.ring.from_int(tower.q)
     expect_c = tower.ring.from_int(-tower.q)

@@ -82,7 +82,7 @@ def test_oracle_matches_geometry_q3(tower_f3, rep):
     ws = validate_weight_system([2], rep)
     traces = TorusTraces(tower_f3, ws)
     gamma = GammaTrace(traces)
-    result = oracle_phi(traces, gamma)
+    result = oracle_phi(traces, gamma, build_gl2_table(tower_f3))
     assert result.convention == "direct"
     assert not result.rank_deficient
     for cls in gl2_classes(tower_f3):
@@ -96,7 +96,7 @@ def test_oracle_matches_geometry_q3(tower_f3, rep):
 def test_oracle_std_is_psi_trace(tower_f3):
     ws = validate_weight_system([2], "std")
     traces = TorusTraces(tower_f3, ws)
-    result = oracle_phi(traces, GammaTrace(traces))
+    result = oracle_phi(traces, GammaTrace(traces), build_gl2_table(tower_f3))
     lv = tower_f3.level(1)
     for cls in gl2_classes(tower_f3):
         if cls.kind == "central":
@@ -108,7 +108,7 @@ def test_oracle_q2():
     tower = build_tower(2, 1, 2)
     ws = validate_weight_system([2], "std")
     traces = TorusTraces(tower, ws)
-    result = oracle_phi(traces, GammaTrace(traces))
+    result = oracle_phi(traces, GammaTrace(traces), build_gl2_table(tower))
     # frozen values from the hand-solved rank-2 system: the cuspidal raw
     # transform is 2, scaled by -q; the two non-generic unknowns come out 2
     ring = tower.ring
@@ -121,7 +121,9 @@ def test_oracle_q2():
 def test_calibration_pins_family_scales(tower_f3):
     ws = validate_weight_system([2], "std")
     traces = TorusTraces(tower_f3, ws)
-    u_p, u_c, rank, n_unknowns = calibrate_generic_units(traces, GammaTrace(traces))
+    u_p, u_c, rank, n_unknowns = calibrate_generic_units(
+        traces, GammaTrace(traces), build_gl2_table(tower_f3)
+    )
     assert rank == n_unknowns
     assert u_p == tower_f3.ring.from_int(3)
     assert u_c == tower_f3.ring.from_int(-3)
@@ -131,7 +133,7 @@ def test_principal_gamma_factors_into_gauss_sums(tower_f5):
     # gamma of a principal series = q * unit * g(conj chi_1) g(conj chi_2)
     ws = validate_weight_system([2], "std")
     traces = TorusTraces(tower_f5, ws)
-    result = oracle_phi(traces, GammaTrace(traces))
+    result = oracle_phi(traces, GammaTrace(traces), build_gl2_table(tower_f5))
     q = tower_f5.q
     for irrep, g_val in result.gammas.items():
         if irrep.family != "principal":
