@@ -65,6 +65,10 @@ class VanishingFailed(GammasumsError):
     """A coset sum that must vanish exactly did not."""
 
 
+class TableNotOrthogonal(GammasumsError):
+    """The GL(2) character table fails an exact orthogonality relation."""
+
+
 class SystemInconsistent(GammasumsError):
     """The exact linear system for the oracle has no solution."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import solve_linear_system
-from .errors import CapExceeded, SystemInconsistent
+from .errors import CapExceeded, SystemInconsistent, TableNotOrthogonal
 from .mirabolic import group_point
 from .torus import TorusCharacter
 
@@ -269,7 +269,7 @@ class Gl2Table:
                     )
                 want = ring.from_int(order if r1 is r2 else 0)
                 if acc != want:
-                    raise ArithmeticError(
+                    raise TableNotOrthogonal(
                         f"row orthogonality fails for {r1} vs {r2}"
                     )
         for i, c1 in enumerate(self.classes):
@@ -282,7 +282,7 @@ class Gl2Table:
                     )
                 want = ring.from_int(order // c1.size if c1 is c2 else 0)
                 if acc != want:
-                    raise ArithmeticError(
+                    raise TableNotOrthogonal(
                         f"column orthogonality fails for {c1.key} vs {c2.key}"
                     )
         return True

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gammasums import gl2
 from gammasums.cli import main
 from gammasums.errors import ConfigInvalid
 from gammasums.harness import (
@@ -43,6 +44,22 @@ def test_validate_config_rejections():
         validate_config({"bogus": 1})
     with pytest.raises(ConfigInvalid):
         run_suite(BASE_CFG, suites=["nope"])
+
+
+def test_corrupted_table_is_a_failed_check(monkeypatch):
+    real = gl2.character_value
+
+    def corrupted(tower, irrep, cls):
+        value = real(tower, irrep, cls)
+        if irrep.family == "cuspidal" and cls.kind == "nonss":
+            return value + 1
+        return value
+
+    monkeypatch.setattr(gl2, "character_value", corrupted)
+    reports = run_suite(dict(BASE_CFG, suites=["oracle"]))
+    (check,) = reports[0].checks
+    assert (check.name, check.passed) == ("suite-error", False)
+    assert check.detail.startswith("TableNotOrthogonal: ")
 
 
 def test_run_suite_reports_pass():
