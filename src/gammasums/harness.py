@@ -23,7 +23,7 @@ from .errors import (
     TowerTooShallow,
     VanishingFailed,
 )
-from .fields import all_characters, build_tower, gauss_sum, kloosterman
+from .fields import all_characters, build_tower, gauss_sum, is_prime, kloosterman
 from .gl2 import (
     build_gl2_table,
     calibrate_generic_units,
@@ -205,6 +205,10 @@ def emit(reports, fmt="json"):
 # -- configuration --------------------------------------------------------------
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_config(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
@@ -218,20 +222,28 @@ def validate_config(raw) -> dict:
         "rep": raw.get("rep", "std"),
         "suites": list(raw.get("suites", ["arith"])),
         "caps": dict(raw.get("caps", {})),
-        "seed": int(raw.get("seed", DEFAULT_SEED)),
+        "seed": raw.get("seed", DEFAULT_SEED),
     }
-    if not isinstance(cfg["p"], int) or not isinstance(cfg["f"], int):
-        raise ConfigInvalid("p and f must be integers")
+    if not (_is_int(cfg["p"]) and is_prime(cfg["p"])):
+        raise ConfigInvalid("p must be a prime integer")
+    if not (_is_int(cfg["f"]) and cfg["f"] >= 1):
+        raise ConfigInvalid("f must be a positive integer")
+    if not _is_int(cfg["seed"]):
+        raise ConfigInvalid("seed must be an integer")
     for s in cfg["suites"]:
         if s not in SUITE_NAMES:
             raise ConfigInvalid(f"unknown suite {s!r}")
-    if not cfg["shape"] or any(
-        not isinstance(n, int) or n < 1 for n in cfg["shape"]
-    ):
+    if not cfg["shape"] or any(not _is_int(n) or n < 1 for n in cfg["shape"]):
         raise ConfigInvalid("shape must be a list of positive integers")
     cfg["caps"].setdefault("tower", max(2, max(cfg["shape"])))
     cfg["caps"].setdefault("enumeration", 1 << 24)
     cfg["caps"].setdefault("samples", 60)
+    if not (_is_int(cfg["caps"]["tower"]) and cfg["caps"]["tower"] >= 1):
+        raise ConfigInvalid("caps.tower must be a positive integer")
+    try:
+        validate_weight_system(cfg["shape"], cfg["rep"])
+    except (TypeError, ValueError, GammasumsError) as exc:
+        raise ConfigInvalid(f"invalid rep {cfg['rep']!r}: {exc}") from exc
     if ("gl2-main" in cfg["suites"] or "oracle" in cfg["suites"]) and cfg[
         "shape"
     ] != [2]:

@@ -46,6 +46,26 @@ def test_validate_config_rejections():
         run_suite(BASE_CFG, suites=["nope"])
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": "x"},
+        {"f": 0},
+        {"caps": {"tower": 0}},
+        {"rep": "foo"},
+        {"p": True},
+        {"p": 4},
+        {"rep": [[[1, 1], 1]]},
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CFG, **override)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_corrupted_table_is_a_failed_check(monkeypatch):
     real = gl2.character_value
 
