@@ -141,6 +141,15 @@ def test_phi_conjugation_invariance(tower_f3, gamma_std2):
         checked += 1
 
 
+def ordering_route(traces, x):
+    """Sum of torus traces over the identity-twist orderings of x's roots."""
+    tower = traces.tower
+    total = tower.ring.zero
+    for pt in steinberg_fiber(tower, x.char, tuple(range(x.n))):
+        total = total + traces.hyper_trace(expand_twisted_point(tower, pt, 1))
+    return total
+
+
 def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
     # flag route equals the identity-twist ordering route on rss classes
     tower = tower_f3
@@ -153,13 +162,21 @@ def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
         fac = factor_monic(tower, x.charpoly_low())
         if any(mult > 1 for _, mult in fac):
             continue
-        flag_route = induced_trace(std2, x)
-        fiber_route = tower.ring.zero
-        for pt in steinberg_fiber(tower, x.char, (0, 1)):
-            fiber_route = fiber_route + std2.hyper_trace(
-                expand_twisted_point(tower, pt, 1)
-            )
-        assert flag_route == fiber_route
+        assert induced_trace(std2, x) == ordering_route(std2, x)
+
+
+def test_induction_consistency_split_gl3_q5():
+    # three distinct rational eigenvalues, so both routes are nonzero; over
+    # F_2 and F_3 no regular semisimple point of GL(3) has them and both
+    # routes vanish, whatever the sign between them
+    tower = build_tower(5, 1, 3)
+    std3 = TorusTraces(tower, validate_weight_system([3], "std"))
+    for diag in itertools.combinations(range(1, 5), 3):
+        rows = [[diag[0], 1, 2], [0, diag[1], 1], [0, 0, diag[2]]]
+        x = group_point(tower, rows)
+        flag_route = induced_trace(std3, x)
+        assert not flag_route.is_zero()
+        assert flag_route == ordering_route(std3, x)
 
 
 def test_coset_vanishing_top_gl2(tower_f3, gamma_std2):
