@@ -327,19 +327,15 @@ def _raw_mellin(traces, irrep: Gl2Irrep):
     return traces.mellin_gamma(w, TorusCharacter(w, exponents))
 
 
-def _dim_characters(table, convention):
-    """Class key -> {irrep: dim(r) chi_r}, at g ("direct") or g^(-1) ("inverse")."""
-    chars = {}
-    for cls in table.classes:
-        key = cls.key
-        if convention == "inverse":
-            key = inverse_class_key(table.tower, key)
-        chars[cls.key] = {r: table.value(r, key) * r.dim for r in table.irreps}
-    return chars
+def _pairing(table, convention):
+    """value(irrep, class key): chi_r at g ("direct") or at g^(-1) ("inverse")."""
+    if convention == "direct":
+        return table.value
+    return lambda irrep, key: table.value(irrep, inverse_class_key(table.tower, key))
 
 
-def _regular_system(traces, gamma_calc, table, chars):
-    """The equations sum_r dim(r) gamma_r chi_r(g) = |G| phi(g), g regular.
+def _regular_system(traces, gamma_calc, table, value):
+    """The equations sum_r dim(r) gamma_r value(r, g) = |G| phi(g), g regular.
 
     Returns (generic, unknown, rows, rhs).  generic maps each generic family
     present (principal first) to {irrep: raw Mellin value}.  A row has one
@@ -357,12 +353,11 @@ def _regular_system(traces, gamma_calc, table, chars):
     for cls in table.classes:
         if cls.kind == "central":
             continue
-        dim_chi = chars[cls.key]
         row = [
-            sum((g * dim_chi[r] for r, g in raw.items()), zero)
+            sum((g * value(r, cls.key) * r.dim for r, g in raw.items()), zero)
             for raw in generic.values()
         ]
-        rows.append(row + [dim_chi[r] for r in unknown])
+        rows.append(row + [value(r, cls.key) * r.dim for r in unknown])
         rhs.append(gamma_calc.value_for_charpoly(cls.key[:2]) * order)
     return generic, unknown, rows, rhs
 
@@ -388,8 +383,7 @@ def calibrate_generic_units(traces, gamma_calc, table):
     equal (q, -q).  q = 2 has no principal series and the scale slot is
     returned as None.
     """
-    chars = _dim_characters(table, "direct")
-    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, chars)
+    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, table.value)
     zero = table.tower.ring.zero
     solution, rank = _solve_and_substitute(rows, rhs, zero, "family-scale calibration")
     scales = dict(zip(generic, solution))
@@ -410,8 +404,8 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
     inv_order = Fraction(1, gl2_order(tower.q))
     last_diag = None
     for convention in ("direct", "inverse"):
-        chars = _dim_characters(table, convention)
-        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, chars)
+        value = _pairing(table, convention)
+        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, value)
         scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
         k = len(scales)
         rhs = [
@@ -430,8 +424,11 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
             gammas.update((r, g * scale) for r, g in raw.items())
         gammas.update(zip(unknown, solution))
         values = {
-            key: sum((gammas[r] * v for r, v in dim_chi.items()), zero) * inv_order
-            for key, dim_chi in chars.items()
+            cls.key: sum(
+                (gammas[r] * value(r, cls.key) * r.dim for r in table.irreps), zero
+            )
+            * inv_order
+            for cls in table.classes
         }
         return OracleResult(
             values=values,
