@@ -7,6 +7,15 @@ polynomial and normalized so that gcd of all numerators and the denominator
 is 1, which makes representations canonical: a value is zero exactly when
 every numerator is zero.  Ring operations, equality and conjugation are
 exact; a complex embedding is provided for floating-point magnitude checks.
+
+An element of the group ring Z[Z/N], a coefficient list indexed by powers of
+z, enters the field through CyclotomicRing.from_coeffs: the list is folded
+modulo x^N - 1 and divided by the monic Phi_N, touching only the nonzero
+coefficients of Phi_N (9 of 97 for N = 336).  Callers that hold sums of roots
+of unity (the GL(2) character table) add and conjugate in the group ring,
+where multiplying by z^k shifts an index and conjugation maps k to -k, and
+reduce once per value they compare.  Conjugation of a field element goes
+through the same path.
 """
 
 from __future__ import annotations
@@ -77,6 +86,8 @@ class CyclotomicRing:
                 for i, c in enumerate(self._carry):
                     cur[i] += top * c
         self._zeta_rows = rows
+        # the nonzero (i, c) of Phi_N below its leading term
+        self._phi_low = tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
         self.zero = CycNum(self, (0,) * self.degree, 1)
         self.one = CycNum(self, rows[0], 1)
 
@@ -94,14 +105,25 @@ class CyclotomicRing:
         return CycNum(self, vec, fr.denominator)
 
     def from_coeffs(self, coeffs, den: int = 1) -> "CycNum":
-        """Value sum(coeffs[k] * zeta^k) / den; coeffs may exceed the basis length."""
-        vec = [0] * self.degree
+        """Value sum(coeffs[k] * zeta^k) / den; coeffs may have any length.
+
+        The coefficients are folded modulo x^N - 1, then reduced modulo Phi_N
+        from the top down: each x^k with k >= degree is replaced by
+        -sum(c_i x^(k - degree + i)) over the nonzero low terms c_i x^i of Phi_N.
+        """
+        n, d = self.conductor, self.degree
+        acc = [0] * n
         for k, c in enumerate(coeffs):
             if c:
-                row = self._zeta_rows[k % self.conductor]
-                for i, r in enumerate(row):
-                    vec[i] += c * r
-        return CycNum(self, vec, den)
+                acc[k % n] += c
+        low = self._phi_low
+        for k in range(n - 1, d - 1, -1):
+            c = acc[k]
+            if c:
+                base = k - d
+                for i, m in low:
+                    acc[base + i] -= c * m
+        return CycNum(self, acc[:d], den)
 
     def __repr__(self):
         return f"CyclotomicRing({self.conductor})"
@@ -233,15 +255,11 @@ class CycNum:
 
     def conjugate(self) -> "CycNum":
         """Image under zeta -> zeta^(-1) (complex conjugation)."""
-        ring = self.ring
-        vec = [0] * ring.degree
-        n = ring.conductor
+        n = self.ring.conductor
+        coeffs = [0] * n
         for k, c in enumerate(self.num):
-            if c:
-                row = ring._zeta_rows[(n - k) % n]
-                for i, r in enumerate(row):
-                    vec[i] += c * r
-        return CycNum(ring, vec, self.den)
+            coeffs[(n - k) % n] = c
+        return self.ring.from_coeffs(coeffs, self.den)
 
     def complex_value(self) -> complex:
         n = self.ring.conductor

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammasums.cyclotomic import (
+    CycNum,
     CyclotomicRing,
     cyclotomic_polynomial,
     solve_linear_system,
@@ -25,6 +29,58 @@ KNOWN_POLYS = {
 @pytest.mark.parametrize("n,coeffs", sorted(KNOWN_POLYS.items()))
 def test_cyclotomic_polynomials(n, coeffs):
     assert cyclotomic_polynomial(n) == coeffs
+
+
+@pytest.mark.parametrize("n", list(range(1, 121)) + [336, 1860])
+def test_cyclotomic_polynomial_matches_sympy(n):
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+    assert cyclotomic_polynomial(n) == tuple(int(c) for c in want)
+
+
+RINGS = {n: CyclotomicRing(n) for n in (12, 30, 120, 336, 1860)}
+
+
+def zeta_sum(ring, coeffs, den, sign=1):
+    """sum(coeffs[k] * zeta^(sign * k)) / den, added up from zeta_power rows."""
+    vec = [0] * ring.degree
+    for k, c in enumerate(coeffs):
+        if c:
+            for i, r in enumerate(ring.zeta_power(sign * k).num):
+                vec[i] += c * r
+    return CycNum(ring, vec, den)
+
+
+def draw_vector(data, n):
+    """Coefficients of length up to 2n, at most 64 of them nonzero, and a
+    denominator that is 1 half the time."""
+    length = data.draw(st.integers(0, 2 * n))
+    coeffs = [0] * length
+    if length:
+        positions = st.integers(0, length - 1)
+        for k, c in data.draw(st.dictionaries(positions, st.integers(-9, 9), max_size=64)).items():
+            coeffs[k] = c
+    den = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
+    return coeffs, den
+
+
+@pytest.mark.parametrize("n", sorted(RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_from_coeffs_is_the_zeta_sum(n, data):
+    ring = RINGS[n]
+    coeffs, den = draw_vector(data, n)
+    assert ring.from_coeffs(coeffs, den) == zeta_sum(ring, coeffs, den)
+
+
+@pytest.mark.parametrize("n", sorted(RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_conjugate_maps_zeta_to_its_inverse(n, data):
+    ring = RINGS[n]
+    coeffs, den = draw_vector(data, n)
+    conj = ring.from_coeffs(coeffs, den).conjugate()
+    assert conj == zeta_sum(ring, coeffs, den, sign=-1)
 
 
 def test_zeta_powers_and_reduction():
