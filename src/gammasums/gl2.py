@@ -168,18 +168,21 @@ def gl2_irreps(tower):
 
 
 def _chi1(tower, j, x):
-    """Value of the level-1 character with exponent j at the unit x."""
-    lv = tower.level(1)
-    return tower.ring.zeta_power(tower.zeta_unit_exponent(1, j * lv.dlog[x]))
+    """Exponent e with zeta_N^e the level-1 character of exponent j at the unit x."""
+    return tower.zeta_unit_exponent(1, j * tower.level(1).dlog[x])
 
 
 def _chi2(tower, k, x):
-    l2 = tower.level(2)
-    return tower.ring.zeta_power(tower.zeta_unit_exponent(2, k * l2.dlog[x]))
+    """Exponent e with zeta_N^e the level-2 character of exponent k at the unit x."""
+    return tower.zeta_unit_exponent(2, k * tower.level(2).dlog[x])
 
 
 def character_value(tower, irrep: Gl2Irrep, cls: Gl2Class):
-    ring = tower.ring
+    """The character value as group-ring terms ((e, m), ...): sum of m * zeta_N^e.
+
+    Exponents lie in range(N); the empty tuple is zero.
+    """
+    n = tower.ring.conductor
     lv = tower.level(1)
     q = tower.q
     fam = irrep.family
@@ -187,55 +190,57 @@ def character_value(tower, irrep: Gl2Irrep, cls: Gl2Class):
         (j,) = irrep.params
         if cls.kind in ("central", "nonss"):
             (a,) = cls.params
-            return _chi1(tower, j, lv.mul(a, a))
+            return ((_chi1(tower, j, lv.mul(a, a)), 1),)
         if cls.kind == "split":
             a, b = cls.params
-            return _chi1(tower, j, lv.mul(a, b))
+            return ((_chi1(tower, j, lv.mul(a, b)), 1),)
         alpha = cls.params[0]
-        return _chi1(tower, j, tower.norm(alpha, 2))
+        return ((_chi1(tower, j, tower.norm(alpha, 2)), 1),)
     if fam == "steinberg":
         (j,) = irrep.params
         if cls.kind == "central":
             (a,) = cls.params
-            return _chi1(tower, j, lv.mul(a, a)) * q
+            return ((_chi1(tower, j, lv.mul(a, a)), q),)
         if cls.kind == "nonss":
-            return ring.zero
+            return ()
         if cls.kind == "split":
             a, b = cls.params
-            return _chi1(tower, j, lv.mul(a, b))
+            return ((_chi1(tower, j, lv.mul(a, b)), 1),)
         alpha = cls.params[0]
-        return -_chi1(tower, j, tower.norm(alpha, 2))
+        return ((_chi1(tower, j, tower.norm(alpha, 2)), -1),)
     if fam == "principal":
         j1, j2 = irrep.params
-        if cls.kind == "central":
+        if cls.kind in ("central", "nonss"):
             (a,) = cls.params
-            return _chi1(tower, j1, a) * _chi1(tower, j2, a) * (q + 1)
-        if cls.kind == "nonss":
-            (a,) = cls.params
-            return _chi1(tower, j1, a) * _chi1(tower, j2, a)
+            e = (_chi1(tower, j1, a) + _chi1(tower, j2, a)) % n
+            return ((e, q + 1 if cls.kind == "central" else 1),)
         if cls.kind == "split":
             a, b = cls.params
-            return _chi1(tower, j1, a) * _chi1(tower, j2, b) + _chi1(
-                tower, j1, b
-            ) * _chi1(tower, j2, a)
-        return ring.zero
+            return (
+                ((_chi1(tower, j1, a) + _chi1(tower, j2, b)) % n, 1),
+                ((_chi1(tower, j1, b) + _chi1(tower, j2, a)) % n, 1),
+            )
+        return ()
     if fam == "cuspidal":
         (k,) = irrep.params
         if cls.kind == "central":
             (a,) = cls.params
-            return _chi2(tower, k, tower.embed(a, 1, 2)) * (q - 1)
+            return ((_chi2(tower, k, tower.embed(a, 1, 2)), q - 1),)
         if cls.kind == "nonss":
             (a,) = cls.params
-            return -_chi2(tower, k, tower.embed(a, 1, 2))
+            return ((_chi2(tower, k, tower.embed(a, 1, 2)), -1),)
         if cls.kind == "split":
-            return ring.zero
-        alpha, conj = cls.params
-        return -(_chi2(tower, k, alpha) + _chi2(tower, k, conj))
+            return ()
+        return tuple((_chi2(tower, k, x), -1) for x in cls.params)
     raise ValueError(f"unknown family {fam}")
 
 
 class Gl2Table:
-    """Full character table with exact orthogonality verification."""
+    """Full character table with exact orthogonality verification.
+
+    terms maps (irrep, class key) to the group-ring terms of character_value;
+    values holds the same entries as CycNum, built once from terms.
+    """
 
     def __init__(self, tower):
         if tower.q > 11:
@@ -245,45 +250,61 @@ class Gl2Table:
         self.tower = tower
         self.classes = gl2_classes(tower)
         self.irreps = gl2_irreps(tower)
-        self.values = {
+        self.terms = {
             (irrep, cls.key): character_value(tower, irrep, cls)
             for irrep in self.irreps
             for cls in self.classes
         }
+        ring = tower.ring
+        reduced = {}  # equal terms share one CycNum
+        for terms in self.terms.values():
+            if terms not in reduced:
+                coeffs = [0] * ring.conductor
+                for e, m in terms:
+                    coeffs[e] += m
+                reduced[terms] = ring.from_coeffs(coeffs)
+        self.values = {key: reduced[terms] for key, terms in self.terms.items()}
         self.by_key = {cls.key: cls for cls in self.classes}
 
     def value(self, irrep, class_key):
         return self.values[(irrep, class_key)]
 
     def verify_orthogonality(self):
+        """Exact row and column orthogonality, read from the terms.
+
+        Each sum of chi(c) * conj(chi'(c)) (times |c| for rows) is collected
+        in Z[Z/N]: the terms (e1, m1) and (e2, m2) contribute m1 * m2 at
+        exponent e1 - e2.  The sum is reduced to Q(zeta_N) once and compared
+        with its integer target.
+        """
         ring = self.tower.ring
+        n = ring.conductor
         order = gl2_order(self.tower.q)
+
+        def differs(terms1, terms2, weights, want):
+            acc = [0] * n
+            for t1, t2, weight in zip(terms1, terms2, weights):
+                for e1, m1 in t1:
+                    for e2, m2 in t2:
+                        acc[e1 - e2] += weight * m1 * m2  # a negative index wraps to + n
+            return ring.from_coeffs(acc) != ring.from_int(want)
+
+        rows = [[self.terms[(r, c.key)] for c in self.classes] for r in self.irreps]
+        sizes = [c.size for c in self.classes]
         for i, r1 in enumerate(self.irreps):
-            for r2 in self.irreps[i:]:
-                acc = ring.zero
-                for cls in self.classes:
-                    acc = acc + (
-                        self.values[(r1, cls.key)]
-                        * self.values[(r2, cls.key)].conjugate()
-                        * cls.size
-                    )
-                want = ring.from_int(order if r1 is r2 else 0)
-                if acc != want:
+            for j in range(i, len(rows)):
+                if differs(rows[i], rows[j], sizes, order if i == j else 0):
                     raise TableNotOrthogonal(
-                        f"row orthogonality fails for {r1} vs {r2}"
+                        f"row orthogonality fails for {r1} vs {self.irreps[j]}"
                     )
+        cols = list(zip(*rows))
+        ones = [1] * len(rows)
         for i, c1 in enumerate(self.classes):
-            for c2 in self.classes[i:]:
-                acc = ring.zero
-                for irrep in self.irreps:
-                    acc = acc + (
-                        self.values[(irrep, c1.key)]
-                        * self.values[(irrep, c2.key)].conjugate()
-                    )
-                want = ring.from_int(order // c1.size if c1 is c2 else 0)
-                if acc != want:
+            for j in range(i, len(cols)):
+                if differs(cols[i], cols[j], ones, order // c1.size if i == j else 0):
                     raise TableNotOrthogonal(
-                        f"column orthogonality fails for {c1.key} vs {c2.key}"
+                        f"column orthogonality fails for {c1.key} vs "
+                        f"{self.classes[j].key}"
                     )
         return True
 

@@ -1,6 +1,7 @@
 import pytest
 
-from gammasums.errors import CapExceeded
+from gammasums import gl2
+from gammasums.errors import CapExceeded, TableNotOrthogonal
 from gammasums.fields import build_tower, gauss_sum, MultCharacter
 from gammasums.gl2 import (
     Gl2Table,
@@ -51,11 +52,57 @@ def test_trivial_character_row(tower_f3):
     assert steinberg.dim == 3
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
 def test_orthogonality(p, f):
     tower = build_tower(p, f, 2)
     table = Gl2Table(tower)
     assert table.verify_orthogonality()
+
+
+def dense_orthogonal(table):
+    """Reference verdict: the sums taken on CycNum values, conjugated in the field."""
+    ring = table.tower.ring
+    order = gl2_order(table.tower.q)
+    for i, r1 in enumerate(table.irreps):
+        for r2 in table.irreps[i:]:
+            acc = ring.zero
+            for cls in table.classes:
+                acc = acc + (
+                    table.value(r1, cls.key)
+                    * table.value(r2, cls.key).conjugate()
+                    * cls.size
+                )
+            if acc != ring.from_int(order if r1 is r2 else 0):
+                return False
+    for i, c1 in enumerate(table.classes):
+        for c2 in table.classes[i:]:
+            acc = ring.zero
+            for r in table.irreps:
+                acc = acc + table.value(r, c1.key) * table.value(r, c2.key).conjugate()
+            if acc != ring.from_int(order // c1.size if c1 is c2 else 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
+def test_orthogonality_matches_dense_reference(monkeypatch, p, f, corrupt):
+    real = gl2.character_value
+
+    def corrupted(tower, irrep, cls):
+        terms = real(tower, irrep, cls)
+        if irrep.family == "cuspidal" and cls.kind == "nonss":
+            return terms + ((0, 1),)
+        return terms
+
+    if corrupt:
+        monkeypatch.setattr(gl2, "character_value", corrupted)
+    table = Gl2Table(build_tower(p, f, 2))
+    try:
+        verdict = table.verify_orthogonality()
+    except TableNotOrthogonal:
+        verdict = False
+    assert verdict == dense_orthogonal(table) == (not corrupt)
 
 
 def test_table_cap():

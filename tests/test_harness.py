@@ -70,10 +70,10 @@ def test_corrupted_table_is_a_failed_check(monkeypatch):
     real = gl2.character_value
 
     def corrupted(tower, irrep, cls):
-        value = real(tower, irrep, cls)
+        terms = real(tower, irrep, cls)
         if irrep.family == "cuspidal" and cls.kind == "nonss":
-            return value + 1
-        return value
+            return terms + ((0, 1),)
+        return terms
 
     monkeypatch.setattr(gl2, "character_value", corrupted)
     reports = run_suite(dict(BASE_CFG, suites=["oracle"]))
