@@ -209,9 +209,20 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def validate_config(raw) -> dict:
+# Largest q each suite runs at.  gl2-main and gl3-top sweep every coset; the
+# oracle's exact solve in Q(zeta_N) is the limit there: q = 9 finishes in a
+# few seconds, q = 11 ran for minutes without finishing (2-vCPU machine).
+SUITE_Q_CAPS = {"gl2-main": 7, "gl3-top": 3, "oracle": 9}
+
+
+def validate_config(raw, suites=None) -> dict:
+    """The checked config with defaults filled in; suites, when given,
+    replaces the config's suite list.  Also returns the validated weight
+    system under "weights", so the suites do not validate it again."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
+    if suites:
+        raw = dict(raw, suites=list(suites))
     unknown_keys = set(raw) - {"p", "f", "shape", "rep", "suites", "caps", "seed"}
     if unknown_keys:
         raise ConfigInvalid(f"unknown config keys {sorted(unknown_keys)}")
@@ -241,18 +252,23 @@ def validate_config(raw) -> dict:
     if not (_is_int(cfg["caps"]["tower"]) and cfg["caps"]["tower"] >= 1):
         raise ConfigInvalid("caps.tower must be a positive integer")
     try:
-        validate_weight_system(cfg["shape"], cfg["rep"])
+        weights = validate_weight_system(cfg["shape"], cfg["rep"])
     except (TypeError, ValueError, GammasumsError) as exc:
         raise ConfigInvalid(f"invalid rep {cfg['rep']!r}: {exc}") from exc
-    if ("gl2-main" in cfg["suites"] or "oracle" in cfg["suites"]) and cfg[
-        "shape"
-    ] != [2]:
+    gl2_suites = [s for s in ("gl2-main", "oracle") if s in cfg["suites"]]
+    if gl2_suites and cfg["shape"] != [2]:
         raise ConfigInvalid("gl2 suites need shape [2]")
+    if gl2_suites and cfg["caps"]["tower"] < 2:
+        raise ConfigInvalid(f"{gl2_suites[0]} needs caps.tower >= 2")
     if "gl3-top" in cfg["suites"] and cfg["shape"] != [3]:
         raise ConfigInvalid("gl3-top needs shape [3]")
     q = cfg["p"] ** cfg["f"]
+    for s in cfg["suites"]:
+        if q > SUITE_Q_CAPS.get(s, q):
+            raise ConfigInvalid(f"{s} runs at q <= {SUITE_Q_CAPS[s]}")
     if cfg["rep"] == "sym2" and q % 2 == 0:
         raise ConfigInvalid("sym2 suites run at odd q")
+    cfg["weights"] = weights
     return cfg
 
 
@@ -260,8 +276,7 @@ def _context(cfg):
     tower = build_tower(
         cfg["p"], cfg["f"], cfg["caps"]["tower"], cap=cfg["caps"]["enumeration"]
     )
-    ws = validate_weight_system(cfg["shape"], cfg["rep"])
-    return tower, ws
+    return tower, cfg["weights"]
 
 
 def _random_group_point(tower, n, rng):
@@ -838,8 +853,6 @@ def vanishing_sweep_gl2(cfg) -> list:
     """The main GL(2) coset sweep, both routes, plus the mutation control."""
     checks = []
     tower, ws = _context(cfg)
-    if tower.q > 7:
-        raise ConfigInvalid("gl2-main runs at q <= 7")
     lv = tower.level(1)
     traces = TorusTraces(tower, ws)
     gamma = GammaTrace(traces)
@@ -906,9 +919,6 @@ def vanishing_sweep_gl2(cfg) -> list:
 def vanishing_sweep_gl3_top(cfg) -> list:
     checks = []
     tower, ws = _context(cfg)
-    q = tower.q
-    if q > 3:
-        raise ConfigInvalid("gl3-top runs at q <= 3")
     lv = tower.level(1)
     traces = TorusTraces(tower, ws)
     gamma = GammaTrace(traces)
@@ -1022,13 +1032,9 @@ SUITE_FUNCTIONS = {
 
 def run_suite(cfg_raw, suites=None, include_timings=False):
     """Run the configured suites; returns a list of SuiteReport."""
-    cfg = validate_config(cfg_raw)
-    names = suites if suites else cfg["suites"]
-    for s in names:
-        if s not in SUITE_NAMES:
-            raise ConfigInvalid(f"unknown suite {s!r}")
+    cfg = validate_config(cfg_raw, suites)
     reports = []
-    for name in names:
+    for name in cfg["suites"]:
         params = {
             "p": cfg["p"],
             "f": cfg["f"],

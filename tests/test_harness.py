@@ -56,6 +56,11 @@ def test_validate_config_rejections():
         {"p": True},
         {"p": 4},
         {"rep": [[[1, 1], 1]]},
+        {"suites": ["oracle"], "caps": {"tower": 1}},
+        {"suites": ["gl2-main"], "caps": {"tower": 1}},
+        {"p": 11, "suites": ["gl2-main"]},
+        {"p": 11, "suites": ["oracle"]},
+        {"p": 5, "shape": [3], "suites": ["gl3-top"], "caps": {"tower": 3}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
