@@ -2,13 +2,18 @@
 
 The table is built from the classical four families (one-dimensional twists
 of det, their Steinberg companions, principal series, cuspidal) and verified
-by exact row and column orthogonality in build_gl2_table.  The verified table
-is an input to the oracle and to the family-scale calibration, so a caller
-builds it once and passes it to both.  The oracle expands the gamma trace
-over irreducible characters: the generic coefficients come from the torus
-Mellin transform (identity twist for principal-series parameters, the long
-twist for cuspidal parameters), the finitely many non-generic ones are solved
-for exactly, and the overdetermined system must close on every regular class.
+by exact row and column orthogonality in build_gl2_table.  Each value is held
+as group-ring terms ((exponent mod N, integer), ...) standing for a sum of
+roots of unity; the orthogonality sums are collected in Z[Z/N], where
+conjugation negates an exponent, and each is reduced modulo Phi_N once.  The
+CycNum values the oracle reads are built once from the same terms.  The
+verified table is an input to the oracle and to the family-scale
+calibration, so a caller builds it once and passes it to both.  The oracle
+expands the gamma trace over irreducible characters: the generic
+coefficients come from the torus Mellin transform (identity twist for
+principal-series parameters, the long twist for cuspidal parameters), the
+finitely many non-generic ones are solved for exactly, and the
+overdetermined system must close on every regular class.
 Both pairings chi(g) and chi(g^(-1)) are attempted and the consistent one is
 recorded.  The oracle and the calibration share one regular-class system
 builder and one solve-and-substitute step.
@@ -286,7 +291,8 @@ class Gl2Table:
             for t1, t2, weight in zip(terms1, terms2, weights):
                 for e1, m1 in t1:
                     for e2, m2 in t2:
-                        acc[e1 - e2] += weight * m1 * m2  # a negative index wraps to + n
+                        # a negative e1 - e2 indexes from the end: e1 - e2 + n
+                        acc[e1 - e2] += weight * m1 * m2
             return ring.from_coeffs(acc) != ring.from_int(want)
 
         rows = [[self.terms[(r, c.key)] for c in self.classes] for r in self.irreps]

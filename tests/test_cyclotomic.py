@@ -57,8 +57,10 @@ def draw_vector(data, n):
     length = data.draw(st.integers(0, 2 * n))
     coeffs = [0] * length
     if length:
-        positions = st.integers(0, length - 1)
-        for k, c in data.draw(st.dictionaries(positions, st.integers(-9, 9), max_size=64)).items():
+        entries = st.dictionaries(
+            st.integers(0, length - 1), st.integers(-9, 9), max_size=64
+        )
+        for k, c in data.draw(entries).items():
             coeffs[k] = c
     den = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
     return coeffs, den
