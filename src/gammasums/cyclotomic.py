@@ -8,14 +8,16 @@ is 1, which makes representations canonical: a value is zero exactly when
 every numerator is zero.  Ring operations, equality and conjugation are
 exact; a complex embedding is provided for floating-point magnitude checks.
 
-An element of the group ring Z[Z/N], a coefficient list indexed by powers of
-z, enters the field through CyclotomicRing.from_coeffs: the list is folded
-modulo x^N - 1 and divided by the monic Phi_N, touching only the nonzero
-coefficients of Phi_N (9 of 97 for N = 336).  Callers that hold sums of roots
-of unity (the GL(2) character table) add and conjugate in the group ring,
-where multiplying by z^k shifts an index and conjugation maps k to -k, and
-reduce once per value they compare.  Conjugation of a field element goes
-through the same path.
+Every reduction into the power basis is one division: a coefficient list
+indexed by powers of z is folded modulo x^N - 1 and divided by the monic
+Phi_N, touching only the nonzero coefficients of Phi_N below its leading term
+(8 for N = 336, 72 for N = 3720).  Products, conjugates and elements of the
+group ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that path.  Callers
+that hold sums of roots of unity (the GL(2) character table) add and
+conjugate in the group ring, where multiplying by z^k shifts an index and
+conjugation maps k to -k, and reduce once per value they compare.  Other
+polynomial arithmetic (building Phi_N, the Euclid steps of an inverse) runs
+on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
 """
 
 from __future__ import annotations
@@ -23,49 +25,37 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 
-from .matrices import EXACT, row_reduce
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _int_poly_div_exact(num, den):
-    """Divide integer polynomials (low degree first), asserting exactness."""
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - deg_d)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + deg_d]
-        if c % lead:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // lead
-        out[k] = q
-        if q:
-            for i, dc in enumerate(den):
-                num[k + i] -= q * dc
-    if any(num):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return out
+from .matrices import EXACT, pol_divmod, pol_mul, row_reduce
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Built from Phi_1 = x - 1 one prime factor p of n at a time, smallest
+    first: Phi_pm(x) is Phi_m(x^p) when p divides m, else Phi_m(x^p) / Phi_m(x).
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    poly, m, p = (-1, 1), 1, 2
+    while m < n:
+        while (n // m) % p:
+            p += 1
+        spread = [0] * (p * (len(poly) - 1) + 1)
+        spread[::p] = poly
+        if m % p:
+            spread, rem = pol_divmod(EXACT, spread, poly)
+            if any(rem):
+                raise ArithmeticError("nonzero remainder in exact polynomial division")
+        poly, m = tuple(map(int, spread)), m * p
+    return poly
 
 
 class CyclotomicRing:
-    """Q(zeta_N) with precomputed reduction of every power of zeta."""
+    """Q(zeta_N): reduction by the sparse Phi_N, and a table of zeta's powers."""
 
     def __init__(self, conductor: int):
         if conductor < 2:
@@ -73,21 +63,20 @@ class CyclotomicRing:
         self.conductor = conductor
         modulus = cyclotomic_polynomial(conductor)
         self.degree = len(modulus) - 1
-        # x^degree = -(lower coefficients); modulus is monic
-        self._carry = tuple(-c for c in modulus[:-1])
+        # the nonzero (i, c) of Phi_N below its leading term
+        self._phi_low = tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
+        # zeta^k for every k mod N, read by zeta_power: shift the previous
+        # power up and replace x^degree by -(low terms of Phi_N)
         rows = []
-        cur = [0] * self.degree
-        cur[0] = 1
+        cur = [1] + [0] * (self.degree - 1)
         for _ in range(conductor):
             rows.append(tuple(cur))
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
-                for i, c in enumerate(self._carry):
-                    cur[i] += top * c
+                for i, c in self._phi_low:
+                    cur[i] -= top * c
         self._zeta_rows = rows
-        # the nonzero (i, c) of Phi_N below its leading term
-        self._phi_low = tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
         self.zero = CycNum(self, (0,) * self.degree, 1)
         self.one = CycNum(self, rows[0], 1)
 
@@ -105,25 +94,31 @@ class CyclotomicRing:
         return CycNum(self, vec, fr.denominator)
 
     def from_coeffs(self, coeffs, den: int = 1) -> "CycNum":
-        """Value sum(coeffs[k] * zeta^k) / den; coeffs may have any length.
+        """Value sum(coeffs[k] * zeta^k) / den; coeffs may have any length."""
+        return CycNum(self, self._reduce(list(coeffs)), den)
 
-        The coefficients are folded modulo x^N - 1, then reduced modulo Phi_N
-        from the top down: each x^k with k >= degree is replaced by
-        -sum(c_i x^(k - degree + i)) over the nonzero low terms c_i x^i of Phi_N.
+    def _reduce(self, acc):
+        """Power-basis vector of sum(acc[k] * zeta^k); acc is a list, consumed.
+
+        acc is folded modulo x^N - 1 when it is longer than N, then reduced
+        modulo Phi_N from the top down: each x^k with k >= degree is replaced
+        by -sum(c_i x^(k - degree + i)) over the nonzero low terms c_i x^i of
+        Phi_N.
         """
         n, d = self.conductor, self.degree
-        acc = [0] * n
-        for k, c in enumerate(coeffs):
-            if c:
-                acc[k % n] += c
+        for k in range(n, len(acc)):
+            acc[k % n] += acc[k]
+        del acc[n:]
+        acc.extend([0] * (d - len(acc)))
         low = self._phi_low
-        for k in range(n - 1, d - 1, -1):
+        for k in range(len(acc) - 1, d - 1, -1):
             c = acc[k]
             if c:
                 base = k - d
                 for i, m in low:
                     acc[base + i] -= c * m
-        return CycNum(self, acc[:d], den)
+        del acc[d:]
+        return acc
 
     def __repr__(self):
         return f"CyclotomicRing({self.conductor})"
@@ -200,16 +195,7 @@ class CycNum:
                 for j, b in enumerate(bn):
                     if b:
                         conv[i + j] += a * b
-        vec = list(conv[:d])
-        rows = self.ring._zeta_rows
-        n = self.ring.conductor
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k % n]
-                for i, r in enumerate(row):
-                    vec[i] += c * r
-        return CycNum(self.ring, vec, self.den * other.den)
+        return CycNum(self.ring, self.ring._reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -259,7 +245,7 @@ class CycNum:
         coeffs = [0] * n
         for k, c in enumerate(self.num):
             coeffs[(n - k) % n] = c
-        return self.ring.from_coeffs(coeffs, self.den)
+        return CycNum(self.ring, self.ring._reduce(coeffs), self.den)
 
     def complex_value(self) -> complex:
         n = self.ring.conductor
@@ -282,24 +268,25 @@ class CycNum:
         """Multiplicative inverse via the extended Euclid algorithm mod Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.ring.conductor)]
-        a = [Fraction(v, self.den) for v in self.num]
-        r0, r1 = mod, _frac_trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _frac_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        # r1 is a nonzero constant since Phi_N is irreducible over Q
-        c = r1[0]
-        inv_coeffs = [v / c for v in s1]
-        den = 1
-        for v in inv_coeffs:
-            den = den * v.denominator // gcd(den, v.denominator)
-        vec = [0] * self.ring.degree
-        for k, v in enumerate(inv_coeffs):
-            vec[k] = v.numerator * (den // v.denominator)
-        return CycNum(self.ring, vec, den)
+        # Euclid on (Phi_N, num) over Q, keeping s1 with s1 * num = r1 mod Phi_N
+        r0, r1 = cyclotomic_polynomial(self.ring.conductor), list(self.num)
+        s0, s1 = [0], [1]
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                break
+            q, rem = pol_divmod(EXACT, r0, r1)
+            r0, r1 = r1, list(rem)
+            qs = pol_mul(EXACT, q, s1)
+            s0, s1 = s1, [a - b for a, b in zip_longest(s0, qs, fillvalue=0)]
+        # r1 is a nonzero constant since Phi_N is irreducible over Q, so the
+        # inverse of num / den is den * s1 / r1
+        inv = [Fraction(self.den * v) / r1[0] for v in s1]
+        den = lcm(*(v.denominator for v in inv))
+        return self.ring.from_coeffs(
+            [v.numerator * (den // v.denominator) for v in inv], den
+        )
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -319,46 +306,6 @@ class CycNum:
         if self.den != 1:
             body = f"({body})/{self.den}"
         return f"CycNum[{self.ring.conductor}]({body})"
-
-
-def _frac_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return list(p)
-
-
-def _frac_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _frac_trim(out)
-
-
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _frac_trim(out)
-
-
-def _frac_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) - 1 < db:
-        return [Fraction(0)], _frac_trim(a)
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        coef = a[k + db] / lead
-        q[k] = coef
-        if coef:
-            for i, c in enumerate(b):
-                a[k + i] -= coef * c
-    return _frac_trim(q), _frac_trim(a)
 
 
 def solve_linear_system(rows, rhs):

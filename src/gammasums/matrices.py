@@ -2,9 +2,12 @@
 
 Matrices are tuples of row tuples of field elements.  Gaussian elimination
 lives in row_reduce, with reduce_against for spans built one vector at a
-time; both take any field with sub, mul and inv, so they serve a tower level
-(encoded elements) as well as EXACT (int, Fraction and CycNum values).  The
-other helpers work over a tower level.
+time; polynomial products and divisions live in pol_mul and pol_divmod.  These
+kernels take any field with add, sub, mul and inv: a tower level (encoded
+elements), prime_field(p) (residues mod p, for building a tower's levels) or
+EXACT (int, Fraction and CycNum values, for cyclotomic polynomials and
+inverses in Q(zeta_N)).  The matrix helpers mat_mul, mat_vec and charpoly work
+over a tower level.
 
 Characteristic polynomials are returned as the coefficient vector
 (a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
@@ -107,10 +110,21 @@ def reduce_against(field, basis, v):
     return True
 
 
-# Q and Q(zeta_N) for row_reduce, on int, Fraction and CycNum values.
+# Q and Q(zeta_N) for the kernels, on int, Fraction and CycNum values.
 EXACT = SimpleNamespace(
-    sub=operator.sub, mul=operator.mul, inv=lambda x: Fraction(1) / x
+    add=operator.add, sub=operator.sub, mul=operator.mul,
+    inv=lambda x: Fraction(1) / x,
 )
+
+
+def prime_field(p):
+    """F_p for the kernels, on the residues 0, ..., p - 1."""
+    return SimpleNamespace(
+        add=lambda a, b: (a + b) % p,
+        sub=lambda a, b: (a - b) % p,
+        mul=lambda a, b: a * b % p,
+        inv=lambda a: pow(a, -1, p),
+    )
 
 
 def mat_inv(level, a):
@@ -209,7 +223,7 @@ def poly_to_char_coeffs(poly):
     return tuple(poly[n - 1 - i] for i in range(n))
 
 
-# -- polynomials over a level (low degree first), for factorization ----------
+# -- polynomials over a field (low degree first) ------------------------------
 
 
 def pol_mul(level, a, b):

@@ -31,14 +31,16 @@ def test_cyclotomic_polynomials(n, coeffs):
     assert cyclotomic_polynomial(n) == coeffs
 
 
-@pytest.mark.parametrize("n", list(range(1, 121)) + [336, 1860])
+X = sympy.Symbol("x")
+
+
+@pytest.mark.parametrize("n", list(range(1, 121)) + [336, 630, 1320, 1860, 3720])
 def test_cyclotomic_polynomial_matches_sympy(n):
-    x = sympy.Symbol("x")
-    want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+    want = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()[::-1]
     assert cyclotomic_polynomial(n) == tuple(int(c) for c in want)
 
 
-RINGS = {n: CyclotomicRing(n) for n in (12, 30, 120, 336, 1860)}
+RINGS = {n: CyclotomicRing(n) for n in (12, 30, 120, 336, 630, 1860)}
 
 
 def zeta_sum(ring, coeffs, den, sign=1):
@@ -83,6 +85,55 @@ def test_conjugate_maps_zeta_to_its_inverse(n, data):
     coeffs, den = draw_vector(data, n)
     conj = ring.from_coeffs(coeffs, den).conjugate()
     assert conj == zeta_sum(ring, coeffs, den, sign=-1)
+
+
+def sympy_poly(value):
+    """A CycNum's power-basis vector as a sympy polynomial over Q."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in value.as_fractions()]
+    return sympy.Poly(coeffs[::-1], X, domain=sympy.QQ)
+
+
+def sympy_phi(n):
+    return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ)
+
+
+def draw_element(data, ring, nonzero):
+    """A random element with up to `nonzero` nonzero power-basis coordinates."""
+    entries = st.dictionaries(
+        st.integers(0, ring.degree - 1), st.integers(-9, 9), max_size=nonzero
+    )
+    vec = [0] * ring.degree
+    for k, c in data.draw(entries).items():
+        vec[k] = c
+    return ring.from_coeffs(vec, data.draw(st.integers(1, 12)))
+
+
+@pytest.mark.parametrize("n", [12, 30, 120, 630])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_is_the_sympy_remainder(n, data):
+    ring = RINGS[n]
+    a = draw_element(data, ring, ring.degree)
+    b = draw_element(data, ring, ring.degree)
+    want = (sympy_poly(a) * sympy_poly(b)).rem(sympy_phi(n))
+    assert sympy_poly(a * b) == want
+
+
+# Conductors up to 120 whose degree keeps one Euclid run in Q short.
+INVERSE_CONDUCTORS = [n for n in range(2, 121) if CyclotomicRing(n).degree <= 40]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_is_the_sympy_inverse(data):
+    n = data.draw(st.sampled_from(INVERSE_CONDUCTORS))
+    ring = CyclotomicRing(n)
+    a = draw_element(data, ring, 8)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    assert sympy_poly(a.inverse()) == sympy_poly(a).invert(sympy_phi(n))
 
 
 def test_zeta_powers_and_reduction():
