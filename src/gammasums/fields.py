@@ -26,6 +26,7 @@ from math import lcm
 
 from .cyclotomic import CycNum, CyclotomicRing
 from .errors import CapExceeded, LevelMissing, NotPrime
+from .matrices import pol_divmod, pol_mul, prime_field
 
 DEFAULT_CAP = 1 << 24
 
@@ -55,51 +56,26 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- polynomial helpers over F_p (integer coefficient lists, low degree first)
+# -- polynomials over F_p (residue lists, low degree first) for construction
 
 
-def _pol_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pol_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pol_trim(out)
-
-
-def _pol_mod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            c = (c * inv_lead) % p
-            for i in range(dm + 1):
-                a[k - dm + i] = (a[k - dm + i] - c * mod[i]) % p
-    del a[dm:]
-    return _pol_trim(a)
-
-
-def _pol_pow_mod(a, e, mod, p):
-    out = [1]
-    base = _pol_mod(a, mod, p)
+def _pol_pow_mod(fp, a, e, mod):
+    """a^e modulo mod over the prime field fp, with no zeros above its degree."""
+    out = (1,)
     while e:
         if e & 1:
-            out = _pol_mod(_pol_mul(out, base, p), mod, p)
-        base = _pol_mod(_pol_mul(base, base, p), mod, p)
+            out = pol_divmod(fp, pol_mul(fp, out, a), mod)[1]
+        a = pol_divmod(fp, pol_mul(fp, a, a), mod)[1]
         e >>= 1
+    out = list(out)
+    while len(out) > 1 and not out[-1]:
+        out.pop()
     return out
 
 
-def _irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
+def _irreducible(fp, poly, p):
+    """Trial division of a monic poly over F_p by every monic polynomial of
+    degree <= deg/2."""
     deg = len(poly) - 1
     if deg == 1:
         return True
@@ -107,8 +83,7 @@ def _irreducible(poly, p):
         return False
     for e in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=e):
-            div = list(tail) + [1]
-            if not _pol_mod(poly, div, p):
+            if not any(pol_divmod(fp, poly, tail + (1,))[1]):
                 return False
     return True
 
@@ -123,12 +98,11 @@ class Level:
         self.deg = tower.f * m
         self.size = tower.q**m
         self.poly = tuple(poly)
-        p = self.p
         # powers of the root x; encoding of x is the integer p
         exp = [1]
-        cur = [1]
+        cur = (1,)
         for _ in range(self.size - 2):
-            cur = _pol_mod([0] + cur, poly, p)
+            cur = pol_divmod(tower.prime_field, (0,) + cur, poly)[1]
             exp.append(self._encode(cur))
         self.exp = exp
         dlog = [-1] * self.size
@@ -211,6 +185,7 @@ class FieldTower:
         self.f = f
         self.q = p**f
         self.max_level = levels
+        self.prime_field = prime_field(p)
         total = sum(self.q**m for m in range(1, levels + 1))
         if total > cap:
             raise CapExceeded(
@@ -226,19 +201,19 @@ class FieldTower:
     # -- construction -----------------------------------------------------
 
     def _find_poly(self, m):
-        p, deg = self.p, self.f * m
+        p, deg, fp = self.p, self.f * m, self.prime_field
         size = self.q**m
         order_primes = prime_factors(size - 1)
         for tail in itertools.product(range(p), repeat=deg):
             if tail[0] == 0:
                 continue
-            poly = list(tail) + [1]
-            if not _irreducible(poly, p):
+            poly = tail + (1,)
+            if not _irreducible(fp, poly, p):
                 continue
             if size > 2:
-                x = [0, 1]
+                x = (0, 1)
                 if any(
-                    _pol_pow_mod(x, (size - 1) // ell, poly, p) == [1]
+                    _pol_pow_mod(fp, x, (size - 1) // ell, poly) == [1]
                     for ell in order_primes
                 ):
                     continue
@@ -248,24 +223,21 @@ class FieldTower:
         raise ArithmeticError(f"no compatible primitive polynomial at level {m}")
 
     def _compatible(self, poly, m):
-        p = self.p
+        """Whether x^((size_m - 1)/(size_a - 1)) mod poly is a root of h_a for
+        every lower level a dividing m."""
+        fp = self.prime_field
         size = self.q**m
         for a in range(1, m):
             if m % a:
                 continue
             lower = self.levels[a]
-            r = _pol_pow_mod([0, 1], (size - 1) // (lower.size - 1), poly, p)
-            acc = [lower.poly[0] % p]
-            rp = [1]
-            for c in lower.poly[1:]:
-                rp = _pol_mod(_pol_mul(rp, r, p), poly, p)
-                if c:
-                    term = [(c * v) % p for v in rp]
-                    acc = [
-                        (x + y) % p
-                        for x, y in itertools.zip_longest(acc, term, fillvalue=0)
-                    ]
-            if _pol_trim(list(acc)):
+            r = _pol_pow_mod(fp, (0, 1), (size - 1) // (lower.size - 1), poly)
+            # Horner evaluation of h_a at r, modulo poly
+            acc = (0,)
+            for c in reversed(lower.poly):
+                acc = pol_divmod(fp, pol_mul(fp, acc, r), poly)[1]
+                acc = (fp.add(acc[0], c),) + acc[1:]
+            if any(acc):
                 return False
         return True
 

@@ -1,13 +1,19 @@
+import itertools
+
 import pytest
+from sympy import ZZ, factorint
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 from gammasums.errors import CapExceeded, LevelMissing, NotPrime
 from gammasums.fields import (
     MultCharacter,
+    _irreducible,
     all_characters,
     build_tower,
     gauss_sum,
     kloosterman,
 )
+from gammasums.matrices import prime_field
 
 
 def test_f4_defining_relation():
@@ -157,3 +163,30 @@ def test_debug_dump(tower_f3):
     assert dump["p"] == 3 and dump["q"] == 3
     assert dump["levels"][1]["poly"] == [1, 1]
     assert dump["levels"][2]["poly"] == [2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "p,f,levels", [(2, 1, 6), (2, 2, 3), (3, 1, 4), (3, 2, 2), (5, 1, 3), (7, 1, 2)]
+)
+def test_level_polynomials_irreducible_and_primitive_per_sympy(p, f, levels):
+    tower = build_tower(p, f, levels)
+    for m, lv in tower.levels.items():
+        h = [c % p for c in reversed(lv.poly)]  # galoistools: high degree first
+        assert len(h) - 1 == f * m and h[0] == 1
+        assert gf_irreducible_p(h, p, ZZ)
+        order = lv.size - 1
+        x = [1, 0]
+        assert gf_pow_mod(x, order, h, p, ZZ) == [1]
+        for ell in factorint(order):
+            assert gf_pow_mod(x, order // ell, h, p, ZZ) != [1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_irreducible_matches_sympy(p):
+    fp = prime_field(p)
+    for deg in range(1, 5):
+        for tail in itertools.product(range(p), repeat=deg):
+            poly = tail + (1,)
+            assert _irreducible(fp, poly, p) == gf_irreducible_p(
+                list(reversed(poly)), p, ZZ
+            ), poly
