@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNum
@@ -1055,6 +1057,13 @@ def run_suite(cfg_raw, suites=None, include_timings=False):
                     "suite-error", False, detail=f"{type(exc).__name__}: {exc}"
                 )
             )
+        except Exception as exc:
+            # a fault in the program, not a refused input: report it with the
+            # place it was raised as a failed check, and run the next suite
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            place = f"{os.path.basename(where.filename)}:{where.lineno}"
+            detail = f"{type(exc).__name__}: {exc} ({place} in {where.name})"
+            report.checks = [CheckResult("internal-error", False, detail=detail)]
         if include_timings:
             report.params = dict(report.params)
             report.params["elapsed_s"] = round(time.perf_counter() - started, 3)

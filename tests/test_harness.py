@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gammasums import gl2
+from gammasums import gl2, harness
 from gammasums.cli import main
 from gammasums.errors import ConfigInvalid
 from gammasums.harness import (
@@ -85,6 +85,26 @@ def test_corrupted_table_is_a_failed_check(monkeypatch):
     (check,) = reports[0].checks
     assert (check.name, check.passed) == ("suite-error", False)
     assert check.detail.startswith("TableNotOrthogonal: ")
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise ArithmeticError("nonzero remainder in exact polynomial division")
+
+    monkeypatch.setitem(harness.SUITE_FUNCTIONS, "arith", broken)
+    reports = run_suite(dict(BASE_CFG, suites=["arith", "torus"]))
+    (check,) = reports[0].checks
+    assert (check.name, check.passed) == ("internal-error", False)
+    assert check.detail.startswith(
+        "ArithmeticError: nonzero remainder in exact polynomial division"
+        " (test_harness.py:"
+    )
+    assert check.detail.endswith(" in broken)")
+    assert reports[1].passed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE_CFG))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "[FAIL] arith\n"
 
 
 def test_run_suite_reports_pass():
