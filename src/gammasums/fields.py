@@ -73,9 +73,9 @@ def _pol_pow_mod(fp, a, e, mod):
     return out
 
 
-def _irreducible(fp, poly, p):
-    """Trial division of a monic poly over F_p by every monic polynomial of
-    degree <= deg/2."""
+def _irreducible(poly, p):
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    fp = prime_field(p)
     deg = len(poly) - 1
     if deg == 1:
         return True
@@ -208,7 +208,7 @@ class FieldTower:
             if tail[0] == 0:
                 continue
             poly = tail + (1,)
-            if not _irreducible(fp, poly, p):
+            if not _irreducible(poly, p):
                 continue
             if size > 2:
                 x = (0, 1)
