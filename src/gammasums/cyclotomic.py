@@ -98,7 +98,7 @@ class CyclotomicRing:
         return CycNum(self, self._reduce(list(coeffs)), den)
 
     def _reduce(self, acc):
-        """Power-basis vector of sum(acc[k] * zeta^k); acc is a list, consumed.
+        """Power-basis vector of sum(acc[k] * zeta^k), reducing the list acc in place.
 
         acc is folded modulo x^N - 1 when it is longer than N, then reduced
         modulo Phi_N from the top down: each x^k with k >= degree is replaced

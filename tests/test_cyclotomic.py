@@ -53,14 +53,14 @@ def zeta_sum(ring, coeffs, den, sign=1):
     return CycNum(ring, vec, den)
 
 
-def draw_vector(data, n):
-    """Coefficients of length up to 2n, at most 64 of them nonzero, and a
-    denominator that is 1 half the time."""
+def draw_vector(data, n, nonzero=64):
+    """Coefficients of length up to 2n, at most `nonzero` of them nonzero, and
+    a denominator that is 1 half the time."""
     length = data.draw(st.integers(0, 2 * n))
     coeffs = [0] * length
     if length:
         entries = st.dictionaries(
-            st.integers(0, length - 1), st.integers(-9, 9), max_size=64
+            st.integers(0, length - 1), st.integers(-9, 9), max_size=nonzero
         )
         for k, c in data.draw(entries).items():
             coeffs[k] = c
@@ -97,30 +97,19 @@ def sympy_phi(n):
     return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ)
 
 
-def draw_element(data, ring, nonzero):
-    """A random element with up to `nonzero` nonzero power-basis coordinates."""
-    entries = st.dictionaries(
-        st.integers(0, ring.degree - 1), st.integers(-9, 9), max_size=nonzero
-    )
-    vec = [0] * ring.degree
-    for k, c in data.draw(entries).items():
-        vec[k] = c
-    return ring.from_coeffs(vec, data.draw(st.integers(1, 12)))
-
-
 @pytest.mark.parametrize("n", [12, 30, 120, 630])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_product_is_the_sympy_remainder(n, data):
     ring = RINGS[n]
-    a = draw_element(data, ring, ring.degree)
-    b = draw_element(data, ring, ring.degree)
+    a = ring.from_coeffs(*draw_vector(data, n))
+    b = ring.from_coeffs(*draw_vector(data, n))
     want = (sympy_poly(a) * sympy_poly(b)).rem(sympy_phi(n))
     assert sympy_poly(a * b) == want
 
 
 # Conductors up to 120 whose degree keeps one Euclid run in Q short.
-INVERSE_CONDUCTORS = [n for n in range(2, 121) if CyclotomicRing(n).degree <= 40]
+INVERSE_CONDUCTORS = [n for n in range(2, 121) if len(cyclotomic_polynomial(n)) <= 41]
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +117,7 @@ INVERSE_CONDUCTORS = [n for n in range(2, 121) if CyclotomicRing(n).degree <= 40
 def test_inverse_is_the_sympy_inverse(data):
     n = data.draw(st.sampled_from(INVERSE_CONDUCTORS))
     ring = CyclotomicRing(n)
-    a = draw_element(data, ring, 8)
+    a = ring.from_coeffs(*draw_vector(data, n, nonzero=8))
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.inverse()
