@@ -11,13 +11,19 @@ exact; a complex embedding is provided for floating-point magnitude checks.
 Every reduction into the power basis is one division: a coefficient list
 indexed by powers of z is folded modulo x^N - 1 and divided by the monic
 Phi_N, touching only the nonzero coefficients of Phi_N below its leading term
-(8 for N = 336, 72 for N = 3720).  Products, conjugates and elements of the
-group ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that path.  Callers
-that hold sums of roots of unity (the GL(2) character table) add and
-conjugate in the group ring, where multiplying by z^k shifts an index and
-conjugation maps k to -k, and reduce once per value they compare.  Other
-polynomial arithmetic (building Phi_N, the Euclid steps of an inverse) runs
-on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
+(8 for N = 336, 72 for N = 3720).  Products, conjugates, powers of zeta
+(zeta_power reduces the one-term list x^k; there is no table of powers) and
+elements of the group ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that
+path.
+
+A sum of roots of unity -- a character sum, a Gauss sum, a Mellin transform,
+a sum of values times character values -- is collected in a ZetaSum
+(CyclotomicRing.accumulator()): add_term(k, c) adds c * z^k, add_shifted(v,
+k, c) adds c * z^k * v by moving v's coordinates up k places mod N, and
+value() reduces modulo Phi_N once.  That replaces one product and one
+reduction per term.  Conjugation likewise maps k to -k in the group ring.
+Other polynomial arithmetic (building Phi_N, the Euclid steps of an inverse)
+runs on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
 """
 
 from __future__ import annotations
@@ -55,33 +61,41 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CyclotomicRing:
-    """Q(zeta_N): reduction by the sparse Phi_N, and a table of zeta's powers."""
+    """Q(zeta_N): reduction by the sparse Phi_N, and sums in the group ring Z[Z/N]."""
 
     def __init__(self, conductor: int):
         if conductor < 2:
             raise ValueError("conductor must be at least 2")
         self.conductor = conductor
-        modulus = cyclotomic_polynomial(conductor)
-        self.degree = len(modulus) - 1
-        # the nonzero (i, c) of Phi_N below its leading term
-        self._phi_low = tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
-        # zeta^k for every k mod N, read by zeta_power: shift the previous
-        # power up and replace x^degree by -(low terms of Phi_N)
-        rows = []
-        cur = [1] + [0] * (self.degree - 1)
-        for _ in range(conductor):
-            rows.append(tuple(cur))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i, c in self._phi_low:
-                    cur[i] -= top * c
-        self._zeta_rows = rows
+        self.degree = len(cyclotomic_polynomial(conductor)) - 1
+        # The moduli _reduce divides by in turn, as (degree, nonzero (i, c)
+        # below the leading term): for the primes p_1 < ... < p_k of N and
+        # M = p_1 ... p_j, Phi_M(x^(N/M)).  Each divides the one before, the
+        # last is Phi_N, and the first ones are short (x^(N/2) + 1 for even N).
+        self._moduli = []
+        m, p, rest = 1, 2, conductor
+        while rest > 1:
+            if rest % p:
+                p += 1
+                continue
+            while rest % p == 0:
+                rest //= p
+            m *= p
+            spread, phi = conductor // m, cyclotomic_polynomial(m)
+            low = tuple((spread * i, c) for i, c in enumerate(phi[:-1]) if c)
+            self._moduli.append((spread * (len(phi) - 1), low))
         self.zero = CycNum(self, (0,) * self.degree, 1)
-        self.one = CycNum(self, rows[0], 1)
+        self.one = self.from_int(1)
 
     def zeta_power(self, k: int) -> "CycNum":
-        return CycNum(self, self._zeta_rows[k % self.conductor], 1)
+        """zeta^k, reduced from the one-term list x^(k mod N)."""
+        acc = [0] * (k % self.conductor + 1)
+        acc[-1] = 1
+        return CycNum(self, self._reduce(acc), 1)
+
+    def accumulator(self) -> "ZetaSum":
+        """An empty sum of roots of unity, to be reduced once by its value()."""
+        return ZetaSum(self)
 
     def from_int(self, v: int) -> "CycNum":
         vec = [0] * self.degree
@@ -100,28 +114,68 @@ class CyclotomicRing:
     def _reduce(self, acc):
         """Power-basis vector of sum(acc[k] * zeta^k), reducing the list acc in place.
 
-        acc is folded modulo x^N - 1 when it is longer than N, then reduced
-        modulo Phi_N from the top down: each x^k with k >= degree is replaced
-        by -sum(c_i x^(k - degree + i)) over the nonzero low terms c_i x^i of
-        Phi_N.
+        acc is folded modulo x^N - 1 when it is longer than N, then divided by
+        each of the moduli in turn from the top down: each x^k at or above a
+        modulus' degree D is replaced by -sum(c_i x^(k - D + i)) over its
+        nonzero low terms c_i x^i.
         """
-        n, d = self.conductor, self.degree
+        n = self.conductor
         for k in range(n, len(acc)):
             acc[k % n] += acc[k]
         del acc[n:]
-        acc.extend([0] * (d - len(acc)))
-        low = self._phi_low
-        for k in range(len(acc) - 1, d - 1, -1):
-            c = acc[k]
-            if c:
-                base = k - d
-                for i, m in low:
-                    acc[base + i] -= c * m
-        del acc[d:]
+        for deg, low in self._moduli:
+            for k in range(len(acc) - 1, deg - 1, -1):
+                c = acc[k]
+                if c:
+                    base = k - deg
+                    for i, m in low:
+                        acc[base + i] -= c * m
+            del acc[deg:]
+        acc.extend([0] * (self.degree - len(acc)))
         return acc
 
     def __repr__(self):
         return f"CyclotomicRing({self.conductor})"
+
+
+class ZetaSum:
+    """A sum of integer multiples of roots of unity, collected in Z[Z/N].
+
+    coeffs[k] is the coefficient of zeta^k over the common denominator den.
+    Adding a term or a shifted value only adds to list entries, since
+    multiplying by zeta^k moves index i to i + k mod N; value() reduces
+    modulo Phi_N once.
+    """
+
+    __slots__ = ("ring", "coeffs", "den")
+
+    def __init__(self, ring: CyclotomicRing):
+        self.ring = ring
+        self.coeffs = [0] * ring.conductor
+        self.den = 1
+
+    def add_term(self, k: int, c: int = 1):
+        """Add c * zeta^k."""
+        self.coeffs[k % self.ring.conductor] += c * self.den
+
+    def add_shifted(self, value: "CycNum", k: int = 0, c: int = 1):
+        """Add c * zeta^k * value by shifting value's nonzero coordinates by k."""
+        if self.den % value.den:
+            scale = value.den // gcd(self.den, value.den)
+            self.coeffs = [v * scale for v in self.coeffs]
+            self.den *= scale
+        c *= self.den // value.den
+        n = self.ring.conductor
+        coeffs = self.coeffs
+        # coordinate i goes to i + k - n, in [-n, n): a negative index is
+        # read from the end of the list, which folds it mod N
+        for i, v in enumerate(value.num, k % n - n):
+            if v:
+                coeffs[i] += c * v
+
+    def value(self, den: int = 1) -> "CycNum":
+        """The sum divided by den, reduced into the power basis."""
+        return CycNum(self.ring, self.ring._reduce(list(self.coeffs)), self.den * den)
 
 
 class CycNum:

@@ -308,10 +308,13 @@ class FieldTower:
 
     # -- characters ---------------------------------------------------------
 
+    def psi_exponent(self, x, m=1) -> int:
+        """Exponent of zeta_N representing psi(x) = zeta_p^(absolute trace of x)."""
+        return (self.ring.conductor // self.p) * self.abs_trace(x, m)
+
     def psi(self, x, m=1) -> CycNum:
         """Additive character zeta_p^(absolute trace of x)."""
-        n = self.ring.conductor
-        return self.ring.zeta_power((n // self.p) * self.abs_trace(x, m))
+        return self.ring.zeta_power(self.psi_exponent(x, m))
 
     def zeta_unit_exponent(self, m, k) -> int:
         """Exponent of zeta_N representing zeta_{q^m-1}^k."""
@@ -384,20 +387,24 @@ def all_characters(tower, level):
 
 def gauss_sum(chi: MultCharacter) -> CycNum:
     """Sum of chi(x) psi(x) over the units of chi's level."""
-    tower = chi.tower
-    lv = tower.level(chi.level)
-    total = tower.ring.zero
+    tower, m = chi.tower, chi.level
+    lv = tower.level(m)
+    acc = tower.ring.accumulator()
     for x in lv.units():
-        total = total + chi.value(x) * tower.psi(x, chi.level)
-    return total
+        acc.add_term(
+            tower.zeta_unit_exponent(m, chi.exponent * lv.dlog[x])
+            + tower.psi_exponent(x, m)
+        )
+    return acc.value()
 
 
 def psi_sum(tower, counts, arity) -> CycNum:
     """(-1)^arity * sum of c * psi(s) over the F_q points s with counts c."""
-    total = tower.ring.zero
+    sign = -1 if arity % 2 else 1
+    acc = tower.ring.accumulator()
     for s, c in counts.items():
-        total = total + tower.psi(s) * c
-    return -total if arity % 2 else total
+        acc.add_term(tower.psi_exponent(s), sign * c)
+    return acc.value()
 
 
 def kloosterman(tower, t, r) -> CycNum:

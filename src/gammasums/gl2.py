@@ -22,7 +22,6 @@ builder and one solve-and-substitute step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import solve_linear_system
 from .errors import CapExceeded, SystemInconsistent, TableNotOrthogonal
@@ -260,14 +259,13 @@ class Gl2Table:
             for irrep in self.irreps
             for cls in self.classes
         }
-        ring = tower.ring
         reduced = {}  # equal terms share one CycNum
         for terms in self.terms.values():
             if terms not in reduced:
-                coeffs = [0] * ring.conductor
+                acc = tower.ring.accumulator()
                 for e, m in terms:
-                    coeffs[e] += m
-                reduced[terms] = ring.from_coeffs(coeffs)
+                    acc.add_term(e, m)
+                reduced[terms] = acc.value()
         self.values = {key: reduced[terms] for key, terms in self.terms.items()}
         self.by_key = {cls.key: cls for cls in self.classes}
 
@@ -283,17 +281,15 @@ class Gl2Table:
         with its integer target.
         """
         ring = self.tower.ring
-        n = ring.conductor
         order = gl2_order(self.tower.q)
 
         def differs(terms1, terms2, weights, want):
-            acc = [0] * n
+            acc = ring.accumulator()
             for t1, t2, weight in zip(terms1, terms2, weights):
                 for e1, m1 in t1:
                     for e2, m2 in t2:
-                        # a negative e1 - e2 indexes from the end: e1 - e2 + n
-                        acc[e1 - e2] += weight * m1 * m2
-            return ring.from_coeffs(acc) != ring.from_int(want)
+                        acc.add_term(e1 - e2, weight * m1 * m2)
+            return acc.value() != ring.from_int(want)
 
         rows = [[self.terms[(r, c.key)] for c in self.classes] for r in self.irreps]
         sizes = [c.size for c in self.classes]
@@ -355,21 +351,30 @@ def _raw_mellin(traces, irrep: Gl2Irrep):
 
 
 def _pairing(table, convention):
-    """value(irrep, class key): chi_r at g ("direct") or at g^(-1) ("inverse")."""
+    """The class key at which chi_r is read for g: g ("direct") or g^(-1)
+    ("inverse")."""
     if convention == "direct":
-        return table.value
-    return lambda irrep, key: table.value(irrep, inverse_class_key(table.tower, key))
+        return lambda key: key
+    return lambda key: inverse_class_key(table.tower, key)
 
 
-def _regular_system(traces, gamma_calc, table, value):
-    """The equations sum_r dim(r) gamma_r value(r, g) = |G| phi(g), g regular.
+def _expand(table, gammas, key, den=1):
+    """sum_r dim(r) gammas[r] chi_r(key) / den, summed in Z[Z/N] from the terms."""
+    acc = table.tower.ring.accumulator()
+    for r, g in gammas.items():
+        for e, m in table.terms[(r, key)]:
+            acc.add_shifted(g, e, m * r.dim)
+    return acc.value(den)
+
+
+def _regular_system(traces, gamma_calc, table, pair):
+    """The equations sum_r dim(r) gamma_r chi_r(pair(g)) = |G| phi(g), g regular.
 
     Returns (generic, unknown, rows, rhs).  generic maps each generic family
     present (principal first) to {irrep: raw Mellin value}.  A row has one
     column per family in generic, the coefficient of the family scale, then
     one column per non-generic irrep in unknown.
     """
-    zero = table.tower.ring.zero
     order = gl2_order(table.tower.q)
     generic = {}
     for r in table.irreps:
@@ -380,11 +385,9 @@ def _regular_system(traces, gamma_calc, table, value):
     for cls in table.classes:
         if cls.kind == "central":
             continue
-        row = [
-            sum((g * value(r, cls.key) * r.dim for r, g in raw.items()), zero)
-            for raw in generic.values()
-        ]
-        rows.append(row + [value(r, cls.key) * r.dim for r in unknown])
+        key = pair(cls.key)
+        row = [_expand(table, raw, key) for raw in generic.values()]
+        rows.append(row + [table.value(r, key) * r.dim for r in unknown])
         rhs.append(gamma_calc.value_for_charpoly(cls.key[:2]) * order)
     return generic, unknown, rows, rhs
 
@@ -410,7 +413,8 @@ def calibrate_generic_units(traces, gamma_calc, table):
     equal (q, -q).  q = 2 has no principal series and the scale slot is
     returned as None.
     """
-    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, table.value)
+    pair = _pairing(table, "direct")
+    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, pair)
     zero = table.tower.ring.zero
     solution, rank = _solve_and_substitute(rows, rhs, zero, "family-scale calibration")
     scales = dict(zip(generic, solution))
@@ -428,11 +432,11 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
     """
     tower = table.tower
     zero = tower.ring.zero
-    inv_order = Fraction(1, gl2_order(tower.q))
+    order = gl2_order(tower.q)
     last_diag = None
     for convention in ("direct", "inverse"):
-        value = _pairing(table, convention)
-        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, value)
+        pair = _pairing(table, convention)
+        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, pair)
         scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
         k = len(scales)
         rhs = [
@@ -451,10 +455,7 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
             gammas.update((r, g * scale) for r, g in raw.items())
         gammas.update(zip(unknown, solution))
         values = {
-            cls.key: sum(
-                (gammas[r] * value(r, cls.key) * r.dim for r in table.irreps), zero
-            )
-            * inv_order
+            cls.key: _expand(table, gammas, pair(cls.key), order)
             for cls in table.classes
         }
         return OracleResult(

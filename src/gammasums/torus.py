@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import CycNum
@@ -359,24 +358,22 @@ class TorusCharacter:
     w: tuple
     exponents: tuple  # ((cycle rep, exponent), ...) sorted by rep
 
-    def value(self, tower, pt: TwistedTorusPoint) -> CycNum:
+    def exponent(self, tower, pt: TwistedTorusPoint) -> int:
+        """Exponent k of zeta_N with value(tower, pt) = zeta_N^k."""
         if pt.w != self.w:
             raise ValueError("character and point live on different twists")
         cmap = pt.cycle_map()
+        exps = dict(self.exponents)
         total = 0
-        n = tower.ring.conductor
         for cyc in perm_cycles(self.w):
-            rep = cyc[0]
-            ell = len(cyc)
-            e = dict(self.exponents)[rep]
-            lv = tower.level(ell)
-            total += (n // (lv.size - 1)) * (e * lv.dlog[cmap[rep]])
-        return tower.ring.zeta_power(total)
+            rep, ell = cyc[0], len(cyc)
+            total += tower.zeta_unit_exponent(
+                ell, exps[rep] * tower.level(ell).dlog[cmap[rep]]
+            )
+        return total
 
-    def inverse(self) -> "TorusCharacter":
-        return TorusCharacter(
-            self.w, tuple((rep, -e) for rep, e in self.exponents)
-        )
+    def value(self, tower, pt: TwistedTorusPoint) -> CycNum:
+        return tower.ring.zeta_power(self.exponent(tower, pt))
 
     def is_trivial(self) -> bool:
         return all(e == 0 for _, e in self.exponents)
@@ -551,11 +548,11 @@ class TorusTraces:
 
     def mellin_gamma(self, w, theta: TorusCharacter) -> CycNum:
         """Sum of twisted traces against theta^(-1) over the w-twisted torus."""
-        inv = theta.inverse()
-        total = self.tower.ring.zero
-        for pt in enumerate_twisted_points(self.tower, w):
-            total = total + self.twisted_stalk_trace(pt) * inv.value(self.tower, pt)
-        return total
+        tower = self.tower
+        acc = tower.ring.accumulator()
+        for pt in enumerate_twisted_points(tower, w):
+            acc.add_shifted(self.twisted_stalk_trace(pt), -theta.exponent(tower, pt))
+        return acc.value()
 
     def mellin_orbit_characters(self, w, theta: TorusCharacter):
         """The characters theta o (orbit cocharacter), one per lift cycle.
@@ -616,23 +613,22 @@ class TorusTraces:
             twisted_point(tower, perm_identity(d), dict(enumerate(t)))
             for t in itertools.product(lv.units(), repeat=d)
         ]
-        traces = {pt: self.hyper_trace(expand_twisted_point(tower, pt, 1))
-                  for pt in points}
+        coords = [expand_twisted_point(tower, pt, 1) for pt in points]
+        traces = [self.hyper_trace(t_coords) for t_coords in coords]
         constant = None
-        inv_chi = chi.inverse()
-        for x in points:
-            x_coords = expand_twisted_point(tower, x, 1)
-            conv = tower.ring.zero
-            for t in points:
-                t_coords = expand_twisted_point(tower, t, 1)
+        for x, x_coords in zip(points, coords):
+            # sum of t(s) chi(x / s) chi(x)^(-1) over the points s
+            x_exp = chi.exponent(tower, x)
+            acc = tower.ring.accumulator()
+            for t_coords, trace in zip(coords, traces):
                 shifted = tuple(
                     lv.mul(lv.inv(tc), xc) for tc, xc in zip(t_coords, x_coords)
                 )
                 pt_shift = twisted_point(
                     tower, perm_identity(d), dict(enumerate(shifted))
                 )
-                conv = conv + traces[t] * chi.value(tower, pt_shift)
-            ratio = conv * inv_chi.value(tower, x)
+                acc.add_shifted(trace, chi.exponent(tower, pt_shift) - x_exp)
+            ratio = acc.value()
             if constant is None:
                 constant = ratio
             elif ratio != constant:
@@ -657,9 +653,9 @@ class TorusTraces:
             raise ValueError("determinant value must be a unit")
         block = ws.factor_coords[j]
         elements = weyl_block_elements(ws.shape, j)
-        total = tower.ring.zero
+        acc = tower.ring.accumulator()
         for w in elements:
             for pt in enumerate_twisted_points(tower, w):
                 if point_block_norm(tower, pt, block) == z:
-                    total = total + self.twisted_stalk_trace(pt)
-        return total * Fraction(1, len(elements))
+                    acc.add_shifted(self.twisted_stalk_trace(pt))
+        return acc.value(len(elements))

@@ -125,6 +125,56 @@ def test_inverse_is_the_sympy_inverse(data):
     assert sympy_poly(a.inverse()) == sympy_poly(a).invert(sympy_phi(n))
 
 
+ACC_RINGS = {**RINGS, 3720: CyclotomicRing(3720)}
+
+
+@pytest.mark.parametrize("n", sorted(ACC_RINGS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_accumulator_is_the_dense_sum(n, data):
+    """add_term, add_shifted and value against products with zeta_power, for
+    exponents below zero and above N and values with denominators."""
+    ring = ACC_RINGS[n]
+    exponent, coeff = st.integers(-3 * n, 3 * n), st.integers(-9, 9)
+    acc, want = ring.accumulator(), ring.zero
+    for _ in range(data.draw(st.integers(0, 8))):
+        k, c = data.draw(exponent), data.draw(coeff)
+        if data.draw(st.booleans()):
+            acc.add_term(k, c)
+            want = want + ring.zeta_power(k) * c
+        else:
+            value = ring.from_coeffs(*draw_vector(data, n, nonzero=8))
+            acc.add_shifted(value, k, c)
+            want = want + ring.zeta_power(k) * value * c
+    den = data.draw(st.integers(1, 12))
+    assert acc.value(den) == want * Fraction(1, den)
+
+
+@pytest.mark.parametrize("n", [630, 3720])
+def test_zeta_power_is_the_sympy_remainder(n):
+    ring = ACC_RINGS[n]
+    d = ring.degree
+    ks = [0, 1, d - 1, d, n // 2, n - 1] + random.Random(n).sample(range(n), 6)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
+    for k in ks:
+        want = sympy.Poly(X**k, X).rem(phi).all_coeffs()[::-1]
+        assert ring.zeta_power(k).num == tuple(want) + (0,) * (d - len(want)), k
+        z = ring.zeta_power(k)
+        assert ring.zeta_power(k - 2 * n) == ring.zeta_power(k + 3 * n) == z
+
+
+@pytest.mark.parametrize("n", [12, 120, 630])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ring_laws(n, data):
+    ring = RINGS[n]
+    a, b, c = (ring.from_coeffs(*draw_vector(data, n)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a.conjugate().conjugate() == a
+
+
 def test_zeta_powers_and_reduction():
     ring = CyclotomicRing(12)
     z = ring.zeta_power(1)
