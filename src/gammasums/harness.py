@@ -457,12 +457,17 @@ def mellin_failures(traces):
 
 
 def kummer_failures(traces):
-    """Rational characters whose Kummer convolution is not a multiple of them."""
+    """Rational characters chi whose Kummer convolution is not a multiple of
+    chi, or is chi times a constant other than the Mellin reference at chi."""
     bad = []
     for exps in itertools.product(range(traces.tower.q - 1), repeat=traces.ws.d):
+        chi = rational_character(traces.tower, exps)
         try:
-            traces.kummer_convolution_scalar(rational_character(traces.tower, exps))
+            scalar = traces.kummer_convolution_scalar(chi)
         except GammasumsError:
+            bad.append(exps)
+            continue
+        if scalar != traces.mellin_reference(chi.w, chi):
             bad.append(exps)
     return bad
 

@@ -416,6 +416,7 @@ class TorusTraces:
         self.ws = ws
         self._hyper = {}
         self._local = {}
+        self._reference = {}
         self._mellin_unit = None
         lv = tower.level(1)
         # completion lookup for the last slot of the rational fiber
@@ -584,11 +585,13 @@ class TorusTraces:
 
     def mellin_reference(self, w, theta: TorusCharacter) -> CycNum:
         """Product of Gauss sums along lift cycles, times the frozen unit."""
-        unit = self.mellin_unit()
-        prod = unit
-        for chi in self.mellin_orbit_characters(w, theta):
-            prod = prod * gauss_sum(chi.conj())
-        return prod
+        key = (tuple(w), theta)
+        if key not in self._reference:
+            prod = self.mellin_unit()
+            for chi in self.mellin_orbit_characters(w, theta):
+                prod = prod * gauss_sum(chi.conj())
+            self._reference[key] = prod
+        return self._reference[key]
 
     def mellin_unit(self) -> CycNum:
         """Unit calibrated once from the identity twist and trivial character."""

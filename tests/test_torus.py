@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gammasums import harness
 from gammasums.errors import (
     NotSigmaPositive,
     NotSurjective,
@@ -186,6 +187,23 @@ def test_kummer_convolution(tower_f3):
     ) == tower_f3.ring.one
     for exps in itertools.product(range(2), repeat=2):
         traces2.kummer_convolution_scalar(rational_character(tower_f3, exps))
+
+
+def test_kummer_check_catches_a_corrupted_trace(tower_f3):
+    traces = TorusTraces(tower_f3, validate_weight_system([2], "std"))
+    assert harness.kummer_failures(traces) == []
+    clean = traces.hyper_trace
+
+    def corrupted(t):
+        value = clean(t)
+        return value + 1 if tuple(t) == (1, 2) else value
+
+    traces.hyper_trace = corrupted
+    # the convolution is still a multiple of each character: only the
+    # comparison with the Mellin reference sees the change
+    for exps in itertools.product(range(2), repeat=2):
+        traces.kummer_convolution_scalar(rational_character(tower_f3, exps))
+    assert harness.kummer_failures(traces) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_sigma_fiber_vanishing(tower_f3, tower_f5):
