@@ -8,13 +8,15 @@ is 1, which makes representations canonical: a value is zero exactly when
 every numerator is zero.  Ring operations, equality and conjugation are
 exact; a complex embedding is provided for floating-point magnitude checks.
 
-Every reduction into the power basis is one division: a coefficient list
-indexed by powers of z is folded modulo x^N - 1 and divided by the monic
-Phi_N, touching only the nonzero coefficients of Phi_N below its leading term
-(8 for N = 336, 72 for N = 3720).  Products, conjugates, powers of zeta
-(zeta_power reduces the one-term list x^k; there is no table of powers) and
-elements of the group ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that
-path.
+Every reduction into the power basis takes one path, CyclotomicRing._reduce:
+a coefficient list indexed by powers of z is folded modulo x^N - 1, then
+divided from the top down by a chain of sparse monic multiples of Phi_N that
+ends at Phi_N, touching only their nonzero coefficients below the leading
+term.  For N = 3720 the chain is x^1860 + 1, x^1240 - x^620 + 1,
+Phi_30(x^124) and Phi_N (1, 2, 6 and 72 low terms), so most positions cost
+one or two updates.  Products, conjugates, powers of zeta (zeta_power reduces
+the one-term list x^k; there is no table of powers) and elements of the group
+ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that path.
 
 A sum of roots of unity -- a character sum, a Gauss sum, a Mellin transform,
 a sum of values times character values -- is collected in a ZetaSum
@@ -31,7 +33,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from math import gcd, lcm
 
 from .matrices import EXACT, pol_divmod, pol_mul, row_reduce
@@ -165,13 +167,12 @@ class ZetaSum:
             self.coeffs = [v * scale for v in self.coeffs]
             self.den *= scale
         c *= self.den // value.den
-        n = self.ring.conductor
-        coeffs = self.coeffs
-        # coordinate i goes to i + k - n, in [-n, n): a negative index is
+        num, coeffs = value.num, self.coeffs
+        # coordinate i goes to i + k - N, in [-N, N): a negative index is
         # read from the end of the list, which folds it mod N
-        for i, v in enumerate(value.num, k % n - n):
-            if v:
-                coeffs[i] += c * v
+        shift = k % self.ring.conductor - self.ring.conductor
+        for i in compress(range(len(num)), num):
+            coeffs[i + shift] += c * num[i]
 
     def value(self, den: int = 1) -> "CycNum":
         """The sum divided by den, reduced into the power basis."""
