@@ -6,8 +6,10 @@ by exact row and column orthogonality in build_gl2_table.  Each value is held
 as group-ring terms ((exponent mod N, integer), ...) standing for a sum of
 roots of unity; the orthogonality sums are collected in Z[Z/N], where
 conjugation negates an exponent, and each is reduced modulo Phi_N once.  The
-CycNum values the oracle reads are built once from the same terms.  The
-verified table is an input to the oracle and to the family-scale
+oracle reads the terms as well: a generic column or a phi value, a sum of
+gamma values times character values, is one ZetaSum of gamma values shifted
+by the terms' exponents.  The CycNum values, built once from the same terms,
+fill the non-generic columns.  The verified table is an input to the oracle and to the family-scale
 calibration, so a caller builds it once and passes it to both.  The oracle
 expands the gamma trace over irreducible characters: the generic
 coefficients come from the torus Mellin transform (identity twist for

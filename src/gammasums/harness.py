@@ -213,7 +213,8 @@ def _is_int(v):
 
 # Largest q each suite runs at.  gl2-main and gl3-top sweep every coset; the
 # oracle's exact solve in Q(zeta_N) is the limit there: q = 9 finishes in a
-# few seconds, q = 11 ran for minutes without finishing (2-vCPU machine).
+# few seconds, q = 11 takes about 330 s, 320 s of it in the dense solve of
+# the family-scale calibration (2-vCPU machine).
 SUITE_Q_CAPS = {"gl2-main": 7, "gl3-top": 3, "oracle": 9}
 
 
