@@ -41,7 +41,7 @@ from .induction import (
     levi_restriction_sum,
     steinberg_fiber,
 )
-from .matrices import char_coeffs_to_poly, mat_inv, mat_mul
+from .matrices import all_matrices, char_coeffs_to_poly, mat_inv, mat_mul
 from .mirabolic import (
     bernstein_coords,
     census_prediction,
@@ -293,9 +293,7 @@ def _random_group_point(tower, n, rng):
 
 
 def iter_invertible(tower, n):
-    lv = tower.level(1)
-    for entries in itertools.product(lv.elements(), repeat=n * n):
-        rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
+    for rows in all_matrices(tower.level(1), n, n):
         try:
             yield group_point(tower, rows)
         except ValueError:

@@ -8,6 +8,9 @@ and the matching Steinberg-fiber orderings; it depends on the element only
 through its characteristic polynomial, is defined exactly on the regular
 locus (cyclic elements, which includes everything with squarefree
 characteristic polynomial), and refuses to return values anywhere else.
+An element is regular when its minimal polynomial is its characteristic
+polynomial, that is when I, x, ..., x^(n-1) are linearly independent; that
+rank is found with the reduce_against kernel.
 """
 
 from __future__ import annotations
@@ -224,33 +227,19 @@ def steinberg_fiber(tower, char_coeffs, w):
 
 
 def minimal_polynomial_degree(x: GroupPoint) -> int:
-    """Degree of the minimal polynomial, found among monic charpoly divisors."""
-    lv = x.level()
-    poly = x.charpoly_low()
-    n = x.n
-    for deg in range(1, n + 1):
-        for tail in itertools.product(lv.elements(), repeat=deg):
-            cand = tuple(tail) + (1,)
-            _, rem = pol_divmod(lv, poly, cand)
-            if any(rem):
-                continue
-            if _annihilates(x, cand):
-                return deg
-    return n
+    """Degree of the minimal polynomial: the rank of I, x, ..., x^(n-1).
 
-
-def _annihilates(x: GroupPoint, poly_low):
+    The powers are flattened and added to an echelon basis one at a time; the
+    first power in the span of those before it ends the search.
+    """
     lv = x.level()
-    n = x.n
-    acc = [[0] * n for _ in range(n)]
-    power = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for c in poly_low:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] = lv.add(acc[i][j], lv.mul(c, power[i][j]))
+    basis = []
+    power = mat_identity(x.n)
+    while reduce_against(lv, basis, [c for row in power for c in row]):
+        if len(basis) == x.n:
+            break
         power = mat_mul(lv, power, x.rows)
-    return not any(any(row) for row in acc)
+    return len(basis)
 
 
 def is_regular(x: GroupPoint) -> bool:

@@ -7,11 +7,14 @@ kernels take any field with add, sub, mul and inv: a tower level (encoded
 elements), prime_field(p) (residues mod p, for building a tower's levels) or
 EXACT (int, Fraction and CycNum values, for cyclotomic polynomials and
 inverses in Q(zeta_N)).  The matrix helpers mat_mul, mat_vec and charpoly work
-over a tower level.
+over a tower level, and all_matrices enumerates every n x k matrix over one,
+for the exhaustive sweeps.
 
-Characteristic polynomials are returned as the coefficient vector
-(a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
-companion-matrix convention used throughout the mirabolic module.
+charpoly runs Berkowitz's division-free recursion on the leading blocks, with
+mat_vec for its products, in O(n^4) field operations.  Characteristic
+polynomials are returned as the coefficient vector (a_1, ..., a_n) of
+t^n + a_1 t^(n-1) + ... + a_n, matching the companion-matrix convention used
+throughout the mirabolic module.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from types import SimpleNamespace
+
+
+def all_matrices(level, n, k):
+    """Every n x k matrix over level, in row-major lexicographic order."""
+    for entries in itertools.product(level.elements(), repeat=n * k):
+        yield tuple(entries[i * k:(i + 1) * k] for i in range(n))
 
 
 def mat_identity(n):
@@ -142,74 +150,31 @@ def mat_rank(level, a):
     return len(row_reduce(level, a, len(a[0]))[1]) if a else 0
 
 
-@lru_cache(maxsize=None)
-def _perm_data(n):
-    data = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, ell = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ell += 1
-            if ell % 2 == 0:
-                sign = -sign
-        mask = 0
-        moved = []
-        for i in range(n):
-            if perm[i] == i:
-                mask |= 1 << i
-            else:
-                moved.append((i, perm[i]))
-        data.append((sign, mask, tuple(moved)))
-    return data
-
-
 def charpoly(level, a):
     """(a_1, ..., a_n) with det(tI - a) = t^n + a_1 t^(n-1) + ... + a_n.
 
-    Expansion over permutations, grouping fixed points into products of
-    (t - a_ii) which are shared through a subset table.
+    Berkowitz's division-free recursion (S. J. Berkowitz, IPL 18, 1984).
+    Write the leading (k+1) x (k+1) block as [[A, C], [R, a_kk]] with A the
+    leading k x k block.  The characteristic vector of the larger block,
+    leading 1 included, is T times that of A, where T is the (k+2) x (k+1)
+    lower-triangular Toeplitz matrix with first column
+    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).
     """
-    n = len(a)
-    if n == 0:
-        return ()
-    # diag_poly[mask] = prod over bits i of (t - a[i][i]), low degree first
-    diag_poly = [None] * (1 << n)
-    diag_poly[0] = (1,)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        prev = diag_poly[mask ^ (1 << low)]
-        di = a[low][low]
-        # multiply prev by (t - a_ii)
-        out = [0] * (len(prev) + 1)
-        for k, c in enumerate(prev):
-            if c:
-                out[k + 1] = level.add(out[k + 1], c)
-                out[k] = level.sub(out[k], level.mul(c, di))
-        diag_poly[mask] = tuple(out)
-    total = [0] * (n + 1)
-    for sign, mask, moved in _perm_data(n):
-        coeff = 1
-        for i, j in moved:
-            entry = a[i][j]
-            if not entry:
-                coeff = 0
-                break
-            coeff = level.mul(coeff, level.neg(entry))
-        if not coeff:
-            continue
-        if sign < 0:
-            coeff = level.neg(coeff)
-        for k, c in enumerate(diag_poly[mask]):
-            if c:
-                total[k] = level.add(total[k], level.mul(coeff, c))
-    # total is low degree first and monic; return (a_1, ..., a_n)
-    return tuple(total[n - 1 - i] for i in range(n))
+    poly = (1,)
+    for k, row in enumerate(a):
+        block = tuple(r[:k] for r in a[:k])
+        krylov = [tuple(r[k] for r in a[:k])] if k else []
+        while len(krylov) < k:
+            krylov.append(mat_vec(level, block, krylov[-1]))
+        col = (1, level.neg(row[k])) + tuple(
+            level.neg(c) for c in mat_vec(level, krylov, row[:k])
+        )
+        toeplitz = tuple(
+            tuple(col[i - j] if j <= i else 0 for j in range(k + 1))
+            for i in range(k + 2)
+        )
+        poly = mat_vec(level, toeplitz, poly)
+    return poly[1:]
 
 
 def char_coeffs_to_poly(coeffs):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, NotCyclic, NotNormalized, SolverSingular
 from .matrices import (
+    all_matrices,
     char_coeffs_to_poly,
     charpoly,
     mat_identity,
@@ -55,13 +56,10 @@ class GroupPoint:
 
 def group_point(tower, rows) -> GroupPoint:
     rows = tuple(tuple(r) for r in rows)
-    n = len(rows)
-    lv = tower.level(1)
-    char = charpoly(lv, rows)
-    det = lv.neg(char[-1]) if n % 2 else char[-1]
-    if det == 0:
+    point = GroupPoint(tower, len(rows), rows, charpoly(tower.level(1), rows))
+    if point.det() == 0:
         raise ValueError("matrix is singular")
-    return GroupPoint(tower, n, rows, char)
+    return point
 
 
 def stratum_index(x: GroupPoint) -> int:
@@ -242,15 +240,13 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
         for i in range(m - 1, 1, -1):
             row_above = [
                 lv.sub(acc, yc)
-                for acc, yc in zip(_row_times_mat(lv, vm1[i - 1], x_e), y[i - 1])
+                for acc, yc in zip(mat_mul(lv, (vm1[i - 1],), x_e)[0], y[i - 1])
             ]
             vm1[i - 2] = row_above
     # the block product puts v1 to the left of diag(x_F, x_E), so the first
     # row reads y[0] = (v1 + vm1[0]) x_E and v1 = y[0] x_E^(-1) - vm1[0]
     xe_inv = mat_inv(lv, x_e)
-    v1 = [
-        lv.sub(_row_times_mat(lv, y[0], xe_inv)[j], vm1[0][j]) for j in range(k)
-    ]
+    v1 = [lv.sub(c, v) for c, v in zip(mat_mul(lv, (y[0],), xe_inv)[0], vm1[0])]
     data = StratumData(
         m=m,
         a=charpoly(lv, x_f),
@@ -261,21 +257,6 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
     if data.reassemble(x.tower) != x.rows:
         raise SolverSingular("coordinate solve failed to reproduce the point")
     return data
-
-
-def _row_times_mat(lv, row, mat):
-    k = len(mat)
-    return [
-        _dot(lv, row, [mat[t][j] for t in range(k)]) for j in range(len(mat[0]))
-    ] if k else [0] * len(row)
-
-
-def _dot(lv, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = lv.add(acc, lv.mul(x, y))
-    return acc
 
 
 def lemma_translation_map(lv, x_f, x_e, v1_row, vm1):
@@ -290,7 +271,7 @@ def lemma_translation_map(lv, x_f, x_e, v1_row, vm1):
     for j in range(k):
         out[0][j] = v1_row[j]
     for i in range(m):
-        row_vx = _row_times_mat(lv, vm1[i], x_e) if k else []
+        row_vx = mat_mul(lv, (vm1[i],), x_e)[0] if k else ()
         for j in range(k):
             acc = lv.add(out[i][j], row_vx[j])
             for t in range(m):
@@ -386,14 +367,8 @@ def q1_elements(tower, n):
     """All elements of the stabilizer of e_1 in GL(n, F_q)."""
     lv = tower.level(1)
     out = []
-    for rest in itertools.product(lv.elements(), repeat=n * (n - 1)):
-        rows = []
-        it = iter(rest)
-        for i in range(n):
-            row = [1 if i == 0 else 0]
-            row.extend(next(it) for _ in range(n - 1))
-            rows.append(tuple(row))
-        mat = tuple(rows)
+    for rest in all_matrices(lv, n, n - 1):
+        mat = tuple((1 if i == 0 else 0,) + row for i, row in enumerate(rest))
         try:
             inv = mat_inv(lv, mat)
         except ValueError:
@@ -405,14 +380,8 @@ def q1_elements(tower, n):
 def matrices_with_charpoly(tower, n, a):
     """Every invertible matrix over F_q with characteristic vector a."""
     lv = tower.level(1)
-    out = []
-    for entries in itertools.product(lv.elements(), repeat=n * n):
-        rows = tuple(
-            tuple(entries[i * n + j] for j in range(n)) for i in range(n)
-        )
-        if charpoly(lv, rows) == tuple(a):
-            out.append(rows)
-    return out
+    a = tuple(a)
+    return [rows for rows in all_matrices(lv, n, n) if charpoly(lv, rows) == a]
 
 
 def orbit_census(tower, n, a):
@@ -480,10 +449,7 @@ def chart_orbit_count(tower, a_t_vec, k, cpoly_low):
     target = tuple(cpoly_low)
     mats = []
     gl = []
-    for entries in itertools.product(lv.elements(), repeat=k * k):
-        rows = tuple(
-            tuple(entries[i * k + j] for j in range(k)) for i in range(k)
-        )
+    for rows in all_matrices(lv, k, k):
         if char_coeffs_to_poly(charpoly(lv, rows)) == target:
             mats.append(rows)
         try:
@@ -492,10 +458,7 @@ def chart_orbit_count(tower, a_t_vec, k, cpoly_low):
             continue
         gl.append((rows, inv))
     x_f = companion_matrix(lv, a_t_vec, m)
-    translations = [
-        tuple(tuple(v[i * k + j] for j in range(k)) for i in range(m))
-        for v in itertools.product(lv.elements(), repeat=m * k)
-    ]
+    translations = list(all_matrices(lv, m, k))
     pool = set()
     for mrows in mats:
         for y in translations:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .cyclotomic import CycNum
@@ -51,24 +52,12 @@ def perm_compose(a, b):
 
 
 def perm_sign(w):
-    seen = [False] * len(w)
-    sign = 1
-    for i in range(len(w)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = w[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** (len(w) - len(perm_cycles(w)))
 
 
+@lru_cache(maxsize=None)
 def perm_cycles(w):
-    """Cycles of w, each starting at its smallest element."""
+    """Cycles of the tuple w, each starting at its smallest element."""
     seen = [False] * len(w)
     cycles = []
     for i in range(len(w)):
@@ -81,7 +70,7 @@ def perm_cycles(w):
             cyc.append(j)
             j = w[j]
         cycles.append(tuple(cyc))
-    return cycles
+    return tuple(cycles)
 
 
 def weyl_elements(shape):

@@ -14,11 +14,19 @@ from gammasums.induction import (
     induced_trace,
     is_regular,
     levi_restriction_sum,
+    minimal_polynomial_degree,
     root_multiset,
     steinberg_fiber,
 )
-from gammasums.matrices import mat_inv, mat_mul
-from gammasums.mirabolic import companion_matrix, group_point
+from gammasums.matrices import (
+    all_matrices,
+    charpoly,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    reduce_against,
+)
+from gammasums.mirabolic import GroupPoint, companion_matrix, group_point
 from gammasums.torus import (
     TorusTraces,
     expand_twisted_point,
@@ -101,6 +109,61 @@ def test_phi_regular_examples(tower_f3, gamma_std2):
 def test_phi_refuses_non_regular(tower_f3, gamma_std2):
     with pytest.raises(NotComputableLocus):
         gamma_std2.phi_regular(group_point(tower_f3, [[2, 0], [0, 2]]))
+
+
+def _any_point(tower, rows):
+    """A GroupPoint without the invertibility check, singular rows included."""
+    return GroupPoint(tower, len(rows), rows, charpoly(tower.level(1), rows))
+
+
+def _largest_krylov_dimension(lv, rows):
+    """max over v of dim span(v, x v, x^2 v, ...), the minimal polynomial degree.
+
+    Some vector has the minimal polynomial as its annihilator, and no vector's
+    annihilator has larger degree.
+    """
+    best = 0
+    for (v,) in all_matrices(lv, 1, len(rows)):
+        basis = []
+        while reduce_against(lv, basis, v):
+            v = mat_vec(lv, rows, v)
+        best = max(best, len(basis))
+    return best
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
+def test_minimal_polynomial_degree_is_the_largest_krylov_dimension(p, f):
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    for rows in all_matrices(lv, 2, 2):
+        assert minimal_polynomial_degree(_any_point(tower, rows)) == (
+            _largest_krylov_dimension(lv, rows)
+        )
+    if f == 1:
+        rng = random.Random(p)
+        for _ in range(150):
+            rows = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
+            assert minimal_polynomial_degree(_any_point(tower, rows)) == (
+                _largest_krylov_dimension(lv, rows)
+            )
+
+
+def test_minimal_polynomial_degree_fixed_cases(tower_f3):
+    def diag(*entries):
+        n = len(entries)
+        return tuple(
+            tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
+        )
+
+    def jordan(n):
+        return tuple(
+            tuple(2 if i == j else int(j == i + 1) for j in range(n)) for i in range(n)
+        )
+
+    cases = [(diag(2, 2, 2), 1), (diag(1, 1, 2), 2)]
+    cases += [(jordan(n), n) for n in (1, 2, 3, 4)]
+    for rows, degree in cases:
+        assert minimal_polynomial_degree(_any_point(tower_f3, rows)) == degree
 
 
 def test_phi_equals_psi_trace_everywhere(tower_f3, gamma_std2):

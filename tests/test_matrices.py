@@ -1,16 +1,20 @@
-"""The row-reduction kernel against sympy, an independent implementation."""
+"""The row-reduction kernel and charpoly against independent implementations."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from gammasums.cyclotomic import CyclotomicRing, solve_linear_system
 from gammasums.fields import build_tower
 from gammasums.matrices import (
     EXACT,
+    all_matrices,
+    charpoly,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -106,3 +110,69 @@ def test_solve_rank_deficient_sets_free_variables_to_zero():
     assert (rank, consistent) == (2, True)
     # the column-1 part of x moves into the pivot variable: 3 + 2 * 5
     assert solution == [ring.from_int(13), zero, z * z]
+
+
+# level 1 of a tower over F_q, for q = 2, 3, 5, 7 (residues) and 4, 9
+LEVELS = {
+    (p, f): build_tower(p, f, 1).level(1)
+    for p, f in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
+}
+
+
+def _matrix(data, size):
+    n = data.draw(st.integers(0, 5))
+    entry = st.integers(0, size - 1)
+    return tuple(
+        tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_charpoly_is_sympy_charpoly_mod_p(data, p):
+    rows = _matrix(data, p)
+    n = len(rows)
+    want = sympy.Matrix(n, n, [c for row in rows for c in row]).charpoly()
+    assert charpoly(LEVELS[p, 1], rows) == tuple(
+        int(c) % p for c in want.all_coeffs()[1:]
+    )
+
+
+def _det(lv, rows):
+    """Cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    total = 0
+    for j, c in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = lv.mul(c, _det(lv, minor))
+        total = lv.sub(total, term) if j % 2 else lv.add(total, term)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pf=st.sampled_from([(2, 2), (3, 2)]))
+def test_charpoly_evaluates_to_det_over_extension_fields(data, pf):
+    # F_4 and F_9: c(t) = det(tI - x) at every t of the field
+    lv = LEVELS[pf]
+    rows = _matrix(data, lv.size)
+    coeffs = charpoly(lv, rows)
+    for t in lv.elements():
+        value = 1
+        for c in coeffs:
+            value = lv.add(lv.mul(value, t), c)
+        shifted = [
+            [lv.sub(t if i == j else 0, c) for j, c in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        assert value == _det(lv, shifted)
+
+
+def test_all_matrices_is_row_major_lexicographic():
+    lv = LEVELS[2, 1]
+    mats = list(all_matrices(lv, 2, 3))
+    assert len(mats) == 2**6
+    assert mats == sorted(mats)
+    assert mats[1] == ((0, 0, 0), (0, 0, 1))
+    assert mats[-1] == ((1, 1, 1), (1, 1, 1))
+    assert list(all_matrices(lv, 3, 0)) == [((), (), ())]
