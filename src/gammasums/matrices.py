@@ -11,10 +11,10 @@ over a tower level, and all_matrices enumerates every n x k matrix over one,
 for the exhaustive sweeps.
 
 charpoly runs Berkowitz's division-free recursion on the leading blocks, with
-mat_vec for its products, in O(n^4) field operations.  Characteristic
-polynomials are returned as the coefficient vector (a_1, ..., a_n) of
-t^n + a_1 t^(n-1) + ... + a_n, matching the companion-matrix convention used
-throughout the mirabolic module.
+mat_vec and pol_mul for its products, in O(n^4) field operations.
+Characteristic polynomials are returned as the coefficient vector
+(a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
+companion-matrix convention used throughout the mirabolic module.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def charpoly(level, a):
     leading k x k block.  The characteristic vector of the larger block,
     leading 1 included, is T times that of A, where T is the (k+2) x (k+1)
     lower-triangular Toeplitz matrix with first column
-    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).
+    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).  That product is the
+    convolution of the column with the vector, cut to its first k+2 terms.
     """
     poly = (1,)
     for k, row in enumerate(a):
@@ -169,11 +170,7 @@ def charpoly(level, a):
         col = (1, level.neg(row[k])) + tuple(
             level.neg(c) for c in mat_vec(level, krylov, row[:k])
         )
-        toeplitz = tuple(
-            tuple(col[i - j] if j <= i else 0 for j in range(k + 1))
-            for i in range(k + 2)
-        )
-        poly = mat_vec(level, toeplitz, poly)
+        poly = pol_mul(level, col, poly)[:k + 2]
     return poly[1:]
 
 
