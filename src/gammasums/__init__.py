@@ -36,7 +36,7 @@ from .induction import (
     flag_fixed_points,
     induced_trace,
     is_regular,
-    steinberg_fiber,
+    steinberg_fibers,
 )
 from .mirabolic import (
     GroupPoint,

@@ -39,7 +39,7 @@ from .induction import (
     induced_trace,
     is_regular,
     levi_restriction_sum,
-    steinberg_fiber,
+    steinberg_fibers,
 )
 from .matrices import all_matrices, char_coeffs_to_poly, mat_inv, mat_mul
 from .mirabolic import (
@@ -265,6 +265,10 @@ def validate_config(raw, suites=None) -> dict:
         raise ConfigInvalid(f"{gl2_suites[0]} needs caps.tower >= 2")
     if "gl3-top" in cfg["suites"] and cfg["shape"] != [3]:
         raise ConfigInvalid("gl3-top needs shape [3]")
+    # a w-cycle of length n needs level n; the mirabolic suite needs level 1
+    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
+    if twisted and cfg["caps"]["tower"] < max(cfg["shape"]):
+        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {max(cfg['shape'])}")
     q = cfg["p"] ** cfg["f"]
     for s in cfg["suites"]:
         if q > SUITE_Q_CAPS.get(s, q):
@@ -739,10 +743,11 @@ def flag_vs_ordering_failures(traces, points):
     """Regular semisimple points where the flag-sum trace differs from the sum
     over the identity-twist eigenvalue orderings (no sign between them)."""
     tower = traces.tower
+    fibers = steinberg_fibers(tower, perm_identity(traces.ws.d))
     bad = []
     for x in points:
         fiber_route = tower.ring.zero
-        for pt in steinberg_fiber(tower, x.char, perm_identity(x.n)):
+        for pt in fibers.get(x.char, []):
             fiber_route = fiber_route + traces.hyper_trace(
                 expand_twisted_point(tower, pt, 1)
             )

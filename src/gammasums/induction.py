@@ -2,15 +2,15 @@
 
 For a regular-semisimple element the induced trace can be computed two ways:
 summing the torus trace over stable full flags, or summing over orderings of
-the eigenvalue multiset that are fixed by a Weyl twist of Frobenius.  The
-gamma trace averages the normalized twisted stalk traces over the Weyl group
-and the matching Steinberg-fiber orderings; it depends on the element only
-through its characteristic polynomial, is defined exactly on the regular
-locus (cyclic elements, which includes everything with squarefree
-characteristic polynomial), and refuses to return values anywhere else.
-An element is regular when its minimal polynomial is its characteristic
-polynomial, that is when I, x, ..., x^(n-1) are linearly independent; that
-rank is found with the reduce_against kernel.
+the eigenvalue multiset that are fixed by a Weyl twist of Frobenius.  Those
+orderings form the Steinberg fiber in the twisted torus, found by grouping
+its points by twisted_charpoly in one pass.  The gamma trace averages the
+normalized twisted stalk traces over the Weyl group and the matching fibers;
+it depends on the element only through its characteristic polynomial, is
+defined exactly on the regular locus (cyclic elements, which includes
+everything with squarefree characteristic polynomial), and refuses to return
+values anywhere else.  An element is regular when I, x, ..., x^(n-1) are
+linearly independent; that rank is found with the reduce_against kernel.
 """
 
 from __future__ import annotations
@@ -20,35 +20,29 @@ from fractions import Fraction
 
 from .errors import CapExceeded, NotComputableLocus, NotTopStratum
 from .matrices import (
-    char_coeffs_to_poly,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_vec,
     pol_divmod,
-    pol_eval_embedded,
     reduce_against,
     row_reduce,
 )
 from .mirabolic import GroupPoint, group_point, stratum_index, u_q_matrix
-from .torus import perm_cycles, twisted_point
+from .torus import enumerate_twisted_points, twisted_charpoly
 
 # -- subspaces and flags ------------------------------------------------------
 
 
 def enumerate_lines(tower, n):
-    """Canonical representatives of the lines of F_q^n."""
+    """Lines of F_q^n as their vectors with first nonzero entry 1, which
+    come first in product order since 1 encodes the smallest unit."""
     lv = tower.level(1)
-    out = []
-    seen = set()
-    for v in itertools.product(lv.elements(), repeat=n):
-        if not any(v):
-            continue
-        basis = (tuple(row_reduce(lv, [v], n)[0][0]),)
-        if basis not in seen:
-            seen.add(basis)
-            out.append(basis)
-    return out
+    return [
+        (v,)
+        for v in itertools.product(lv.elements(), repeat=n)
+        if next((c for c in v if c), None) == 1
+    ]
 
 
 def full_flags(tower, n):
@@ -57,9 +51,7 @@ def full_flags(tower, n):
         raise CapExceeded("flag enumeration is limited to n <= 3")
     lv = tower.level(1)
     lines = enumerate_lines(tower, n)
-    if n == 1:
-        return [(basis,) for basis in lines]
-    if n == 2:
+    if n <= 2:
         return [(basis,) for basis in lines]
     flags = []
     for line in lines:
@@ -122,7 +114,7 @@ def induced_trace(traces, g: GroupPoint):
     return total * sign
 
 
-# -- characteristic polynomial roots and Steinberg fibers ---------------------
+# -- factoring and Steinberg fibers --------------------------------------------
 
 
 def factor_monic(tower, poly_low):
@@ -156,71 +148,20 @@ def factor_monic(tower, poly_low):
     return factors
 
 
-def root_multiset(tower, char_coeffs):
-    """Roots of the characteristic vector as (level, element) with repetition."""
-    poly = char_coeffs_to_poly(char_coeffs)
-    out = []
-    for fac, mult in factor_monic(tower, poly):
-        e = len(fac) - 1
-        if e > tower.max_level:
-            raise CapExceeded(f"roots live at level {e}, above the tower bound")
-        lv = tower.level(e)
-        root = next(
-            x for x in lv.elements() if pol_eval_embedded(tower, fac, 1, x, e) == 0
-        )
-        orbit = [root]
-        for _ in range(e - 1):
-            orbit.append(lv.frobenius(orbit[-1]))
-        for r in orbit:
-            out.extend([(e, r)] * mult)
-    return out
+def steinberg_fibers(tower, w):
+    """The Steinberg fibers of the w-twisted torus, by characteristic vector.
 
-
-def steinberg_fiber(tower, char_coeffs, w):
-    """Orderings of the root multiset fixed by the w-twist of Frobenius.
-
-    Each ordering is returned as a TwistedTorusPoint; repeated roots
-    contribute set-theoretic points only (no multiplicity).
+    A twisted point lies in the fiber of c when its coordinates are the roots
+    of c with multiplicity, that is when its twisted_charpoly is c, so one
+    pass over the twisted torus gives every fiber of w.  Each fiber is sorted
+    by values; a vector without a w-twisted point has no key.
     """
-    roots = root_multiset(tower, char_coeffs)
-    n = len(w)
-    if len(roots) != n:
-        raise ValueError("root multiset size differs from the twist size")
-    cycles = perm_cycles(w)
-    points = []
-    seen = set()
-    for perm in set(itertools.permutations(roots, n)):
-        ok = True
-        assignment = {}
-        for cyc in cycles:
-            ell = len(cyc)
-            lev0, val0 = perm[cyc[0]]
-            if ell % lev0:
-                ok = False
-                break
-            lv = tower.level(ell)
-            cur = tower.embed(val0, lev0, ell)
-            assignment[cyc[0]] = cur
-            for idx in cyc[1:]:
-                cur = lv.frobenius(cur)
-                lev_i, val_i = perm[idx]
-                if ell % lev_i or tower.embed(val_i, lev_i, ell) != cur:
-                    ok = False
-                    break
-            if not ok:
-                break
-            # close the cycle: value must return to the start
-            if lv.frobenius(cur) != assignment[cyc[0]]:
-                ok = False
-                break
-        if not ok:
-            continue
-        pt = twisted_point(tower, w, assignment)
-        if pt not in seen:
-            seen.add(pt)
-            points.append(pt)
-    points.sort(key=lambda p: p.values)
-    return points
+    fibers = {}
+    for pt in enumerate_twisted_points(tower, w):
+        fibers.setdefault(twisted_charpoly(tower, pt), []).append(pt)
+    for points in fibers.values():
+        points.sort(key=lambda p: p.values)
+    return fibers
 
 
 # -- the gamma trace on the regular locus -------------------------------------
@@ -250,9 +191,12 @@ class GammaTrace:
     """The gamma trace function on the regular locus of GL(n).
 
     Values are computed per characteristic vector as the Weyl average of the
-    normalized twisted traces over Steinberg-fiber orderings, scaled by the
-    global constant kappa = (-1)^(n^2-n) = +1.  weyl_sign=False switches to
-    the untwisted descent (the mutation control); everything else is shared.
+    normalized twisted traces over its Steinberg fibers, scaled by the
+    global constant kappa = (-1)^(n^2-n) = +1.  The fibers of every Weyl
+    element are built once, on the first value asked for; a vector in no
+    fiber (wrong length, or zero constant term) raises ValueError.
+    weyl_sign=False switches to the untwisted descent (the mutation
+    control); everything else is shared.
     """
 
     def __init__(self, traces, weyl_sign=True):
@@ -261,6 +205,7 @@ class GammaTrace:
         self.ws = traces.ws
         self.weyl_sign = weyl_sign
         self._by_char = {}
+        self._fibers = None
         if len(self.ws.shape) != 1:
             raise ValueError("the gamma trace needs a single-factor shape")
         self.n = self.ws.shape[0]
@@ -269,16 +214,18 @@ class GammaTrace:
         key = tuple(char_coeffs)
         if key in self._by_char:
             return self._by_char[key]
-        tower = self.tower
-        weyl = self.ws.weyl()
+        if self._fibers is None:
+            self._fibers = [steinberg_fibers(self.tower, w) for w in self.ws.weyl()]
+        points = [pt for fibers in self._fibers for pt in fibers.get(key, ())]
+        if not points:
+            raise ValueError(f"no twisted torus point has characteristic vector {key}")
         kappa = (-1) ** (self.n * self.n - self.n)
-        total = tower.ring.zero
-        for w in weyl:
-            for pt in steinberg_fiber(tower, key, w):
-                total = total + self.traces.twisted_stalk_trace(
-                    pt, weyl_sign=self.weyl_sign
-                )
-        value = total * Fraction(kappa, len(weyl))
+        total = self.tower.ring.zero
+        for pt in points:
+            total = total + self.traces.twisted_stalk_trace(
+                pt, weyl_sign=self.weyl_sign
+            )
+        value = total * Fraction(kappa, len(self._fibers))
         self._by_char[key] = value
         return value
 
@@ -347,15 +294,9 @@ def levi_restriction_sum(gamma: GammaTrace, t_coords):
     positions = [(i, j) for i in range(n) for j in range(n) if i < j]
     total = tower.ring.zero
     for vals in itertools.product(lv.elements(), repeat=len(positions)):
-        rows = [list(r) for r in diag]
+        u_mat = [[int(i == j) for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        u_mat = [
-            [1 if i == j else (rows[i][j] if i < j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            u_mat[i][i] = 1
-        ut = mat_mul(lv, tuple(tuple(r) for r in u_mat), diag)
+            u_mat[i][j] = v
+        ut = mat_mul(lv, u_mat, diag)
         total = total + gamma.phi_regular(group_point(tower, ut))
     return total

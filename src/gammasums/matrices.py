@@ -218,11 +218,3 @@ def pol_divmod(level, a, b):
     rem = a[:db] if db else [0]
     return tuple(q), tuple(rem if any(rem) else [0])
 
-
-def pol_eval_embedded(tower, poly, level_from, x, level_to):
-    """Evaluate a level_from polynomial at a level_to point."""
-    lv = tower.level(level_to)
-    acc = 0
-    for c in reversed(poly):
-        acc = lv.add(lv.mul(acc, x), tower.embed(c, level_from, level_to))
-    return acc

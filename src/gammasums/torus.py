@@ -10,6 +10,8 @@ operations all reduce to exact character sums:
                       covering coordinates, with the Weyl descent
                       normalization sign_r(xi) * sign_W(w) on top of the raw
                       fixed-point sum
+  * twisted_charpoly  the characteristic vector of a twisted point, which
+                      sorts the points into Steinberg fibers
   * mellin_gamma      character-sum transform over a twisted torus, which
                       factorizes into Gauss sums along permutation orbits
   * sigma_fiber_sum   the sign-averaged determinant-fiber sum that must
@@ -37,7 +39,7 @@ from .errors import (
     TowerTooShallow,
 )
 from .fields import FieldTower, MultCharacter, gauss_sum, psi_sum
-from .matrices import EXACT, mat_rank
+from .matrices import EXACT, mat_rank, pol_mul, poly_to_char_coeffs
 
 # -- permutations (tuples mapping position i to image perm[i]) --------------
 
@@ -324,6 +326,29 @@ def expand_twisted_point(tower, pt: TwistedTorusPoint, to_level):
             coords[idx] = cur
             cur = lv.frobenius(cur)
     return tuple(coords)
+
+
+def twisted_charpoly(tower, pt: TwistedTorusPoint):
+    """Characteristic vector (a_1, ..., a_n) of the point's coordinates.
+
+    A w-cycle of length l with unit b contributes prod_i (t - b^(q^i)), which
+    is multiplied out at level l and has its coefficients in F_q; the cycle
+    factors are then multiplied over F_q.  Working cycle by cycle keeps each
+    product at its own level rather than at the lcm of the cycle lengths.
+    """
+    lv1 = tower.level(1)
+    cmap = pt.cycle_map()
+    poly = (1,)
+    for cyc in perm_cycles(pt.w):
+        ell = len(cyc)
+        lv = tower.level(ell)
+        b = cmap[cyc[0]]
+        factor = (1,)
+        for _ in range(ell):
+            factor = pol_mul(lv, factor, (lv.neg(b), 1))
+            b = lv.frobenius(b)
+        poly = pol_mul(lv1, poly, tuple(tower.unembed(c, ell, 1) for c in factor))
+    return poly_to_char_coeffs(poly)
 
 
 def point_block_norm(tower, pt: TwistedTorusPoint, coords):

@@ -61,6 +61,9 @@ def test_validate_config_rejections():
         {"p": 11, "suites": ["gl2-main"]},
         {"p": 11, "suites": ["oracle"]},
         {"p": 5, "shape": [3], "suites": ["gl3-top"], "caps": {"tower": 3}},
+        {"shape": [3], "suites": ["induction"], "caps": {"tower": 2}},
+        {"shape": [3], "suites": ["gl3-top"], "caps": {"tower": 2}},
+        {"shape": [2], "suites": ["torus"], "caps": {"tower": 1}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):

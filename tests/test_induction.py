@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from gammasums.errors import NotComputableLocus, NotTopStratum
 from gammasums.fields import build_tower
 from gammasums.induction import (
     GammaTrace,
+    enumerate_lines,
     factor_monic,
     flag_fixed_points,
     flag_grading,
@@ -15,8 +17,7 @@ from gammasums.induction import (
     is_regular,
     levi_restriction_sum,
     minimal_polynomial_degree,
-    root_multiset,
-    steinberg_fiber,
+    steinberg_fibers,
 )
 from gammasums.matrices import (
     all_matrices,
@@ -25,12 +26,16 @@ from gammasums.matrices import (
     mat_mul,
     mat_vec,
     reduce_against,
+    row_reduce,
 )
 from gammasums.mirabolic import GroupPoint, companion_matrix, group_point
 from gammasums.torus import (
     TorusTraces,
+    enumerate_twisted_points,
     expand_twisted_point,
+    perm_cycles,
     validate_weight_system,
+    weyl_elements,
 )
 
 
@@ -71,26 +76,89 @@ def test_induced_trace_examples(tower_f3, std2):
 
 
 def test_factor_and_roots(tower_f3):
-    lv = tower_f3.level(1)
     # (t-1)(t-2) = t^2 + 2 over F_3
     fac = dict(factor_monic(tower_f3, (2, 0, 1)))
     assert fac == {(2, 1): 1, (1, 1): 1}
-    roots = sorted(root_multiset(tower_f3, (0, 2)))
-    assert roots == [(1, 1), (1, 2)]
-    # (t-1)^2
-    assert sorted(root_multiset(tower_f3, (1, 1))) == [(1, 1), (1, 1)]
 
 
 def test_steinberg_fiber_examples(tower_f3):
+    ident, swap = steinberg_fibers(tower_f3, (0, 1)), steinberg_fibers(tower_f3, (1, 0))
     # distinct rational roots: two orderings for the identity, none twisted
-    assert len(steinberg_fiber(tower_f3, (0, 2), (0, 1))) == 2
-    assert steinberg_fiber(tower_f3, (0, 2), (1, 0)) == []
+    assert len(ident.get((0, 2), [])) == 2
+    assert swap.get((0, 2), []) == []
     # irreducible quadratic: the twist carries both orderings
-    assert steinberg_fiber(tower_f3, (0, 1), (0, 1)) == []
-    assert len(steinberg_fiber(tower_f3, (0, 1), (1, 0))) == 2
+    assert ident.get((0, 1), []) == []
+    assert len(swap.get((0, 1), [])) == 2
     # repeated root: one point either way
-    assert len(steinberg_fiber(tower_f3, (1, 1), (0, 1))) == 1
-    assert len(steinberg_fiber(tower_f3, (1, 1), (1, 0))) == 1
+    assert len(ident.get((1, 1), [])) == 1
+    assert len(swap.get((1, 1), [])) == 1
+
+
+FIBER_CASES = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("p,f,n", FIBER_CASES)
+def test_steinberg_fibers_partition_the_twisted_torus(p, f, n):
+    # the key of each point is also the charpoly of its diagonal matrix at
+    # the level where every coordinate lives, brought down to F_q
+    tower = build_tower(p, f, n)
+    for w in weyl_elements([n]):
+        fibers = steinberg_fibers(tower, w)
+        grouped = sorted(pt.values for pts in fibers.values() for pt in pts)
+        assert grouped == sorted(pt.values for pt in enumerate_twisted_points(tower, w))
+        work = lcm(*(len(c) for c in perm_cycles(w)))
+        lv = tower.level(work)
+        for key, pts in fibers.items():
+            assert [pt.values for pt in pts] == sorted(pt.values for pt in pts)
+            for pt in pts:
+                coords = expand_twisted_point(tower, pt, work)
+                diag = tuple(
+                    tuple(c if i == j else 0 for j, c in enumerate(coords))
+                    for i in range(n)
+                )
+                direct = charpoly(lv, diag)
+                assert key == tuple(tower.unembed(c, work, 1) for c in direct)
+
+
+@pytest.mark.parametrize("p,f,n", FIBER_CASES + [(2, 1, 4)])
+def test_steinberg_fibers_cover_every_unit_constant_vector(p, f, n):
+    tower = build_tower(p, f, n)
+    lv = tower.level(1)
+    keys = set()
+    for w in weyl_elements([n]):
+        keys.update(steinberg_fibers(tower, w))
+    assert keys == {
+        c for c in itertools.product(lv.elements(), repeat=n) if c[-1]
+    }
+
+
+def test_value_refuses_vectors_in_no_fiber(gamma_std2):
+    with pytest.raises(ValueError):
+        gamma_std2.value_for_charpoly((1, 2, 1))
+    with pytest.raises(ValueError):
+        gamma_std2.value_for_charpoly((1, 0))
+
+
+def _rref_lines(tower, n):
+    """Lines of F_q^n by row reduction, the first vector of each one kept."""
+    lv = tower.level(1)
+    out = []
+    seen = set()
+    for v in itertools.product(lv.elements(), repeat=n):
+        if not any(v):
+            continue
+        basis = (tuple(row_reduce(lv, [v], n)[0][0]),)
+        if basis not in seen:
+            seen.add(basis)
+            out.append(basis)
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
+def test_enumerate_lines_matches_row_reduction(p, f):
+    tower = build_tower(p, f, 1)
+    for n in (1, 2, 3):
+        assert enumerate_lines(tower, n) == _rref_lines(tower, n)
 
 
 def test_phi_regular_examples(tower_f3, gamma_std2):
@@ -208,7 +276,7 @@ def ordering_route(traces, x):
     """Sum of torus traces over the identity-twist orderings of x's roots."""
     tower = traces.tower
     total = tower.ring.zero
-    for pt in steinberg_fiber(tower, x.char, tuple(range(x.n))):
+    for pt in steinberg_fibers(tower, tuple(range(x.n))).get(x.char, []):
         total = total + traces.hyper_trace(expand_twisted_point(tower, pt, 1))
     return total
 
