@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import time
@@ -35,13 +36,22 @@ from .gl2 import (
 )
 from .induction import (
     GammaTrace,
-    factor_monic,
+    FLAG_N_MAX,
+    full_flags,
     induced_trace,
     is_regular,
     levi_restriction_sum,
     steinberg_fibers,
 )
-from .matrices import all_matrices, char_coeffs_to_poly, mat_inv, mat_mul
+from .matrices import (
+    all_matrices,
+    char_coeffs_to_poly,
+    charpoly,
+    mat_inv,
+    mat_mul,
+    pol_divmod,
+    pol_mul,
+)
 from .mirabolic import (
     bernstein_coords,
     census_prediction,
@@ -49,18 +59,21 @@ from .mirabolic import (
     coset_charpoly,
     coset_rank,
     group_point,
+    krylov,
+    left_translate,
     lemma_translation_map,
     normalize_stratum,
+    normalized_blocks,
     orbit_census,
     parabolic_rank_classify,
     stratum_index,
-    u_q_matrix,
 )
 from .torus import (
     TorusTraces,
     enumerate_twisted_points,
     expand_twisted_point,
     perm_compose,
+    perm_cycles,
     perm_identity,
     perm_sign,
     rational_character,
@@ -265,10 +278,15 @@ def validate_config(raw, suites=None) -> dict:
         raise ConfigInvalid(f"{gl2_suites[0]} needs caps.tower >= 2")
     if "gl3-top" in cfg["suites"] and cfg["shape"] != [3]:
         raise ConfigInvalid("gl3-top needs shape [3]")
-    # a w-cycle of length n needs level n; the mirabolic suite needs level 1
+    if "induction" in cfg["suites"] and max(cfg["shape"]) > FLAG_N_MAX:
+        raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
+    # a twisted point of w lives at the level of w's order, the lcm of its
+    # cycle lengths; the mirabolic suite needs level 1
     twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
-    if twisted and cfg["caps"]["tower"] < max(cfg["shape"]):
-        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {max(cfg['shape'])}")
+    if twisted:
+        need = max(math.lcm(*map(len, perm_cycles(w))) for w in weights.weyl())
+        if cfg["caps"]["tower"] < need:
+            raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {need}")
     q = cfg["p"] ** cfg["f"]
     for s in cfg["suites"]:
         if q > SUITE_Q_CAPS.get(s, q):
@@ -305,10 +323,16 @@ def iter_invertible(tower, n):
 
 
 def _squarefree(tower, char_coeffs):
-    return all(
-        mult == 1
-        for _, mult in factor_monic(tower, char_coeffs_to_poly(char_coeffs))
-    )
+    """gcd(c, c') = 1 by Euclid, c the characteristic polynomial; False when
+    c' = 0.  The last nonzero remainder is the gcd up to a unit; remainders
+    may keep high zero coefficients, so it is a constant when nothing past
+    its constant term is nonzero."""
+    lv = tower.level(1)
+    f = char_coeffs_to_poly(char_coeffs)
+    g = tuple(lv.mul(lv.scalar(k), c) for k, c in enumerate(f))[1:]
+    while any(g):
+        f, g = g, pol_divmod(lv, f, g)[1]
+    return not any(f[1:])
 
 
 # -- suite: arith ----------------------------------------------------------------
@@ -604,14 +628,21 @@ def roundtrip_failures(y, m):
 
 
 def coset_failures(x, y, m):
-    """At x, normalized to y in stratum m: the v where u_v y breaks the coset
-    charpoly formula, and those of x, y whose coset map rank is not m - 1."""
+    """At x, normalized to y in stratum m: the v where u y, u with first row
+    (1, -v), breaks the closed formula b = coset_charpoly(a, v) against the
+    direct c(u_L x_F) = b and c(u y) = b c(x_E); and those of x, y whose coset
+    map rank is not m - 1."""
+    lv = y.level()
+    x_f, _, x_e = normalized_blocks(y, m)
+    a = charpoly(lv, x_f)
+    c_e = char_coeffs_to_poly(charpoly(lv, x_e))
     formula = []
-    for v in itertools.product(y.level().elements(), repeat=y.n - 1):
-        _, info = coset_charpoly(y, v, m)
-        if not (
-            info["factorization_ok"] and info["closed_formula_ok"] and info["bm_fixed"]
-        ):
+    for v in itertools.product(lv.elements(), repeat=y.n - 1):
+        neg_v = tuple(map(lv.neg, v))
+        b = coset_charpoly(lv, a, v)
+        block = charpoly(lv, left_translate(lv, x_f, neg_v[: m - 1]))
+        whole = char_coeffs_to_poly(charpoly(lv, left_translate(lv, y.rows, neg_v)))
+        if b != block or whole != pol_mul(lv, char_coeffs_to_poly(b), c_e):
             formula.append(v)
     return formula, [pt.rows for pt in (y, x) if coset_rank(pt) != m - 1]
 
@@ -666,11 +697,11 @@ def suite_mirabolic(cfg) -> list:
         pool = list(iter_invertible(tower, n))
     else:
         pool = [_random_group_point(tower, n, rng) for _ in range(300)]
+    vs = list(itertools.product(lv.elements(), repeat=n - 1))
     for x in pool:
         m = stratum_index(x)
-        for v in itertools.product(lv.elements(), repeat=n - 1):
-            ux = group_point(tower, mat_mul(lv, u_q_matrix(tower, n, v), x.rows))
-            if stratum_index(ux) != m:
+        for v in vs:
+            if len(krylov(lv, left_translate(lv, x.rows, v), [])) != m:
                 ok = False
     checks.append(
         CheckResult(
@@ -679,7 +710,6 @@ def suite_mirabolic(cfg) -> list:
     )
     # normalization round trip, coset formulas, rank and linearity
     ok_round = ok_coset = ok_rank = ok_linear = True
-    vs = list(itertools.product(lv.elements(), repeat=n - 1))
     for idx in range(samples):
         x = _random_group_point(tower, n, rng)
         _, y, m = normalize_stratum(x)
@@ -693,7 +723,7 @@ def suite_mirabolic(cfg) -> list:
             v1, v2 = rng.choice(vs), rng.choice(vs)
             # images under the coset map v -> c(u_v y) - c(y)
             d1, d2, d12 = (
-                tuple(map(lv.sub, coset_charpoly(y, v, m)[1]["c_ux"], y.char))
+                tuple(map(lv.sub, charpoly(lv, left_translate(lv, y.rows, v)), y.char))
                 for v in (v1, v2, tuple(map(lv.add, v1, v2)))
             )
             if d12 != tuple(map(lv.add, d1, d2)):
@@ -744,6 +774,7 @@ def flag_vs_ordering_failures(traces, points):
     over the identity-twist eigenvalue orderings (no sign between them)."""
     tower = traces.tower
     fibers = steinberg_fibers(tower, perm_identity(traces.ws.d))
+    flags = full_flags(tower, traces.ws.d)
     bad = []
     for x in points:
         fiber_route = tower.ring.zero
@@ -751,7 +782,7 @@ def flag_vs_ordering_failures(traces, points):
             fiber_route = fiber_route + traces.hyper_trace(
                 expand_twisted_point(tower, pt, 1)
             )
-        if induced_trace(traces, x) != fiber_route:
+        if induced_trace(traces, x, flags) != fiber_route:
             bad.append(x.rows)
     return bad
 

@@ -28,8 +28,11 @@ from .matrices import (
     reduce_against,
     row_reduce,
 )
-from .mirabolic import GroupPoint, group_point, stratum_index, u_q_matrix
+from .mirabolic import GroupPoint, group_point, left_translate, stratum_index
 from .torus import enumerate_twisted_points, twisted_charpoly
+
+# Largest n whose full flags are enumerated; validate_config refuses above it.
+FLAG_N_MAX = 3
 
 # -- subspaces and flags ------------------------------------------------------
 
@@ -46,9 +49,9 @@ def enumerate_lines(tower, n):
 
 
 def full_flags(tower, n):
-    """All full flags of F_q^n as tuples of echelon bases (n <= 3)."""
-    if n > 3:
-        raise CapExceeded("flag enumeration is limited to n <= 3")
+    """All full flags of F_q^n as tuples of echelon bases (n <= FLAG_N_MAX)."""
+    if n > FLAG_N_MAX:
+        raise CapExceeded(f"flag enumeration is limited to n <= {FLAG_N_MAX}")
     lv = tower.level(1)
     lines = enumerate_lines(tower, n)
     if n <= 2:
@@ -75,10 +78,10 @@ def flag_is_stable(lv, g_rows, flag):
     return True
 
 
-def flag_fixed_points(g: GroupPoint):
-    """All rational g-stable full flags (n <= 3)."""
+def flag_fixed_points(g: GroupPoint, flags):
+    """The g-stable flags among flags, the full flags of F_q^n."""
     lv = g.level()
-    return [f for f in full_flags(g.tower, g.n) if flag_is_stable(lv, g.rows, f)]
+    return [f for f in flags if flag_is_stable(lv, g.rows, f)]
 
 
 def flag_grading(g: GroupPoint, flag):
@@ -100,8 +103,9 @@ def flag_grading(g: GroupPoint, flag):
     )
 
 
-def induced_trace(traces, g: GroupPoint):
-    """Flag-sum trace of the induced object at g.
+def induced_trace(traces, g: GroupPoint, flags):
+    """Flag-sum trace of the induced object at g, flags the full flags of
+    F_q^n as full_flags builds them.
 
     The degree shift is d = n^2 - n, which is even for every n, so the global
     sign is +1; it is written out anyway to keep the normalization visible.
@@ -109,7 +113,7 @@ def induced_trace(traces, g: GroupPoint):
     tower = g.tower
     sign = (-1) ** (g.n * g.n - g.n)
     total = tower.ring.zero
-    for flag in flag_fixed_points(g):
+    for flag in flag_fixed_points(g, flags):
         total = total + traces.hyper_trace(flag_grading(g, flag))
     return total * sign
 
@@ -252,7 +256,7 @@ class GammaTrace:
         coset = tower.ring.zero
         seen_chars = set()
         for v in itertools.product(lv.elements(), repeat=n - 1):
-            ux = group_point(tower, mat_mul(lv, u_q_matrix(tower, n, v), x.rows))
+            ux = group_point(tower, left_translate(lv, x.rows, v))
             if stratum_index(ux) != n:
                 raise NotTopStratum("left translation left the top stratum")
             coset = coset + self.phi_regular(ux)

@@ -9,6 +9,10 @@ characteristic-polynomial factor, and the off-diagonal block is uniquely a
 sum v_1 + v_{m-1} x_E - x_F v_{m-1} with v_1 concentrated in the first row
 and v_{m-1} vanishing in the last row; the solver below walks that triangular
 structure from the bottom row upward.
+
+The one coset map is left_translate, the rows of u x for u in U_Q; on a
+normalized stratum-m point the characteristic polynomials of the translates
+follow a closed formula in (a, v) alone, coset_charpoly.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .matrices import (
     mat_rank,
     mat_vec,
     pol_divmod,
-    pol_mul,
     poly_to_char_coeffs,
     reduce_against,
     row_reduce,
@@ -64,16 +67,12 @@ def group_point(tower, rows) -> GroupPoint:
 
 def stratum_index(x: GroupPoint) -> int:
     """Dimension of the span of e_1 under powers of x."""
-    return len(krylov_basis(x))
+    return len(krylov(x.level(), x.rows, []))
 
 
-def krylov_basis(x: GroupPoint):
-    """The vectors e_1, x e_1, ..., up to the stratum dimension."""
-    return _krylov(x.level(), x.rows, [])
-
-
-def _krylov(level, rows, basis):
-    """e_1, x e_1, ... while each lies outside the span of those before it.
+def krylov(level, rows, basis):
+    """e_1, x e_1, ... while each lies outside the span of those before it;
+    their number is the stratum of x, given by its rows.
 
     basis, an echelon basis as reduce_against keeps it, is extended by them.
     """
@@ -113,7 +112,7 @@ def companion_normalize(level, x_f):
     The columns of g are the cyclic basis e_1, x_f e_1, ...; raises NotCyclic
     when e_1 is not cyclic for x_f.
     """
-    cols = _krylov(level, x_f, [])
+    cols = krylov(level, x_f, [])
     if len(cols) < len(x_f):
         raise NotCyclic("e_1 is not a cyclic vector for the block")
     g = tuple(zip(*cols))
@@ -134,7 +133,7 @@ def normalize_stratum(x: GroupPoint):
     lv = x.level()
     n = x.n
     basis = []
-    cols = _krylov(lv, x.rows, basis)
+    cols = krylov(lv, x.rows, basis)
     m = len(cols)
     for e in mat_identity(n):
         if len(cols) == n:
@@ -191,24 +190,16 @@ class StratumData:
         return out
 
 
-def _blocks(x: GroupPoint, m):
+def normalized_blocks(x: GroupPoint, m):
+    """(x_F, y, x_E) of a point normalized at stratum m; NotNormalized unless
+    its lower-left block is zero and x_F is a companion matrix."""
     rows = x.rows
-    n = x.n
-    x_f = tuple(tuple(rows[i][j] for j in range(m)) for i in range(m))
-    y = tuple(tuple(rows[i][j] for j in range(m, n)) for i in range(m))
-    lower = tuple(tuple(rows[i][j] for j in range(m)) for i in range(m, n))
-    x_e = tuple(tuple(rows[i][j] for j in range(m, n)) for i in range(m, n))
-    return x_f, y, lower, x_e
-
-
-def _check_normalized(x: GroupPoint, m):
-    lv = x.level()
-    x_f, y, lower, x_e = _blocks(x, m)
-    if any(any(row) for row in lower):
+    x_f = tuple(row[:m] for row in rows[:m])
+    if any(any(row[:m]) for row in rows[m:]):
         raise NotNormalized("lower-left block is not zero")
-    if not is_companion(lv, x_f):
+    if not is_companion(x.level(), x_f):
         raise NotNormalized("top-left block is not a companion matrix")
-    return x_f, y, x_e
+    return x_f, tuple(row[m:] for row in rows[:m]), tuple(row[m:] for row in rows[m:])
 
 
 def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
@@ -222,7 +213,7 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
     if m is None:
         m = stratum_index(x)
     lv = x.level()
-    x_f, y, x_e = _check_normalized(x, m)
+    x_f, y, x_e = normalized_blocks(x, m)
     n = x.n
     k = n - m
     if k == 0:
@@ -292,71 +283,33 @@ def u_q_matrix(tower, n, v):
     return tuple(tuple(r) for r in rows)
 
 
-def coset_charpoly(x: GroupPoint, v, m=None):
-    """Coefficients of c(u_L x_F) by the closed shift formula, with checks.
+def left_translate(level, rows, v):
+    """Rows of u x, u the unipotent with first row (1, v): row 0 becomes (1, v) x."""
+    return (mat_vec(level, tuple(zip(*rows)), (1,) + tuple(v)),) + tuple(rows[1:])
 
-    x must be normalized (companion top block).  v has length n-1 and
-    parametrizes the unipotent u whose first row is (1, -v_1, ..., -v_{n-1});
-    with that orientation the first m-1 entries feed the plus-sign shift
-    formula b_r = a_r + sum a_i v_{r-i} + v_r, b_m = a_m.  Returns (b, info)
-    where info carries the direct product-factorization verification data.
+
+def coset_charpoly(level, a, v):
+    """The closed shift formula b = c(u_L x_F), x normalized with c(x_F) = a.
+
+    u has first row (1, -v) and u_L is its leading m x m block, m = len(a);
+    b_r = a_r + sum_{i<r} a_i v_{r-i} + v_r for r < m and b_m = a_m.
     """
-    if m is None:
-        m = stratum_index(x)
-    lv = x.level()
-    x_f, _, x_e = _check_normalized(x, m)
-    n = x.n
-    a = charpoly(lv, x_f)
-    v = tuple(v)
-    if len(v) != n - 1:
-        raise ValueError("U_Q vector must have length n-1")
-    v_l = v[: m - 1]
     b = list(a)
-    for r in range(1, m):
+    for r in range(1, len(a)):
         acc = a[r - 1]
         for i in range(1, r):
-            acc = lv.add(acc, lv.mul(a[i - 1], v_l[r - i - 1]))
-        acc = lv.add(acc, v_l[r - 1])
-        b[r - 1] = acc
-    b = tuple(b)
-    # direct verification data, with the matching row orientation
-    neg_v = tuple(lv.neg(c) for c in v)
-    ux = mat_mul(lv, u_q_matrix(x.tower, n, neg_v), x.rows)
-    c_ux = charpoly(lv, ux)
-    u_l_mat = tuple(
-        tuple(
-            (1 if i == j else 0)
-            if not (i == 0 and 1 <= j < m)
-            else lv.neg(v_l[j - 1])
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    c_ulxf = charpoly(lv, mat_mul(lv, u_l_mat, x_f))
-    prod = pol_mul(
-        lv, char_coeffs_to_poly(c_ulxf), char_coeffs_to_poly(charpoly(lv, x_e))
-    ) if n > m else char_coeffs_to_poly(c_ulxf)
-    info = {
-        "c_ux": c_ux,
-        "c_ulxf": c_ulxf,
-        "factorization_ok": char_coeffs_to_poly(c_ux) == prod,
-        "closed_formula_ok": b == c_ulxf,
-        "bm_fixed": b[m - 1] == a[m - 1],
-    }
-    return b, info
+            acc = level.add(acc, level.mul(a[i - 1], v[r - i - 1]))
+        b[r - 1] = level.add(acc, v[r - 1])
+    return tuple(b)
 
 
 def coset_rank(x: GroupPoint) -> int:
     """Rank of the linear map v -> c(ux) - c(x) on the U_Q row space."""
     lv = x.level()
-    n = x.n
-    base = x.char
     rows = []
-    for i in range(n - 1):
-        v = tuple(1 if j == i else 0 for j in range(n - 1))
-        ux = mat_mul(lv, u_q_matrix(x.tower, n, v), x.rows)
-        delta = tuple(lv.sub(c, b) for c, b in zip(charpoly(lv, ux), base))
-        rows.append(delta)
+    for unit in mat_identity(x.n - 1):
+        c_ux = charpoly(lv, left_translate(lv, x.rows, unit))
+        rows.append(tuple(map(lv.sub, c_ux, x.char)))
     return mat_rank(lv, tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gammasums import gl2, harness
 from gammasums.cli import main
 from gammasums.errors import ConfigInvalid
+from gammasums.fields import build_tower
 from gammasums.harness import (
     SUITE_NAMES,
     SUITE_STATEMENTS,
@@ -12,6 +14,8 @@ from gammasums.harness import (
     run_suite,
     validate_config,
 )
+from gammasums.induction import factor_monic
+from gammasums.matrices import char_coeffs_to_poly
 
 
 BASE_CFG = {
@@ -64,6 +68,8 @@ def test_validate_config_rejections():
         {"shape": [3], "suites": ["induction"], "caps": {"tower": 2}},
         {"shape": [3], "suites": ["gl3-top"], "caps": {"tower": 2}},
         {"shape": [2], "suites": ["torus"], "caps": {"tower": 1}},
+        {"p": 2, "shape": [4], "suites": ["induction"], "caps": {"tower": 4}},
+        {"p": 2, "shape": [5], "suites": ["torus"], "caps": {"tower": 5}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -72,6 +78,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, override):
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_squarefree_matches_factor_multiplicities(p, f):
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    for n in range(1, 5):
+        for lead in itertools.product(lv.elements(), repeat=n - 1):
+            for const in lv.units():
+                a = tuple(lead) + (const,)
+                fac = factor_monic(tower, char_coeffs_to_poly(a))
+                assert harness._squarefree(tower, a) == all(m == 1 for _, m in fac), a
 
 
 def test_corrupted_table_is_a_failed_check(monkeypatch):

@@ -55,24 +55,26 @@ def test_flag_counts(tower_f3):
 
 
 def test_flag_fixed_point_examples(tower_f3):
+    flags = full_flags(tower_f3, 2)
     central = group_point(tower_f3, [[2, 0], [0, 2]])
-    assert len(flag_fixed_points(central)) == 4
+    assert len(flag_fixed_points(central, flags)) == 4
     split = group_point(tower_f3, [[1, 0], [0, 2]])
-    fixed = flag_fixed_points(split)
+    fixed = flag_fixed_points(split, flags)
     assert len(fixed) == 2
     # the gradings are the two eigenvalue orderings
     grads = sorted(flag_grading(split, f) for f in fixed)
     assert grads == [(1, 2), (2, 1)]
     nonsplit = group_point(tower_f3, [[0, 1], [2, 0]])
-    assert flag_fixed_points(nonsplit) == []
+    assert flag_fixed_points(nonsplit, flags) == []
 
 
 def test_induced_trace_examples(tower_f3, std2):
     lv = tower_f3.level(1)
+    flags = full_flags(tower_f3, 2)
     split = group_point(tower_f3, [[1, 0], [0, 2]])
-    assert induced_trace(std2, split) == tower_f3.psi(lv.add(1, 2)) * 2
+    assert induced_trace(std2, split, flags) == tower_f3.psi(lv.add(1, 2)) * 2
     nonsplit = group_point(tower_f3, [[0, 1], [2, 0]])
-    assert induced_trace(std2, nonsplit).is_zero()
+    assert induced_trace(std2, nonsplit, flags).is_zero()
 
 
 def test_factor_and_roots(tower_f3):
@@ -284,6 +286,7 @@ def ordering_route(traces, x):
 def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
     # flag route equals the identity-twist ordering route on rss classes
     tower = tower_f3
+    flags = full_flags(tower, 2)
     for entries in itertools.product(range(3), repeat=4):
         rows = ((entries[0], entries[1]), (entries[2], entries[3]))
         try:
@@ -293,7 +296,7 @@ def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
         fac = factor_monic(tower, x.charpoly_low())
         if any(mult > 1 for _, mult in fac):
             continue
-        assert induced_trace(std2, x) == ordering_route(std2, x)
+        assert induced_trace(std2, x, flags) == ordering_route(std2, x)
 
 
 def test_induction_consistency_split_gl3_q5():
@@ -302,10 +305,11 @@ def test_induction_consistency_split_gl3_q5():
     # routes vanish, whatever the sign between them
     tower = build_tower(5, 1, 3)
     std3 = TorusTraces(tower, validate_weight_system([3], "std"))
+    flags = full_flags(tower, 3)
     for diag in itertools.combinations(range(1, 5), 3):
         rows = [[diag[0], 1, 2], [0, diag[1], 1], [0, 0, diag[2]]]
         x = group_point(tower, rows)
-        flag_route = induced_trace(std3, x)
+        flag_route = induced_trace(std3, x, flags)
         assert not flag_route.is_zero()
         assert flag_route == ordering_route(std3, x)
 

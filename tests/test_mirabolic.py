@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gammasums import harness
 from gammasums.errors import CapExceeded, NotCyclic, NotNormalized
 from gammasums.fields import build_tower
 from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul
@@ -12,8 +13,8 @@ from gammasums.mirabolic import (
     companion_matrix,
     companion_normalize,
     coset_charpoly,
-    coset_rank,
     group_point,
+    left_translate,
     lemma_translation_map,
     normalize_stratum,
     orbit_census,
@@ -62,6 +63,18 @@ def test_stratum_left_translation_invariance_exhaustive(t3):
         for v in itertools.product(range(3), repeat=1):
             ux = group_point(t3, mat_mul(lv, u_q_matrix(t3, 2, v), x.rows))
             assert stratum_index(ux) == m
+
+
+def test_left_translate_is_the_u_q_product():
+    tower = build_tower(2, 2, 1)
+    lv = tower.level(1)
+    rng = random.Random(3)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            x = random_point(tower, n, rng)
+            for v in itertools.product(lv.elements(), repeat=n - 1):
+                u = u_q_matrix(tower, n, v)
+                assert left_translate(lv, x.rows, v) == mat_mul(lv, u, x.rows)
 
 
 def test_companion_normalize_example():
@@ -133,30 +146,19 @@ def test_translation_map_bijective_including_shared_eigenvalues(t3):
 
 def test_coset_charpoly_shift_formula(t3):
     rng = random.Random(11)
-    lv = t3.level(1)
     for _ in range(20):
         x = random_point(t3, 3, rng)
         h, y, m = normalize_stratum(x)
-        for v in itertools.product(range(3), repeat=2):
-            b, info = coset_charpoly(y, v, m)
-            assert info["closed_formula_ok"]
-            assert info["factorization_ok"]
-            assert info["bm_fixed"]
-        assert coset_rank(y) == m - 1
-        assert coset_rank(x) == m - 1
+        assert harness.coset_failures(x, y, m) == ([], [])
 
 
 def test_coset_charpoly_m2_formula(t3):
     # b_1 = a_1 + v_1 and b_2 = a_2 in the stratum-2 layout
     lv = t3.level(1)
-    rows = ((0, 2, 1), (1, 1, 1), (0, 0, 1))
-    y = group_point(t3, rows)
     a = charpoly(lv, ((0, 2), (1, 1)))
     for v1 in range(3):
-        b, _ = coset_charpoly(y, (v1, 0), 2)
-        assert b == (lv.add(a[0], v1), a[1])
-    b, _ = coset_charpoly(y, (0, 0), 2)
-    assert b == a
+        assert coset_charpoly(lv, a, (v1, 0)) == (lv.add(a[0], v1), a[1])
+    assert coset_charpoly(lv, a, (0, 0)) == a
 
 
 @pytest.mark.parametrize(
