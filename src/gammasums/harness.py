@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import random
 import time
@@ -72,8 +71,8 @@ from .torus import (
     TorusTraces,
     enumerate_twisted_points,
     expand_twisted_point,
+    largest_weyl_order,
     perm_compose,
-    perm_cycles,
     perm_identity,
     perm_sign,
     rational_character,
@@ -262,7 +261,11 @@ def validate_config(raw, suites=None) -> dict:
             raise ConfigInvalid(f"unknown suite {s!r}")
     if not cfg["shape"] or any(not _is_int(n) or n < 1 for n in cfg["shape"]):
         raise ConfigInvalid("shape must be a list of positive integers")
-    cfg["caps"].setdefault("tower", max(2, max(cfg["shape"])))
+    # a twisted point of w lives at the level of w's order, the lcm of its
+    # cycle lengths; the mirabolic suite needs level 1
+    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
+    order = largest_weyl_order(cfg["shape"])
+    cfg["caps"].setdefault("tower", max(2, order if twisted else max(cfg["shape"])))
     cfg["caps"].setdefault("enumeration", 1 << 24)
     cfg["caps"].setdefault("samples", 60)
     if not (_is_int(cfg["caps"]["tower"]) and cfg["caps"]["tower"] >= 1):
@@ -280,13 +283,8 @@ def validate_config(raw, suites=None) -> dict:
         raise ConfigInvalid("gl3-top needs shape [3]")
     if "induction" in cfg["suites"] and max(cfg["shape"]) > FLAG_N_MAX:
         raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
-    # a twisted point of w lives at the level of w's order, the lcm of its
-    # cycle lengths; the mirabolic suite needs level 1
-    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
-    if twisted:
-        need = max(math.lcm(*map(len, perm_cycles(w))) for w in weights.weyl())
-        if cfg["caps"]["tower"] < need:
-            raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {need}")
+    if twisted and cfg["caps"]["tower"] < order:
+        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {order}")
     q = cfg["p"] ** cfg["f"]
     for s in cfg["suites"]:
         if q > SUITE_Q_CAPS.get(s, q):

@@ -9,11 +9,17 @@ operations all reduce to exact character sums:
   * twisted sums      fixed points of (slot permutation) o Frobenius on the
                       covering coordinates, with the Weyl descent
                       normalization sign_r(xi) * sign_W(w) on top of the raw
-                      fixed-point sum
+                      fixed-point sum; the fixed points of each xi o F are
+                      walked once and bucketed by their image, and each
+                      point reads its bucket
   * twisted_charpoly  the characteristic vector of a twisted point, which
                       sorts the points into Steinberg fibers
   * mellin_gamma      character-sum transform over a twisted torus, which
                       factorizes into Gauss sums along permutation orbits
+  * kummer            convolution of the trace against a rational character;
+                      the split-torus points and the index of every quotient
+                      x / s are built once per instance, the traces and the
+                      character's exponents are read on each call
   * sigma_fiber_sum   the sign-averaged determinant-fiber sum that must
                       vanish whenever a factor has rank at least two
 
@@ -91,6 +97,25 @@ def weyl_elements(shape):
                 w[src] = dst
         out.append(tuple(w))
     return out
+
+
+def largest_weyl_order(shape):
+    """The largest order of an element of prod S_{n_i}, without listing them.
+
+    An element's order is the lcm of its cycle lengths, so it is read off one
+    partition of n_i per factor (the cycle type there): for each factor, the
+    lcms of the part sizes of its partitions, then the lcms of one choice per
+    factor.  For a single factor this is Landau's function.
+    """
+    orders = {1}
+    for n in shape:
+        # reach[m]: part-size lcms of the partitions of m into the parts seen
+        reach = [{1}] + [set() for _ in range(n)]
+        for part in range(1, n + 1):
+            for m in range(part, n + 1):
+                reach[m] |= {lcm(o, part) for o in reach[m - part]}
+        orders = {lcm(a, b) for a in orders for b in reach[n]}
+    return max(orders)
 
 
 def weyl_block_elements(shape, j):
@@ -220,8 +245,16 @@ def validate_weight_system(shape, rep) -> WeightSystem:
             total += s
         if total <= 0:
             raise NotSigmaPositive(f"weight {vec} pairs non-positively with det")
+    # stability under the adjacent transpositions of each factor, which
+    # generate the Weyl group
     mult_map = dict(ws.weights)
-    for w in ws.weyl():
+    generators = []
+    for coords in ws.factor_coords:
+        for i, j in zip(coords, coords[1:]):
+            w = list(range(d))
+            w[i], w[j] = j, i
+            generators.append(tuple(w))
+    for w in generators:
         image = {}
         for vec, mult in ws.weights:
             img = ws.weight_image(w, vec)
@@ -430,6 +463,8 @@ class TorusTraces:
         self.ws = ws
         self._hyper = {}
         self._local = {}
+        self._buckets = {}
+        self._quotients = None
         self._reference = {}
         self._mellin_unit = None
         lv = tower.level(1)
@@ -478,62 +513,67 @@ class TorusTraces:
 
         One free unit per xi-cycle; the signed psi-sum of the coordinate sums
         of the matching fiber points.  This is the natural (un-normalized)
-        twisted local term.
+        twisted local term.  The fixed points of xi o F are walked once per
+        working level (_fixed_point_buckets); pt reads its own bucket.
         """
         key = (tuple(xi), pt)
         if key in self._local:
             return self._local[key]
-        tower, ws = self.tower, self.ws
-        xi_cycles = perm_cycles(xi)
-        w_cycles = perm_cycles(pt.w)
-        work = lcm(*(len(c) for c in xi_cycles + w_cycles))
+        tower = self.tower
+        work = lcm(*(len(c) for c in perm_cycles(xi) + perm_cycles(pt.w)))
         if work > tower.max_level:
             raise TowerTooShallow(
                 f"needs level {work}, tower bound is {tower.max_level}"
             )
-        lv = tower.level(work)
-        order = lv.size - 1
-        q = tower.q
-        target = expand_twisted_point(tower, pt, work)
-        target_dlog = [lv.dlog[v] for v in target]
-        d, r = ws.d, ws.r
-        # per xi-cycle: slot indices in cycle order and their q-power shifts
-        cyc_data = []
-        for cyc in xi_cycles:
-            ell = len(cyc)
-            shifts = [pow(q, k, order) for k in range(ell)]
-            cyc_data.append((cyc, ell, shifts))
-        unit_dlogs = []
-        for cyc, ell, _ in cyc_data:
-            lvl = tower.level(ell)
-            step = order // (lvl.size - 1)
-            unit_dlogs.append([lvl.dlog[u] * step for u in lvl.units()])
-        counts = {}
-        for combo in itertools.product(*unit_dlogs):
-            slot_dlog = [0] * r
-            for (cyc, ell, shifts), base in zip(cyc_data, combo):
-                for k, slot in enumerate(cyc):
-                    slot_dlog[slot] = (base * shifts[k]) % order
-            ok = True
-            for j in range(d):
-                acc = 0
-                for s in range(r):
-                    c = ws.slots[s][j]
-                    if c:
-                        acc += c * slot_dlog[s]
-                if (acc - target_dlog[j]) % order:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            s_elt = 0
-            for s in range(r):
-                s_elt = lv.add(s_elt, lv.exp[slot_dlog[s]])
-            s1 = tower.unembed(s_elt, work, 1)
-            counts[s1] = counts.get(s1, 0) + 1
-        total = psi_sum(tower, counts, r)
+        buckets = self._fixed_point_buckets(tuple(xi), work)
+        dlog = tower.level(work).dlog
+        target = tuple(dlog[v] for v in expand_twisted_point(tower, pt, work))
+        total = psi_sum(tower, buckets.get(target, {}), self.ws.r)
         self._local[key] = total
         return total
+
+    def _fixed_point_buckets(self, xi, work):
+        """The fixed points x of xi o F, as {image dlog vector: {s: count}}.
+
+        An xi-cycle c of length l holds one unit u of F_{q^l}, with u^(q^k)
+        in its k-th slot, so it adds dlog(u) * sum_k q^k slot_k to the dlog
+        vector of the image at level work, and the trace of u to the
+        coordinate sum s in F_q.  The cycles are folded in one at a time,
+        merging equal (partial image, partial sum) pairs.
+        """
+        key = (xi, work)
+        if key in self._buckets:
+            return self._buckets[key]
+        tower, ws = self.tower, self.ws
+        q, order, lv1 = tower.q, tower.level(work).size - 1, tower.level(1)
+        partial = {((0,) * ws.d, 0): 1}
+        for cyc in perm_cycles(xi):
+            ell = len(cyc)
+            lvl = tower.level(ell)
+            step = order // (lvl.size - 1)
+            slot_sum = [
+                sum(ws.slots[s][j] * pow(q, k, order) for k, s in enumerate(cyc))
+                * step
+                for j in range(ws.d)
+            ]
+            terms = [
+                (tuple(e * c % order for c in slot_sum), tower.trace(u, ell))
+                for e, u in enumerate(lvl.units())
+            ]
+            merged = {}
+            for (image, s), n in partial.items():
+                for cyc_image, cyc_s in terms:
+                    pair = (
+                        tuple((a + b) % order for a, b in zip(image, cyc_image)),
+                        lv1.add(s, cyc_s),
+                    )
+                    merged[pair] = merged.get(pair, 0) + n
+            partial = merged
+        buckets = {}
+        for (image, s), n in partial.items():
+            buckets.setdefault(image, {})[s] = n
+        self._buckets[key] = buckets
+        return buckets
 
     def twisted_stalk_trace(
         self, pt: TwistedTorusPoint, xi=None, weyl_sign=True
@@ -623,28 +663,16 @@ class TorusTraces:
 
     def kummer_convolution_scalar(self, chi: TorusCharacter) -> CycNum:
         """The constant (t_psi * chi)(x) / chi(x); raises NotConstant otherwise."""
-        tower, ws = self.tower, self.ws
-        lv = tower.level(1)
-        d = ws.d
-        points = [
-            twisted_point(tower, perm_identity(d), dict(enumerate(t)))
-            for t in itertools.product(lv.units(), repeat=d)
-        ]
-        coords = [expand_twisted_point(tower, pt, 1) for pt in points]
+        tower = self.tower
+        points, coords, quotient = self._kummer_quotients()
         traces = [self.hyper_trace(t_coords) for t_coords in coords]
+        exps = [chi.exponent(tower, pt) for pt in points]
         constant = None
-        for x, x_coords in zip(points, coords):
+        for x, x_exp in enumerate(exps):
             # sum of t(s) chi(x / s) chi(x)^(-1) over the points s
-            x_exp = chi.exponent(tower, x)
             acc = tower.ring.accumulator()
-            for t_coords, trace in zip(coords, traces):
-                shifted = tuple(
-                    lv.mul(lv.inv(tc), xc) for tc, xc in zip(t_coords, x_coords)
-                )
-                pt_shift = twisted_point(
-                    tower, perm_identity(d), dict(enumerate(shifted))
-                )
-                acc.add_shifted(trace, chi.exponent(tower, pt_shift) - x_exp)
+            for trace, x_over_s in zip(traces, quotient[x]):
+                acc.add_shifted(trace, exps[x_over_s] - x_exp)
             ratio = acc.value()
             if constant is None:
                 constant = ratio
@@ -653,6 +681,28 @@ class TorusTraces:
                     "convolution against a character is not a character multiple"
                 )
         return constant
+
+    def _kummer_quotients(self):
+        """The points of the split torus, their coordinates, and for each
+        point x the index of x / s for every point s, built once."""
+        if self._quotients is None:
+            tower, d = self.tower, self.ws.d
+            lv = tower.level(1)
+            points = [
+                twisted_point(tower, perm_identity(d), dict(enumerate(t)))
+                for t in itertools.product(lv.units(), repeat=d)
+            ]
+            coords = [expand_twisted_point(tower, pt, 1) for pt in points]
+            index = {c: i for i, c in enumerate(coords)}
+            quotient = [
+                [
+                    index[tuple(lv.mul(lv.inv(sc), xc) for sc, xc in zip(s, x))]
+                    for s in coords
+                ]
+                for x in coords
+            ]
+            self._quotients = (points, coords, quotient)
+        return self._quotients
 
     # -- determinant-fiber sign sum ------------------------------------------
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gammasums.cyclotomic import (
     CycNum,
     CyclotomicRing,
+    _convolve,
     cyclotomic_polynomial,
     solve_linear_system,
 )
@@ -97,15 +98,84 @@ def sympy_phi(n):
     return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ)
 
 
+def check_product(a, b):
+    want = (sympy_poly(a) * sympy_poly(b)).rem(sympy_phi(a.ring.conductor))
+    assert sympy_poly(a * b) == want
+
+
 @pytest.mark.parametrize("n", [12, 30, 120, 630])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_product_is_the_sympy_remainder(n, data):
     ring = RINGS[n]
-    a = ring.from_coeffs(*draw_vector(data, n))
-    b = ring.from_coeffs(*draw_vector(data, n))
-    want = (sympy_poly(a) * sympy_poly(b)).rem(sympy_phi(n))
-    assert sympy_poly(a * b) == want
+    check_product(
+        ring.from_coeffs(*draw_vector(data, n)), ring.from_coeffs(*draw_vector(data, n))
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_is_the_sympy_remainder_at_3720(seed):
+    """Degree 960: dense times dense, dense times a root of unity, with
+    denominators.  One sympy remainder takes a few seconds, hence the few
+    examples."""
+    ring, rng = CyclotomicRing(3720), random.Random(seed)
+
+    def dense(nonzero):
+        coeffs = [0] * 7440
+        for k in rng.sample(range(7440), nonzero):
+            coeffs[k] = rng.randint(-9, 9)
+        return ring.from_coeffs(coeffs, rng.choice((1, 7)))
+
+    a = dense(64)
+    b = ring.zeta_power(rng.randrange(3720)) if seed == 2 else dense(64)
+    check_product(a, b)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sparse_vector(rng, length, nonzero, digits):
+    """nonzero entries of either sign with up to `digits` decimal digits."""
+    vec = [0] * length
+    for i in rng.sample(range(length), nonzero):
+        vec[i] = rng.choice((-1, 1)) * rng.randrange(1, 10**digits)
+    return vec
+
+
+# (length, nonzero entries) of each operand: all-zero and one-term operands,
+# sparse against dense, a sweep across the sparse cutoff, unequal lengths
+CONVOLVE_SHAPES = [
+    ((96, nz_a), (96, nz_b))
+    for nz_a in (0, 1, 2, 8, 16, 48, 96)
+    for nz_b in (0, 1, 8, 15, 16, 17, 90, 95, 96)
+] + [((96, 96), (5, 5)), ((3, 3), (200, 150)), ((1, 1), (50, 50)), ((480, 480), (479, 7))]
+
+
+@pytest.mark.parametrize("digits", [1, 30])
+def test_convolve_is_the_schoolbook_product(digits):
+    rng = random.Random(digits)
+    for (len_a, nz_a), (len_b, nz_b) in CONVOLVE_SHAPES:
+        a = sparse_vector(rng, len_a, nz_a, digits)
+        b = sparse_vector(rng, len_b, nz_b, digits)
+        assert _convolve(a, b) == schoolbook(a, b), (len_a, nz_a, len_b, nz_b)
+        assert _convolve(tuple(b), tuple(a)) == schoolbook(b, a)
+
+
+def test_convolve_reaches_its_coefficient_bound():
+    """Constant vectors of +-(2^j - 1): the middle coefficient of the product
+    is max|a| * max|b| * min(len(a), len(b)) itself, so a digit one bit too
+    narrow for the bound shows."""
+    for length in (64, 96):
+        for j in range(1, 40):
+            m = (1 << j) - 1
+            for sign in (1, -1):
+                a, b = [m] * length, [sign * m] * length
+                assert _convolve(a, b) == schoolbook(a, b), (length, j, sign)
 
 
 # Conductors up to 120 whose degree keeps one Euclid run in Q short.

@@ -35,6 +35,21 @@ def test_validate_config_defaults():
     assert cfg["seed"] == 1789
 
 
+def test_default_tower_is_the_largest_weyl_order_for_twisted_suites():
+    std_2_3 = [[[int(i == j) for j in range(5)], 1] for i in range(5)]
+    assert validate_config({"p": 2, "shape": [5], "suites": ["torus"]})["caps"] == {
+        "tower": 6, "enumeration": 1 << 24, "samples": 60
+    }
+    cfg = validate_config({"p": 2, "shape": [2, 3], "rep": std_2_3, "suites": ["torus"]})
+    assert cfg["caps"]["tower"] == 6
+    # unchanged where max(shape) already was the order, and for other suites
+    for n in (1, 2, 3, 4):
+        for suites in (["torus"], ["arith"], ["mirabolic"]):
+            cfg = validate_config({"p": 2, "shape": [n], "suites": suites})
+            assert cfg["caps"]["tower"] == max(2, n)
+    assert validate_config({"p": 2, "shape": [5]})["caps"]["tower"] == 5
+
+
 def test_validate_config_rejections():
     with pytest.raises(ConfigInvalid):
         validate_config({"suites": ["nonsense"]})

@@ -1,25 +1,32 @@
 import itertools
+from math import lcm
 
 import pytest
 
 from gammasums import harness
 from gammasums.errors import (
+    NotConstant,
     NotSigmaPositive,
     NotSurjective,
     NotWStable,
     TowerTooShallow,
 )
-from gammasums.fields import kloosterman
+from gammasums.fields import kloosterman, psi_sum
 from gammasums.torus import (
+    TorusCharacter,
     TorusTraces,
     enumerate_twisted_points,
     expand_twisted_point,
+    largest_weyl_order,
+    perm_compose,
+    perm_cycles,
     perm_sign,
     rational_character,
     torus_characters,
     trivial_character,
     twisted_point,
     validate_weight_system,
+    weyl_elements,
     weyl_lift,
 )
 
@@ -241,3 +248,129 @@ def test_stalk_trace_rejects_non_lift(tower_f3):
     pt = twisted_point(tower_f3, (0, 1), {0: 1, 1: 2})
     with pytest.raises(ValueError):
         traces.twisted_stalk_trace(pt, xi=(1, 0))
+
+
+def compositions(total):
+    """Every shape (ordered list of positive parts) summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def test_largest_weyl_order_is_the_walked_max():
+    for total in range(1, 7):
+        for shape in compositions(total):
+            walked = max(
+                lcm(*map(len, perm_cycles(w))) for w in weyl_elements(shape)
+            )
+            assert largest_weyl_order(shape) == walked, shape
+    assert largest_weyl_order([5]) == largest_weyl_order([2, 3]) == 6
+    assert largest_weyl_order([3, 3]) == 6 and largest_weyl_order([10]) == 30
+
+
+def reference_local_counts(traces, xi, pt):
+    """The fiber of pt under the fixed points of xi o F, point by point: every
+    combination of one unit per xi-cycle, kept when its weight image is pt.
+    Returns the counts of the coordinate sums in F_q."""
+    tower, ws = traces.tower, traces.ws
+    xi_cycles = perm_cycles(xi)
+    w_cycles = perm_cycles(pt.w)
+    work = lcm(*(len(c) for c in xi_cycles + w_cycles))
+    if work > tower.max_level:
+        raise TowerTooShallow(f"needs level {work}, tower bound is {tower.max_level}")
+    lv = tower.level(work)
+    order = lv.size - 1
+    q = tower.q
+    target = expand_twisted_point(tower, pt, work)
+    target_dlog = [lv.dlog[v] for v in target]
+    d, r = ws.d, ws.r
+    cyc_data = []
+    for cyc in xi_cycles:
+        shifts = [pow(q, k, order) for k in range(len(cyc))]
+        cyc_data.append((cyc, shifts))
+    unit_dlogs = []
+    for cyc, _ in cyc_data:
+        lvl = tower.level(len(cyc))
+        step = order // (lvl.size - 1)
+        unit_dlogs.append([lvl.dlog[u] * step for u in lvl.units()])
+    counts = {}
+    for combo in itertools.product(*unit_dlogs):
+        slot_dlog = [0] * r
+        for (cyc, shifts), base in zip(cyc_data, combo):
+            for k, slot in enumerate(cyc):
+                slot_dlog[slot] = (base * shifts[k]) % order
+        if any(
+            (sum(ws.slots[s][j] * slot_dlog[s] for s in range(r)) - target_dlog[j])
+            % order
+            for j in range(d)
+        ):
+            continue
+        s_elt = 0
+        for s in range(r):
+            s_elt = lv.add(s_elt, lv.exp[slot_dlog[s]])
+        s1 = tower.unembed(s_elt, work, 1)
+        counts[s1] = counts.get(s1, 0) + 1
+    return counts
+
+
+LOCAL_SUM_SYSTEMS = [
+    pytest.param("tower_f3", [2], "std", id="std-q3"),
+    pytest.param("tower_f3", [2], "sym2", id="sym2-q3"),
+    pytest.param("tower_f5", [2], "std", id="std-q5"),
+    pytest.param("tower_f5", [2], "sym2", id="sym2-q5"),
+    pytest.param("tower_f3_deep", [1], [[(1,), 2]], id="gm-crossed-2"),
+    pytest.param("tower_f3_deep", [1], [[(1,), 3]], id="gm-crossed-3"),
+    # squares only: half the buckets are empty
+    pytest.param("tower_f5", [1], [[(2,), 2]], id="gm-squares-2"),
+    # a lift of the swap with a 4-cycle needs level 4
+    pytest.param("tower_f3", [2], [[(1, 0), 2], [(0, 1), 2]], id="std-doubled"),
+]
+
+
+@pytest.mark.parametrize("tower_name,shape,rep", LOCAL_SUM_SYSTEMS)
+def test_twisted_local_sum_is_the_per_point_loop(request, tower_name, shape, rep):
+    """Every canonical lift and every composition with a block permutation,
+    at every point of every twist; TowerTooShallow for the same (xi, w)."""
+    tower = request.getfixturevalue(tower_name)
+    ws = validate_weight_system(shape, rep)
+    traces = TorusTraces(tower, ws)
+    sig = ws.sigma_block_elements()
+    empty = shallow = 0
+    for w in ws.weyl():
+        xi0 = weyl_lift(ws, w)[0]
+        for xi in {xi0, *(perm_compose(xi0, tau) for tau in sig)}:
+            for pt in enumerate_twisted_points(tower, w):
+                try:
+                    counts = reference_local_counts(traces, xi, pt)
+                except TowerTooShallow:
+                    with pytest.raises(TowerTooShallow):
+                        traces.twisted_local_sum(xi, pt)
+                    shallow += 1
+                    continue
+                empty += not counts
+                want = psi_sum(tower, counts, ws.r)
+                assert traces.twisted_local_sum(xi, pt) == want, (xi, pt)
+    if rep == [[(1, 0), 2], [(0, 1), 2]]:
+        assert shallow
+    if rep == [[(2,), 2]]:
+        assert empty
+
+
+def test_kummer_reaches_not_constant(tower_f3):
+    """A character whose exponent is off by one at a single point is not a
+    homomorphism, and the convolution against it is not a multiple of it."""
+    traces = TorusTraces(tower_f3, validate_weight_system([2], "std"))
+    chi = rational_character(tower_f3, (1, 0))
+    bad = twisted_point(tower_f3, (0, 1), {0: 2, 1: 1})
+
+    class OffByOne(TorusCharacter):
+        def exponent(self, tower, pt):
+            return super().exponent(tower, pt) + (pt == bad)
+
+    skewed = OffByOne(chi.w, chi.exponents)
+    traces.kummer_convolution_scalar(chi)
+    with pytest.raises(NotConstant):
+        traces.kummer_convolution_scalar(skewed)
