@@ -64,9 +64,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        raw = dict(raw)
-        raw["seed"] = args.seed
+    if args.seed is not None and isinstance(raw, dict):
+        raw = dict(raw, seed=args.seed)
     try:
         reports = run_suite(
             raw, suites=args.suite, include_timings=args.timings

@@ -351,15 +351,6 @@ class CycNum:
                 total += c * cmath.exp(2j * cmath.pi * k / n)
         return total / self.den
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.num)
-
-    def rational_value(self) -> Fraction:
-        """The value as a rational number; raises if it is not rational."""
-        if any(self.num[1:]):
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
-
     def inverse(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclid algorithm mod Phi_N."""
         if self.is_zero():

@@ -322,18 +322,6 @@ class FieldTower:
         size = self.q**m
         return (n // (size - 1)) * (k % (size - 1))
 
-    def debug_dump(self) -> dict:
-        return {
-            "p": self.p,
-            "f": self.f,
-            "q": self.q,
-            "levels": {
-                m: {"poly": list(lv.poly), "generator": lv.gen}
-                for m, lv in self.levels.items()
-            },
-            "conductor": self.ring.conductor,
-        }
-
 
 def build_tower(p, f, levels, cap=DEFAULT_CAP) -> FieldTower:
     """Construct the tower F_{q^m}, m <= levels, for q = p^f."""

@@ -9,16 +9,15 @@ conjugation negates an exponent, and each is reduced modulo Phi_N once.  The
 oracle reads the terms as well: a generic column or a phi value, a sum of
 gamma values times character values, is one ZetaSum of gamma values shifted
 by the terms' exponents.  The CycNum values, built once from the same terms,
-fill the non-generic columns.  The verified table is an input to the oracle and to the family-scale
-calibration, so a caller builds it once and passes it to both.  The oracle
-expands the gamma trace over irreducible characters: the generic
+fill the non-generic columns.  The verified table is an input to the oracle,
+so a caller builds it once.  The oracle expands the gamma trace over
+irreducible characters, read at g itself (the pairing chi_r(g)): the generic
 coefficients come from the torus Mellin transform (identity twist for
 principal-series parameters, the long twist for cuspidal parameters), the
 finitely many non-generic ones are solved for exactly, and the
-overdetermined system must close on every regular class.
-Both pairings chi(g) and chi(g^(-1)) are attempted and the consistent one is
-recorded.  The oracle and the calibration share one regular-class system
-builder and one solve-and-substitute step.
+overdetermined system must close on every regular class.  The oracle keeps
+the regular-class system it solved; the family-scale calibration solves
+that same system with the scales free.
 """
 
 from __future__ import annotations
@@ -123,14 +122,6 @@ def class_of(tower, x_rows):
         and x_rows[0][0] == x_rows[1][1]
     )
     return (pt.char[0], pt.char[1], central)
-
-
-def inverse_class_key(tower, key):
-    """Class key of the inverse of any element in the keyed class."""
-    a1, a2, central = key
-    lv = tower.level(1)
-    inv_det = lv.inv(a2)
-    return (lv.mul(a1, inv_det), inv_det, central)
 
 
 # -- irreducible characters ----------------------------------------------------
@@ -322,16 +313,27 @@ def build_gl2_table(tower) -> Gl2Table:
 # -- the Mellin oracle ---------------------------------------------------------
 
 
+# The oracle reads chi_r at g itself, chi_r(g); reports name this pairing.
+PAIRING = "direct"
+
+
 @dataclass
 class OracleResult:
-    """Solved class function and solve diagnostics."""
+    """Solved class function, solve diagnostics and the system solved.
+
+    generic, rows and rhs are the regular-class system as _regular_system
+    built it, scale columns and original right-hand side included, so that
+    calibrate_generic_units solves the same system with the scales free.
+    """
 
     values: dict  # class key -> CycNum, every class
     gammas: dict  # irrep -> CycNum
-    convention: str  # "direct" (chi(g)) or "inverse" (chi(g^(-1)))
     rank: int
     unknown_count: int
     rank_deficient: bool
+    generic: dict  # family -> {irrep: raw Mellin value}
+    rows: list
+    rhs: list
 
 
 # Each generic family enters the expansion as its raw torus Mellin transforms
@@ -352,14 +354,6 @@ def _raw_mellin(traces, irrep: Gl2Irrep):
     return traces.mellin_gamma(w, TorusCharacter(w, exponents))
 
 
-def _pairing(table, convention):
-    """The class key at which chi_r is read for g: g ("direct") or g^(-1)
-    ("inverse")."""
-    if convention == "direct":
-        return lambda key: key
-    return lambda key: inverse_class_key(table.tower, key)
-
-
 def _expand(table, gammas, key, den=1):
     """sum_r dim(r) gammas[r] chi_r(key) / den, summed in Z[Z/N] from the terms."""
     acc = table.tower.ring.accumulator()
@@ -369,8 +363,8 @@ def _expand(table, gammas, key, den=1):
     return acc.value(den)
 
 
-def _regular_system(traces, gamma_calc, table, pair):
-    """The equations sum_r dim(r) gamma_r chi_r(pair(g)) = |G| phi(g), g regular.
+def _regular_system(traces, gamma_calc, table):
+    """The equations sum_r dim(r) gamma_r chi_r(g) = |G| phi(g), g regular.
 
     Returns (generic, unknown, rows, rhs).  generic maps each generic family
     present (principal first) to {irrep: raw Mellin value}.  A row has one
@@ -387,40 +381,38 @@ def _regular_system(traces, gamma_calc, table, pair):
     for cls in table.classes:
         if cls.kind == "central":
             continue
-        key = pair(cls.key)
-        row = [_expand(table, raw, key) for raw in generic.values()]
-        rows.append(row + [table.value(r, key) * r.dim for r in unknown])
+        row = [_expand(table, raw, cls.key) for raw in generic.values()]
+        rows.append(row + [table.value(r, cls.key) * r.dim for r in unknown])
         rhs.append(gamma_calc.value_for_charpoly(cls.key[:2]) * order)
     return generic, unknown, rows, rhs
 
 
-def _solve_and_substitute(rows, rhs, zero, what):
+def _solve_and_substitute(rows, rhs, what):
     """Exact solution of the system, substituted back into every equation."""
     solution, rank, consistent = solve_linear_system(rows, rhs)
     if not consistent:
         raise SystemInconsistent(f"{what}: elimination inconsistent")
+    zero = rhs[0].ring.zero
     for row, b in zip(rows, rhs):
         if sum((c * s for c, s in zip(row, solution)), zero) != b:
             raise SystemInconsistent(f"{what}: residual nonzero")
     return solution, rank
 
 
-def calibrate_generic_units(traces, gamma_calc, table):
+def calibrate_generic_units(oracle: OracleResult):
     """Re-derive the family scales (u_principal, u_cuspidal) from scratch.
 
-    table is the verified character table.  Treats one scale per generic
-    family plus every non-generic gamma as unknowns and solves the
-    regular-class system exactly.  Returns (u_principal, u_cuspidal, rank,
-    unknown_count); when the rank is full the scales are forced and must
-    equal (q, -q).  q = 2 has no principal series and the scale slot is
-    returned as None.
+    Solves the oracle's regular-class system exactly with one scale per
+    generic family and every non-generic gamma as unknowns.  Returns
+    (u_principal, u_cuspidal, rank, unknown_count); when the rank is full the
+    scales are forced and must equal (q, -q).  q = 2 has no principal series
+    and the scale slot is returned as None.
     """
-    pair = _pairing(table, "direct")
-    generic, _, rows, rhs = _regular_system(traces, gamma_calc, table, pair)
-    zero = table.tower.ring.zero
-    solution, rank = _solve_and_substitute(rows, rhs, zero, "family-scale calibration")
-    scales = dict(zip(generic, solution))
-    return scales.get("principal"), scales["cuspidal"], rank, len(rows[0])
+    solution, rank = _solve_and_substitute(
+        oracle.rows, oracle.rhs, "family-scale calibration"
+    )
+    scales = dict(zip(oracle.generic, solution))
+    return scales.get("principal"), scales["cuspidal"], rank, len(oracle.rows[0])
 
 
 def oracle_phi(traces, gamma_calc, table) -> OracleResult:
@@ -429,45 +421,35 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
     traces is the torus trace calculator of the weight system, gamma_calc the
     GammaTrace used for the right-hand side on regular classes, table the
     verified character table.  The generic gammas are their raw Mellin values
-    times the family scales q * sign; the non-generic ones are solved for.
-    The result carries values on every class, including central ones.
+    times the family scales q * sign; the non-generic ones are solved for,
+    and a system that does not close raises SystemInconsistent.  The result
+    carries values on every class, including central ones.
     """
     tower = table.tower
     zero = tower.ring.zero
+    generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table)
+    scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
+    k = len(scales)
+    fixed = [
+        b - sum((c * u for c, u in zip(row, scales)), zero)
+        for row, b in zip(rows, rhs)
+    ]
+    solution, rank = _solve_and_substitute(
+        [row[k:] for row in rows], fixed, "oracle system"
+    )
+    gammas = {}
+    for raw, scale in zip(generic.values(), scales):
+        gammas.update((r, g * scale) for r, g in raw.items())
+    gammas.update(zip(unknown, solution))
     order = gl2_order(tower.q)
-    last_diag = None
-    for convention in ("direct", "inverse"):
-        pair = _pairing(table, convention)
-        generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table, pair)
-        scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
-        k = len(scales)
-        rhs = [
-            b - sum((c * u for c, u in zip(row, scales)), zero)
-            for row, b in zip(rows, rhs)
-        ]
-        try:
-            solution, rank = _solve_and_substitute(
-                [row[k:] for row in rows], rhs, zero, f"{convention} pairing"
-            )
-        except SystemInconsistent as exc:
-            last_diag = str(exc)
-            continue
-        gammas = {}
-        for raw, scale in zip(generic.values(), scales):
-            gammas.update((r, g * scale) for r, g in raw.items())
-        gammas.update(zip(unknown, solution))
-        values = {
-            cls.key: _expand(table, gammas, pair(cls.key), order)
-            for cls in table.classes
-        }
-        return OracleResult(
-            values=values,
-            gammas=gammas,
-            convention=convention,
-            rank=rank,
-            unknown_count=len(unknown),
-            rank_deficient=rank < len(unknown),
-        )
-    raise SystemInconsistent(
-        f"no pairing convention closes the oracle system: {last_diag}"
+    values = {cls.key: _expand(table, gammas, cls.key, order) for cls in table.classes}
+    return OracleResult(
+        values=values,
+        gammas=gammas,
+        rank=rank,
+        unknown_count=len(unknown),
+        rank_deficient=rank < len(unknown),
+        generic=generic,
+        rows=rows,
+        rhs=rhs,
     )

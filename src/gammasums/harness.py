@@ -4,7 +4,9 @@ Each suite is a list of named exact checks over one configuration
 (p, f, shape, representation).  Reports are deterministic: given the same
 config they serialize byte-for-byte (timings are opt-in precisely because
 they would break that), seeds are fixed and recorded, and exact values are
-stored as cyclotomic coefficient vectors.
+stored as cyclotomic coefficient vectors.  run_suite hands its suites one
+Run, which builds the tower, the torus traces, the gamma trace, the GL(2)
+table and the oracle on first use, so suites that share a config share them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cyclotomic import CycNum
 from .errors import (
@@ -27,6 +30,7 @@ from .errors import (
 )
 from .fields import all_characters, build_tower, gauss_sum, is_prime, kloosterman
 from .gl2 import (
+    PAIRING,
     build_gl2_table,
     calibrate_generic_units,
     class_of,
@@ -241,6 +245,13 @@ def validate_config(raw, suites=None) -> dict:
     unknown_keys = set(raw) - {"p", "f", "shape", "rep", "suites", "caps", "seed"}
     if unknown_keys:
         raise ConfigInvalid(f"unknown config keys {sorted(unknown_keys)}")
+    for key, kind, what in (
+        ("shape", list, "a list"),
+        ("suites", list, "a list"),
+        ("caps", dict, "an object"),
+    ):
+        if not isinstance(raw.get(key, kind()), kind):
+            raise ConfigInvalid(f"{key} must be {what}")
     cfg = {
         "p": raw.get("p", 3),
         "f": raw.get("f", 1),
@@ -268,8 +279,12 @@ def validate_config(raw, suites=None) -> dict:
     cfg["caps"].setdefault("tower", max(2, order if twisted else max(cfg["shape"])))
     cfg["caps"].setdefault("enumeration", 1 << 24)
     cfg["caps"].setdefault("samples", 60)
-    if not (_is_int(cfg["caps"]["tower"]) and cfg["caps"]["tower"] >= 1):
-        raise ConfigInvalid("caps.tower must be a positive integer")
+    unknown_caps = set(cfg["caps"]) - {"tower", "enumeration", "samples"}
+    if unknown_caps:
+        raise ConfigInvalid(f"unknown caps keys {sorted(unknown_caps)}")
+    for cap, value in cfg["caps"].items():
+        if not (_is_int(value) and value >= 1):
+            raise ConfigInvalid(f"caps.{cap} must be a positive integer")
     try:
         weights = validate_weight_system(cfg["shape"], cfg["rep"])
     except (TypeError, ValueError, GammasumsError) as exc:
@@ -281,6 +296,9 @@ def validate_config(raw, suites=None) -> dict:
         raise ConfigInvalid(f"{gl2_suites[0]} needs caps.tower >= 2")
     if "gl3-top" in cfg["suites"] and cfg["shape"] != [3]:
         raise ConfigInvalid("gl3-top needs shape [3]")
+    for s in ("mirabolic", "induction"):
+        if s in cfg["suites"] and len(cfg["shape"]) != 1:
+            raise ConfigInvalid(f"{s} suite needs a single-factor shape")
     if "induction" in cfg["suites"] and max(cfg["shape"]) > FLAG_N_MAX:
         raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
     if twisted and cfg["caps"]["tower"] < order:
@@ -295,11 +313,40 @@ def validate_config(raw, suites=None) -> dict:
     return cfg
 
 
-def _context(cfg):
-    tower = build_tower(
-        cfg["p"], cfg["f"], cfg["caps"]["tower"], cap=cfg["caps"]["enumeration"]
-    )
-    return tower, cfg["weights"]
+class Run:
+    """One validated config and the objects its suites share.
+
+    Each object is built on first use and kept, so suites of one run that
+    share a config share the tower, the torus traces, the gamma trace, the
+    GL(2) table and the oracle.  A build that raises is not kept: the next
+    suite to ask builds it again and meets the same error.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def tower(self):
+        caps = self.cfg["caps"]
+        return build_tower(
+            self.cfg["p"], self.cfg["f"], caps["tower"], cap=caps["enumeration"]
+        )
+
+    @cached_property
+    def traces(self):
+        return TorusTraces(self.tower, self.cfg["weights"])
+
+    @cached_property
+    def gamma(self):
+        return GammaTrace(self.traces)
+
+    @cached_property
+    def table(self):
+        return build_gl2_table(self.tower)
+
+    @cached_property
+    def oracle(self):
+        return oracle_phi(self.traces, self.gamma, self.table)
 
 
 def _random_group_point(tower, n, rng):
@@ -371,9 +418,9 @@ def hasse_davenport_failures(tower):
     return bad
 
 
-def suite_arith(cfg) -> list:
+def suite_arith(run) -> list:
     checks = []
-    tower, _ = _context(cfg)
+    tower = run.tower
     ring = tower.ring
     lv1 = tower.level(1)
     checks.append(
@@ -412,7 +459,7 @@ def suite_arith(cfg) -> list:
     checks.append(CheckResult("gauss-product-identity", not product_bad))
     checks.append(CheckResult("gauss-magnitude", not magnitude_bad))
     checks.append(CheckResult("hasse-davenport", not hasse_davenport_failures(tower)))
-    rng = random.Random(cfg["seed"])
+    rng = random.Random(run.cfg["seed"])
     ok = True
     triples = 200 if ring.degree <= 200 else 25
     for _ in range(triples):
@@ -527,10 +574,11 @@ def _aux_multiplicity_systems(cfg):
     return out
 
 
-def suite_torus(cfg) -> list:
+def suite_torus(run) -> list:
     checks = []
-    tower, ws = _context(cfg)
-    traces = TorusTraces(tower, ws)
+    cfg = run.cfg
+    tower, traces = run.tower, run.traces
+    ws = traces.ws
     lv1 = tower.level(1)
     rng = random.Random(cfg["seed"])
     units = list(lv1.units())
@@ -679,11 +727,10 @@ def orbit_census_failures(tower, n):
     return bad
 
 
-def suite_mirabolic(cfg) -> list:
+def suite_mirabolic(run) -> list:
     checks = []
-    tower, _ = _context(cfg)
-    if len(cfg["shape"]) != 1:
-        raise ConfigInvalid("mirabolic suite needs a single-factor shape")
+    cfg = run.cfg
+    tower = run.tower
     n = cfg["shape"][0]
     q = tower.q
     lv = tower.level(1)
@@ -798,16 +845,14 @@ def levi_restriction_failures(gamma):
     ]
 
 
-def suite_induction(cfg) -> list:
+def suite_induction(run) -> list:
     checks = []
-    tower, ws = _context(cfg)
-    if len(cfg["shape"]) != 1:
-        raise ConfigInvalid("induction suite needs a single-factor shape")
+    cfg = run.cfg
+    tower = run.tower
     n = cfg["shape"][0]
     q = tower.q
     lv = tower.level(1)
-    traces = TorusTraces(tower, ws)
-    gamma = GammaTrace(traces)
+    traces, gamma = run.traces, run.gamma
     rng = random.Random(cfg["seed"])
     if n == 2:
         pool = list(iter_invertible(tower, 2))
@@ -889,16 +934,13 @@ def in_borel(rows):
     return rows[1][0] == 0
 
 
-def vanishing_sweep_gl2(cfg) -> list:
+def vanishing_sweep_gl2(run) -> list:
     """The main GL(2) coset sweep, both routes, plus the mutation control."""
     checks = []
-    tower, ws = _context(cfg)
+    tower, gamma, oracle = run.tower, run.gamma, run.oracle
     lv = tower.level(1)
-    traces = TorusTraces(tower, ws)
-    gamma = GammaTrace(traces)
-    oracle = oracle_phi(traces, gamma, build_gl2_table(tower))
     # mutation control: the untwisted descent must break at least one coset
-    gamma_mut = GammaTrace(traces, weyl_sign=False)
+    gamma_mut = GammaTrace(run.traces, weyl_sign=False)
     bad = []
     route_mismatch = []
     swept = broken = 0
@@ -908,7 +950,7 @@ def vanishing_sweep_gl2(cfg) -> list:
         swept += 1
         geo = orc = mut = tower.ring.zero
         for v0 in lv.elements():
-            key = class_of(tower, mat_mul(lv, ((1, v0), (0, 1)), g.rows))
+            key = class_of(tower, left_translate(lv, g.rows, (v0,)))
             geo_val = gamma.value_for_charpoly(key[:2])
             orc_val = oracle.values[key]
             if geo_val != orc_val:
@@ -939,7 +981,7 @@ def vanishing_sweep_gl2(cfg) -> list:
         CheckResult(
             "oracle-solve",
             True,
-            value=oracle.convention,
+            value=PAIRING,
             detail=f"rank {oracle.rank}/{oracle.unknown_count}",
         )
     )
@@ -956,13 +998,11 @@ def vanishing_sweep_gl2(cfg) -> list:
 # -- suite: gl3-top -----------------------------------------------------------------
 
 
-def vanishing_sweep_gl3_top(cfg) -> list:
+def vanishing_sweep_gl3_top(run) -> list:
     checks = []
-    tower, ws = _context(cfg)
+    tower, traces, gamma = run.tower, run.traces, run.gamma
     lv = tower.level(1)
-    traces = TorusTraces(tower, ws)
-    gamma = GammaTrace(traces)
-    rng = random.Random(cfg["seed"])
+    rng = random.Random(run.cfg["seed"])
     points = [
         group_point(tower, companion_matrix(lv, tuple(lead) + (const,), 3))
         for lead in itertools.product(lv.elements(), repeat=2)
@@ -999,12 +1039,9 @@ def vanishing_sweep_gl3_top(cfg) -> list:
 # -- suite: oracle ------------------------------------------------------------------
 
 
-def suite_oracle(cfg) -> list:
+def suite_oracle(run) -> list:
     checks = []
-    tower, ws = _context(cfg)
-    traces = TorusTraces(tower, ws)
-    gamma = GammaTrace(traces)
-    table = build_gl2_table(tower)
+    tower, gamma, table = run.tower, run.gamma, run.table
     checks.append(
         CheckResult(
             "character-table-orthogonality",
@@ -1013,7 +1050,7 @@ def suite_oracle(cfg) -> list:
             f"{gl2_order(tower.q)}",
         )
     )
-    result = oracle_phi(traces, gamma, table)
+    result = run.oracle
     ok = True
     for cls in table.classes:
         if cls.kind == "central":
@@ -1026,7 +1063,7 @@ def suite_oracle(cfg) -> list:
         CheckResult(
             "oracle-matches-geometry",
             ok,
-            detail=f"convention={result.convention}, rank {result.rank}"
+            detail=f"convention={PAIRING}, rank {result.rank}"
             f"/{result.unknown_count}",
         )
     )
@@ -1037,7 +1074,7 @@ def suite_oracle(cfg) -> list:
             detail="rank deficiency is reported, never masked",
         )
     )
-    u_p, u_c, rank, n_unknowns = calibrate_generic_units(traces, gamma, table)
+    u_p, u_c, rank, n_unknowns = calibrate_generic_units(result)
     full = rank == n_unknowns
     expect_p = tower.ring.from_int(tower.q)
     expect_c = tower.ring.from_int(-tower.q)
@@ -1073,6 +1110,7 @@ SUITE_FUNCTIONS = {
 def run_suite(cfg_raw, suites=None, include_timings=False):
     """Run the configured suites; returns a list of SuiteReport."""
     cfg = validate_config(cfg_raw, suites)
+    run = Run(cfg)
     reports = []
     for name in cfg["suites"]:
         params = {
@@ -1085,9 +1123,7 @@ def run_suite(cfg_raw, suites=None, include_timings=False):
         report = SuiteReport(suite=name, params=params, seed=cfg["seed"])
         started = time.perf_counter()
         try:
-            report.checks = SUITE_FUNCTIONS[name](cfg)
-        except ConfigInvalid:
-            raise
+            report.checks = SUITE_FUNCTIONS[name](run)
         except GammasumsError as exc:
             report.checks = list(getattr(exc, "checks", []))
             report.checks.append(

@@ -270,17 +270,6 @@ class GammaTrace:
         return coset, det_fiber
 
 
-def phi_csv(gamma: GammaTrace, points):
-    """CSV dump of (representative, gamma trace as a coefficient vector)."""
-    lines = ["representative,denominator,coefficients"]
-    for x in points:
-        value = gamma.phi_regular(x)
-        rep = " ".join(str(c) for row in x.rows for c in row)
-        coeffs = " ".join(str(v) for v in value.num)
-        lines.append(f"{rep},{value.den},{coeffs}")
-    return "\n".join(lines) + "\n"
-
-
 def levi_restriction_sum(gamma: GammaTrace, t_coords):
     """Sum of the gamma trace over upper-triangular translates of a torus point.
 

@@ -53,9 +53,6 @@ class GroupPoint:
         d = self.char[-1]
         return self.level().neg(d) if self.n % 2 else d
 
-    def charpoly_low(self):
-        return char_coeffs_to_poly(self.char)
-
 
 def group_point(tower, rows) -> GroupPoint:
     rows = tuple(tuple(r) for r in rows)
@@ -275,14 +272,6 @@ def lemma_translation_map(lv, x_f, x_e, v1_row, vm1):
 # -- left U_Q cosets and characteristic polynomials ---------------------------
 
 
-def u_q_matrix(tower, n, v):
-    """The unipotent with first row (1, v) and identity elsewhere."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j, c in enumerate(v):
-        rows[0][j + 1] = c
-    return tuple(tuple(r) for r in rows)
-
-
 def left_translate(level, rows, v):
     """Rows of u x, u the unipotent with first row (1, v): row 0 becomes (1, v) x."""
     return (mat_vec(level, tuple(zip(*rows)), (1,) + tuple(v)),) + tuple(rows[1:])
@@ -437,23 +426,6 @@ def chart_orbit_count(tower, a_t_vec, k, cpoly_low):
         pool -= orbit
         count += 1
     return count
-
-
-def matrix_to_json(rows):
-    """Row-major integer array serialization of a matrix."""
-    return [list(r) for r in rows]
-
-
-def census_csv(tower, n, char_vectors):
-    """CSV census report: one line per (charpoly, stratum) with orbit sizes."""
-    lines = ["charpoly,stratum,orbit_sizes"]
-    for a in char_vectors:
-        result = orbit_census(tower, n, a)
-        for m in sorted(result["by_stratum"]):
-            sizes = "+".join(str(s) for s in result["by_stratum"][m])
-            poly = " ".join(str(c) for c in a)
-            lines.append(f"{poly},{m},{sizes}")
-    return "\n".join(lines) + "\n"
 
 
 def census_prediction(tower, n, a):

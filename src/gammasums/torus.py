@@ -464,6 +464,7 @@ class TorusTraces:
         self._hyper = {}
         self._local = {}
         self._buckets = {}
+        self._lifts = {}
         self._quotients = None
         self._reference = {}
         self._mellin_unit = None
@@ -587,7 +588,9 @@ class TorusTraces:
         deliberately wrong, untwisted descent used by mutation controls).
         """
         if xi is None:
-            xi, sr, sw, _ = weyl_lift(self.ws, pt.w)
+            if pt.w not in self._lifts:
+                self._lifts[pt.w] = weyl_lift(self.ws, pt.w)
+            xi, sr, sw, _ = self._lifts[pt.w]
         else:
             for s in range(self.ws.r):
                 want = self.ws.weight_image(pt.w, self.ws.slots[s])

@@ -157,13 +157,6 @@ def test_character_multiplicativity(tower_f5):
     assert not chi.is_trivial()
 
 
-def test_debug_dump(tower_f3):
-    dump = tower_f3.debug_dump()
-    assert dump["p"] == 3 and dump["q"] == 3
-    assert dump["levels"][1]["poly"] == [1, 1]
-    assert dump["levels"][2]["poly"] == [2, 1, 1]
-
-
 @pytest.mark.parametrize(
     "p,f,levels", [(2, 1, 6), (2, 2, 3), (3, 1, 4), (3, 2, 2), (5, 1, 3), (7, 1, 2)]
 )

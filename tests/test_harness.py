@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammasums import gl2, harness
 from gammasums.cli import main
@@ -85,6 +87,20 @@ def test_validate_config_rejections():
         {"shape": [2], "suites": ["torus"], "caps": {"tower": 1}},
         {"p": 2, "shape": [4], "suites": ["induction"], "caps": {"tower": 4}},
         {"p": 2, "shape": [5], "suites": ["torus"], "caps": {"tower": 5}},
+        {"shape": 5},
+        {"suites": 5},
+        {"caps": 5},
+        {"shape": "2"},
+        {"suites": "arith"},
+        {"caps": [["tower", 2]]},
+        {"suites": ["mirabolic"], "caps": {"samples": 0}},
+        {"suites": ["mirabolic"], "caps": {"samples": "x"}},
+        {"caps": {"enumeration": 0}},
+        {"caps": {"enumeration": "x"}},
+        {"caps": {"enumeration": 1.5}},
+        {"caps": {"tower": 2, "bogus": 1}},
+        {"shape": [1, 1], "rep": [[[1, 0], 1], [[0, 1], 1]], "suites": ["mirabolic"]},
+        {"shape": [1, 1], "rep": [[[1, 0], 1], [[0, 1], 1]], "suites": ["induction"]},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -93,6 +109,66 @@ def test_malformed_config_exits_2(tmp_path, capsys, override):
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
+@pytest.mark.parametrize("raw", [[], [["p", 3]], 5, "x", None])
+def test_non_object_config_exits_2(tmp_path, capsys, raw, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)] + seed) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+# The config fuzz: each key takes a plausible value or any JSON value.
+# Integers stay small: validate_config does work that grows with p (trial
+# division), f (p ** f) and the shape (the largest Weyl order, the weight
+# system) before any cap applies.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+SMALL = st.integers(-1, 4)
+EXPLICIT_REP = st.lists(
+    st.tuples(st.lists(st.integers(-2, 2), max_size=4), SMALL).map(list), max_size=4
+)
+FUZZED_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "p": st.sampled_from([2, 3, 5, 7]) | JSON_VALUES,
+        "f": st.sampled_from([1, 2]) | JSON_VALUES,
+        "shape": st.lists(SMALL, max_size=3) | JSON_VALUES,
+        "rep": st.sampled_from(["std", "sym2", "std*det^1", "std*det^x"])
+        | EXPLICIT_REP
+        | JSON_VALUES,
+        "suites": st.lists(st.sampled_from(SUITE_NAMES), max_size=3) | JSON_VALUES,
+        "caps": st.dictionaries(
+            st.sampled_from(["tower", "enumeration", "samples"]) | st.text(max_size=3),
+            SMALL | JSON_VALUES,
+            max_size=3,
+        )
+        | JSON_VALUES,
+        "seed": st.integers() | JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=FUZZED_CONFIG)
+def test_validate_config_refuses_only_with_config_invalid(raw):
+    try:
+        cfg = validate_config(raw)
+    except ConfigInvalid as exc:
+        assert "\n" not in str(exc)
+        return
+    assert set(cfg["caps"]) == {"tower", "enumeration", "samples"}
+    assert all(harness._is_int(v) and v >= 1 for v in cfg["caps"].values())
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -105,6 +181,29 @@ def test_squarefree_matches_factor_multiplicities(p, f):
                 a = tuple(lead) + (const,)
                 fac = factor_monic(tower, char_coeffs_to_poly(a))
                 assert harness._squarefree(tower, a) == all(m == 1 for _, m in fac), a
+
+
+def test_gl2_suites_share_one_table_oracle_and_system(monkeypatch):
+    calls = {"build_gl2_table": 0, "oracle_phi": 0, "_regular_system": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(harness, "build_gl2_table")
+    counted(harness, "oracle_phi")
+    counted(gl2, "_regular_system")
+    cfg = dict(BASE_CFG, suites=["gl2-main", "oracle"])
+    both = emit(run_suite(cfg))
+    assert calls == {"build_gl2_table": 1, "oracle_phi": 1, "_regular_system": 1}
+    single = run_suite(cfg, suites=["gl2-main"]) + run_suite(cfg, suites=["oracle"])
+    assert emit(single) == both
+    assert all(report.passed for report in single)
 
 
 def test_corrupted_table_is_a_failed_check(monkeypatch):

@@ -21,7 +21,6 @@ from gammasums.mirabolic import (
     parabolic_rank_classify,
     q1_elements,
     stratum_index,
-    u_q_matrix,
 )
 
 
@@ -33,6 +32,14 @@ def t3():
 @pytest.fixture(scope="module")
 def t2():
     return build_tower(2, 1, 1)
+
+
+def u_q_matrix(n, v):
+    """The unipotent with first row (1, v) and identity elsewhere."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j, c in enumerate(v):
+        rows[0][j + 1] = c
+    return tuple(tuple(r) for r in rows)
 
 
 def random_point(tower, n, rng):
@@ -61,7 +68,7 @@ def test_stratum_left_translation_invariance_exhaustive(t3):
             continue
         m = stratum_index(x)
         for v in itertools.product(range(3), repeat=1):
-            ux = group_point(t3, mat_mul(lv, u_q_matrix(t3, 2, v), x.rows))
+            ux = group_point(t3, mat_mul(lv, u_q_matrix(2, v), x.rows))
             assert stratum_index(ux) == m
 
 
@@ -73,7 +80,7 @@ def test_left_translate_is_the_u_q_product():
         for _ in range(5):
             x = random_point(tower, n, rng)
             for v in itertools.product(lv.elements(), repeat=n - 1):
-                u = u_q_matrix(tower, n, v)
+                u = u_q_matrix(n, v)
                 assert left_translate(lv, x.rows, v) == mat_mul(lv, u, x.rows)
 
 
@@ -218,13 +225,3 @@ def test_charpoly_conjugation_invariance(t3):
         g = random_point(t3, 3, rng)
         conj = mat_mul(lv, g.rows, mat_mul(lv, x.rows, mat_inv(lv, g.rows)))
         assert group_point(t3, conj).char == x.char
-
-
-def test_census_csv_and_matrix_json(t3):
-    from gammasums.mirabolic import census_csv, matrix_to_json
-
-    out = census_csv(t3, 2, [(0, 2), (1, 1)])
-    lines = out.strip().splitlines()
-    assert lines[0] == "charpoly,stratum,orbit_sizes"
-    assert any(line.startswith("0 2,") for line in lines[1:])
-    assert matrix_to_json(((1, 0), (0, 2))) == [[1, 0], [0, 2]]
