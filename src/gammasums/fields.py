@@ -10,8 +10,10 @@ F_{q^a} -> F_{q^m} is a field homomorphism and generators are norm-compatible
 by construction.
 
 Elements are encoded as base-p integers (digit i is the coefficient of x^i),
-so 0 and 1 encode the field's zero and one at every level.  Unit arithmetic
-is discrete-log table lookup; addition is digitwise mod p.
+so 0 and 1 encode the field's zero and one at every level.  Arithmetic is
+table lookup on discrete logs: a product adds logs, and a sum uses the Zech
+logarithm Z(k) = dlog(1 + x^k), since x^i + x^j = x^(i + Z(j - i)).  Negation
+adds the log of -1, which is 0 when p = 2, so one code path serves every p.
 
 Character values live in Q(zeta_N) where N = lcm(p, q-1, ..., q^M-1), so one
 ring holds the additive character and every multiplicative character of every
@@ -89,7 +91,7 @@ def _irreducible(poly, p):
 
 
 class Level:
-    """One extension F_{q^m} in a tower, with exp/dlog tables."""
+    """One extension F_{q^m} in a tower, with exp, dlog and Zech tables."""
 
     def __init__(self, tower, m, poly):
         self.tower = tower
@@ -110,6 +112,14 @@ class Level:
             dlog[v] = k
         self.dlog = dlog
         self.gen = exp[1] if self.size > 2 else 1
+        # Zech logs (-1 where 1 + x^k = 0); 1 + v adds 1 to the x^0 digit of v
+        p = self.p
+        zech = [dlog[v + 1 if v % p < p - 1 else v + 1 - p] for v in exp]
+        # exp and zech twice over: every log sum or difference the ops form
+        # indexes them directly, without reduction mod size - 1
+        self.exp2 = exp + exp
+        self.zech = zech + zech
+        self.log_neg_one = dlog[p - 1]
 
     def _encode(self, coeffs):
         e = 0
@@ -124,38 +134,39 @@ class Level:
         return self.exp
 
     def add(self, a, b):
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        dlog = self.dlog
+        i = dlog[a]
+        z = self.zech[dlog[b] - i]
+        return self.exp2[i + z] if z >= 0 else 0
 
     def neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.exp2[self.dlog[a] + self.log_neg_one] if a else 0
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if not b:
+            return a
+        dlog = self.dlog
+        j = dlog[b] + self.log_neg_one  # a log of -b
+        if not a:
+            return self.exp2[j]
+        i = dlog[a]
+        z = self.zech[j - i]
+        return self.exp2[i + z] if z >= 0 else 0
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
+        if not a or not b:
             return 0
-        return self.exp[(self.dlog[a] + self.dlog[b]) % (self.size - 1)]
+        dlog = self.dlog
+        return self.exp2[dlog[a] + dlog[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[-self.dlog[a] % (self.size - 1)]
+        return self.exp[-self.dlog[a]]
 
     def power(self, a, e):
         if a == 0:

@@ -261,7 +261,7 @@ def validate_config(raw, suites=None) -> dict:
         "caps": dict(raw.get("caps", {})),
         "seed": raw.get("seed", DEFAULT_SEED),
     }
-    if not (_is_int(cfg["p"]) and is_prime(cfg["p"])):
+    if not (_is_int(cfg["p"]) and cfg["p"] >= 2):
         raise ConfigInvalid("p must be a prime integer")
     if not (_is_int(cfg["f"]) and cfg["f"] >= 1):
         raise ConfigInvalid("f must be a positive integer")
@@ -285,6 +285,17 @@ def validate_config(raw, suites=None) -> dict:
     for cap, value in cfg["caps"].items():
         if not (_is_int(value) and value >= 1):
             raise ConfigInvalid(f"caps.{cap} must be a positive integer")
+    # level 1 alone holds q elements; q is bounded before the trial division
+    # of p, and passes the cap after at most log2(cap) + 1 factors of p
+    q = 1
+    for _ in range(cfg["f"]):
+        q *= cfg["p"]
+        if q > cfg["caps"]["enumeration"]:
+            raise ConfigInvalid(
+                f"q = p^f is above caps.enumeration = {cfg['caps']['enumeration']}"
+            )
+    if not is_prime(cfg["p"]):
+        raise ConfigInvalid("p must be a prime integer")
     try:
         weights = validate_weight_system(cfg["shape"], cfg["rep"])
     except (TypeError, ValueError, GammasumsError) as exc:
@@ -303,7 +314,6 @@ def validate_config(raw, suites=None) -> dict:
         raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
     if twisted and cfg["caps"]["tower"] < order:
         raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {order}")
-    q = cfg["p"] ** cfg["f"]
     for s in cfg["suites"]:
         if q > SUITE_Q_CAPS.get(s, q):
             raise ConfigInvalid(f"{s} runs at q <= {SUITE_Q_CAPS[s]}")

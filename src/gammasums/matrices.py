@@ -39,6 +39,7 @@ def mat_mul(level, a, b):
     n = len(a)
     m = len(b[0])
     k = len(b)
+    add, mul = level.add, level.mul
     out = []
     for i in range(n):
         row = []
@@ -47,19 +48,20 @@ def mat_mul(level, a, b):
             acc = 0
             for t in range(k):
                 if ai[t] and b[t][j]:
-                    acc = level.add(acc, level.mul(ai[t], b[t][j]))
+                    acc = add(acc, mul(ai[t], b[t][j]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
 def mat_vec(level, a, v):
+    add, mul = level.add, level.mul
     out = []
     for row in a:
         acc = 0
         for c, x in zip(row, v):
             if c and x:
-                acc = level.add(acc, level.mul(c, x))
+                acc = add(acc, mul(c, x))
         out.append(acc)
     return tuple(out)
 
@@ -189,12 +191,13 @@ def poly_to_char_coeffs(poly):
 
 
 def pol_mul(level, a, b):
+    add, mul = level.add, level.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = level.add(out[i + j], level.mul(x, y))
+                    out[i + j] = add(out[i + j], mul(x, y))
     return tuple(out)
 
 

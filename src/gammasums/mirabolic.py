@@ -75,7 +75,7 @@ def krylov(level, rows, basis):
     """
     n = len(rows)
     out = []
-    v = mat_identity(n)[0]
+    v = (1,) + (0,) * (n - 1)
     while len(out) < n and reduce_against(level, basis, v):
         out.append(v)
         v = mat_vec(level, rows, v)

@@ -2,7 +2,16 @@ import itertools
 
 import pytest
 from sympy import ZZ, factorint
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_mul,
+    gf_neg,
+    gf_pow_mod,
+    gf_rem,
+    gf_sub,
+)
 
 from gammasums.errors import CapExceeded, LevelMissing, NotPrime
 from gammasums.fields import (
@@ -181,3 +190,91 @@ def test_irreducible_matches_sympy(p):
             assert _irreducible(poly, p) == gf_irreducible_p(
                 list(reversed(poly)), p, ZZ
             ), poly
+
+
+# -- Level arithmetic against sympy's galoistools and the digit-wise sum ------
+
+# (p, f): F_2, F_4, F_8, F_16, F_3, F_5, F_7, F_9, F_25, F_27, F_49
+CROSS_CHECK_FIELDS = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
+    (3, 3), (7, 2),
+]
+
+
+def _digits(e, p):
+    """Encoded element -> galoistools polynomial (high degree first)."""
+    out = []
+    while e:
+        out.append(e % p)
+        e //= p
+    return out[::-1]
+
+
+def _encode(poly, p):
+    e = 0
+    for c in poly:
+        e = e * p + c
+    return e
+
+
+def _digitwise_add(p, a, b):
+    out, mult = 0, 1
+    while a or b:
+        out += ((a % p + b % p) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def _digitwise_neg(p, a):
+    out, mult = 0, 1
+    while a:
+        out += (-a % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def _arithmetic_mismatches(lv):
+    """(op, a, b) for every Level result that disagrees with a reference."""
+    p = lv.p
+    h = [c % p for c in reversed(lv.poly)]
+
+    def ref(poly):
+        return _encode(gf_rem(poly, h, p, ZZ), p)
+
+    for a in lv.elements():
+        fa = _digits(a, p)
+        if lv.neg(a) != ref(gf_neg(fa, p, ZZ)) or lv.neg(a) != _digitwise_neg(p, a):
+            yield "neg", a, None
+        if a and lv.inv(a) != _encode(gf_gcdex(fa, h, p, ZZ)[0], p):
+            yield "inv", a, None
+        for b in lv.elements():
+            fb = _digits(b, p)
+            s = lv.add(a, b)
+            if s != ref(gf_add(fa, fb, p, ZZ)) or s != _digitwise_add(p, a, b):
+                yield "add", a, b
+            d = lv.sub(a, b)
+            if d != ref(gf_sub(fa, fb, p, ZZ)) or d != _digitwise_add(
+                p, a, _digitwise_neg(p, b)
+            ):
+                yield "sub", a, b
+            if lv.mul(a, b) != ref(gf_mul(fa, fb, p, ZZ)):
+                yield "mul", a, b
+
+
+@pytest.mark.parametrize("p,f", CROSS_CHECK_FIELDS)
+def test_level_arithmetic_matches_sympy_on_every_pair(p, f):
+    lv = build_tower(p, f, 1).level(1)
+    assert list(_arithmetic_mismatches(lv)) == []
+
+
+@pytest.mark.parametrize("p,f", CROSS_CHECK_FIELDS)
+def test_level_arithmetic_cross_check_catches_one_wrong_zech_entry(p, f):
+    # mutation control: a fresh tower, so no shared fixture sees the damage
+    lv = build_tower(p, f, 1).level(1)
+    n = lv.size - 1
+    k = n - 1
+    lv.zech[k] = (lv.zech[k] + 1) % n if lv.zech[k] >= 0 else 0
+    assert next(_arithmetic_mismatches(lv), None) is not None

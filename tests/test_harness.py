@@ -101,6 +101,8 @@ def test_validate_config_rejections():
         {"caps": {"tower": 2, "bogus": 1}},
         {"shape": [1, 1], "rep": [[[1, 0], 1], [[0, 1], 1]], "suites": ["mirabolic"]},
         {"shape": [1, 1], "rep": [[[1, 0], 1], [[0, 1], 1]], "suites": ["induction"]},
+        {"p": 100000000000031},
+        {"p": 2, "f": 10**18},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -120,10 +122,10 @@ def test_non_object_config_exits_2(tmp_path, capsys, raw, seed):
     assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
-# The config fuzz: each key takes a plausible value or any JSON value.
-# Integers stay small: validate_config does work that grows with p (trial
-# division), f (p ** f) and the shape (the largest Weyl order, the weight
-# system) before any cap applies.
+# The config fuzz: each key takes a plausible value or any JSON value.  p is
+# drawn up to 10^15: q = p^f is held to caps.enumeration before p's trial
+# division.  Shapes stay small: the largest Weyl order and the weight system
+# grow with the shape before any cap applies.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -141,7 +143,7 @@ EXPLICIT_REP = st.lists(
 FUZZED_CONFIG = st.fixed_dictionaries(
     {},
     optional={
-        "p": st.sampled_from([2, 3, 5, 7]) | JSON_VALUES,
+        "p": st.sampled_from([2, 3, 5, 7]) | st.integers(2, 10**15) | JSON_VALUES,
         "f": st.sampled_from([1, 2]) | JSON_VALUES,
         "shape": st.lists(SMALL, max_size=3) | JSON_VALUES,
         "rep": st.sampled_from(["std", "sym2", "std*det^1", "std*det^x"])
@@ -157,6 +159,17 @@ FUZZED_CONFIG = st.fixed_dictionaries(
         "seed": st.integers() | JSON_VALUES,
     },
 )
+
+
+def test_q_above_the_enumeration_cap_is_refused_before_trial_division(monkeypatch):
+    def no_trial_division(p):
+        raise AssertionError("is_prime ran before the q bound")
+
+    monkeypatch.setattr(harness, "is_prime", no_trial_division)
+    for raw in ({"p": 100000000000031}, {"p": 2, "f": 10**18},
+                {"p": 5, "caps": {"enumeration": 4}}):
+        with pytest.raises(ConfigInvalid, match="caps.enumeration"):
+            validate_config(raw)
 
 
 @settings(max_examples=300, deadline=None)
