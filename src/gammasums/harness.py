@@ -227,11 +227,12 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# Largest q each suite runs at.  gl2-main and gl3-top sweep every coset; the
-# oracle's exact solve in Q(zeta_N) is the limit there: q = 9 finishes in a
-# few seconds, q = 11 takes about 330 s, 320 s of it in the dense solve of
+# Largest q each suite runs at.  gl2-main and gl3-top sweep every coset, and
+# gl2-main, which builds the GL(2) table and oracle, keeps to the oracle's q.
+# The oracle's exact solve in Q(zeta_N) is the limit there: q = 9 finishes in
+# a few seconds, q = 11 takes about 330 s, 320 s of it in the dense solve of
 # the family-scale calibration (2-vCPU machine).
-SUITE_Q_CAPS = {"gl2-main": 7, "gl3-top": 3, "oracle": 9}
+SUITE_Q_CAPS = {"gl2-main": 9, "gl3-top": 3, "oracle": 9}
 
 
 def validate_config(raw, suites=None) -> dict:
@@ -293,6 +294,17 @@ def validate_config(raw, suites=None) -> dict:
         if q > cfg["caps"]["enumeration"]:
             raise ConfigInvalid(
                 f"q = p^f is above caps.enumeration = {cfg['caps']['enumeration']}"
+            )
+    # the tower holds q + q^2 + ... + q^tower elements; each term at least
+    # doubles, so the sum passes the cap within log2(cap) + 1 terms
+    total, term = 0, 1
+    for _ in range(cfg["caps"]["tower"]):
+        term *= q
+        total += term
+        if total > cfg["caps"]["enumeration"]:
+            raise ConfigInvalid(
+                "the tower, q + q^2 + ... + q^tower, is above caps.enumeration = "
+                f"{cfg['caps']['enumeration']}"
             )
     if not is_prime(cfg["p"]):
         raise ConfigInvalid("p must be a prime integer")
@@ -944,34 +956,68 @@ def in_borel(rows):
     return rows[1][0] == 0
 
 
+# A failed sweep carries at most this many failing cosets, and as many route
+# mismatches, as attributes of its VanishingFailed.
+WITNESS_CAP = 1000
+
+
 def vanishing_sweep_gl2(run) -> list:
-    """The main GL(2) coset sweep, both routes, plus the mutation control."""
+    """The main GL(2) coset sweep, both routes, plus the mutation control.
+
+    g runs over the invertible matrices off B in row-major order, and the
+    coset of g is U g, the translates with row 0 replaced by row 0 plus v0
+    times row 1.  With c = g[1][0] nonzero, the coset holds one matrix h
+    with a zero corner, and g is h translated by s = g[0][0] / c.  Every
+    summand is a function of a translate's class key, so the translates of
+    h are classified on the first g of each coset (each matrix off B once),
+    the two routes are compared once per key, and the three coset sums are
+    formed once per multiset of keys.
+    """
     checks = []
     tower, gamma, oracle = run.tower, run.gamma, run.oracle
     lv = tower.level(1)
     # mutation control: the untwisted descent must break at least one coset
     gamma_mut = GammaTrace(run.traces, weyl_sign=False)
+    mismatch = {}  # class key -> the geometric and oracle values differ
+    coset_sums = {}  # sorted keys of a coset -> (vanishes, breaks)
+    cosets = {}  # h -> (each w with a route mismatch at h + w row 1, vanishes, breaks)
     bad = []
     route_mismatch = []
     swept = broken = 0
-    for g in iter_invertible(tower, 2):
-        if in_borel(g.rows):
+    for rows in all_matrices(lv, 2, 2):
+        (a, b), (c, d) = rows
+        if in_borel(rows) or lv.mul(a, d) == lv.mul(b, c):
             continue
         swept += 1
-        geo = orc = mut = tower.ring.zero
-        for v0 in lv.elements():
-            key = class_of(tower, left_translate(lv, g.rows, (v0,)))
-            geo_val = gamma.value_for_charpoly(key[:2])
-            orc_val = oracle.values[key]
-            if geo_val != orc_val:
-                route_mismatch.append((g.rows, v0))
-            geo = geo + geo_val
-            orc = orc + orc_val
-            mut = mut + gamma_mut.value_for_charpoly(key[:2])
-        if not geo.is_zero() or not orc.is_zero():
-            bad.append(g.rows)
-        if not mut.is_zero():
-            broken += 1
+        s = lv.mul(a, lv.inv(c))
+        h = left_translate(lv, rows, (lv.neg(s),))
+        if h not in cosets:
+            keys = [class_of(tower, left_translate(lv, h, (w,))) for w in lv.elements()]
+            for key in keys:
+                if key not in mismatch:
+                    mismatch[key] = (
+                        gamma.value_for_charpoly(key[:2]) != oracle.values[key]
+                    )
+            multiset = tuple(sorted(keys))
+            if multiset not in coset_sums:
+                geo = orc = mut = tower.ring.zero
+                for key in multiset:
+                    geo = geo + gamma.value_for_charpoly(key[:2])
+                    orc = orc + oracle.values[key]
+                    mut = mut + gamma_mut.value_for_charpoly(key[:2])
+                coset_sums[multiset] = (
+                    geo.is_zero() and orc.is_zero(), not mut.is_zero()
+                )
+            mismatched = [w for w, key in zip(lv.elements(), keys) if mismatch[key]]
+            cosets[h] = (mismatched, *coset_sums[multiset])
+        mismatched, vanishes, breaks = cosets[h]
+        # g + v0 row 1 is h + w row 1 for w = s + v0
+        route_mismatch.extend(
+            (rows, v0) for v0 in sorted(lv.sub(w, s) for w in mismatched)
+        )
+        if not vanishes:
+            bad.append(rows)
+        broken += breaks
     checks.append(
         CheckResult(
             "coset-vanishing-both-routes",
@@ -1001,6 +1047,8 @@ def vanishing_sweep_gl2(run) -> list:
             f"{len(route_mismatch)} route mismatches, first {route_mismatch[:2]}"
         )
         exc.checks = checks
+        exc.failures = bad[:WITNESS_CAP]
+        exc.route_mismatches = route_mismatch[:WITNESS_CAP]
         raise exc
     return checks
 

@@ -1,7 +1,15 @@
+import sys
+
 import pytest
 
-from gammasums import gl2
-from gammasums.errors import CapExceeded, SystemInconsistent, TableNotOrthogonal
+from gammasums import gl2, harness
+from gammasums.cyclotomic import CycNum
+from gammasums.errors import (
+    CapExceeded,
+    SystemInconsistent,
+    TableNotOrthogonal,
+    VanishingFailed,
+)
 from gammasums.fields import build_tower, gauss_sum, MultCharacter
 from gammasums.gl2 import (
     Gl2Table,
@@ -13,7 +21,9 @@ from gammasums.gl2 import (
     gl2_order,
     oracle_phi,
 )
+from gammasums.harness import CheckResult, Run, validate_config
 from gammasums.induction import GammaTrace
+from gammasums.mirabolic import left_translate
 from gammasums.torus import TorusTraces, validate_weight_system
 
 
@@ -188,3 +198,163 @@ def test_principal_gamma_factors_into_gauss_sums(tower_f5):
             MultCharacter(tower_f5, 1, -j2)
         )
         assert g_val == prod * q
+
+
+def reference_sweep_gl2(run):
+    """The GL(2) coset sweep one translate at a time: each translate is
+    classified and added to the three coset sums on its own.  A failure
+    carries every failing coset and route mismatch."""
+    checks = []
+    tower, gamma, oracle = run.tower, run.gamma, run.oracle
+    lv = tower.level(1)
+    gamma_mut = GammaTrace(run.traces, weyl_sign=False)
+    bad = []
+    route_mismatch = []
+    swept = broken = 0
+    for g in harness.iter_invertible(tower, 2):
+        if harness.in_borel(g.rows):
+            continue
+        swept += 1
+        geo = orc = mut = tower.ring.zero
+        for v0 in lv.elements():
+            key = class_of(tower, left_translate(lv, g.rows, (v0,)))
+            geo_val = gamma.value_for_charpoly(key[:2])
+            orc_val = oracle.values[key]
+            if geo_val != orc_val:
+                route_mismatch.append((g.rows, v0))
+            geo = geo + geo_val
+            orc = orc + orc_val
+            mut = mut + gamma_mut.value_for_charpoly(key[:2])
+        if not geo.is_zero() or not orc.is_zero():
+            bad.append(g.rows)
+        if not mut.is_zero():
+            broken += 1
+    checks.append(
+        CheckResult(
+            "coset-vanishing-both-routes",
+            not bad and not route_mismatch,
+            detail=f"{swept} cosets swept; failures={len(bad)}, "
+            f"route mismatches={len(route_mismatch)}",
+        )
+    )
+    checks.append(
+        CheckResult(
+            "mutation-control-breaks",
+            broken > 0,
+            detail=f"{broken} of {swept} cosets break under the untwisted descent",
+        )
+    )
+    checks.append(
+        CheckResult(
+            "oracle-solve",
+            True,
+            value=gl2.PAIRING,
+            detail=f"rank {oracle.rank}/{oracle.unknown_count}",
+        )
+    )
+    if bad or route_mismatch:
+        exc = VanishingFailed(
+            f"vanishing failed on {len(bad)} cosets, first {bad[:2]}; "
+            f"{len(route_mismatch)} route mismatches, first {route_mismatch[:2]}"
+        )
+        exc.checks = checks
+        exc.failures = bad
+        exc.route_mismatches = route_mismatch
+        raise exc
+    return checks
+
+
+def gl2_run(p, f, rep):
+    return Run(validate_config({"p": p, "f": f, "rep": rep, "suites": ["gl2-main"]}))
+
+
+# q = 8 std and q = 9 sym2 are the two gl2-main golden configs above q = 7
+@pytest.mark.parametrize(
+    "p,f,rep",
+    [
+        (p, f, rep)
+        for p, f in [(2, 1), (3, 1), (2, 2), (5, 1)]
+        for rep in ["std", "sym2", "std*det^1"]
+        if not (rep == "sym2" and p == 2)
+    ]
+    + [(2, 3, "std"), (3, 2, "sym2")],
+)
+def test_sweep_matches_the_per_translate_reference(p, f, rep):
+    run = gl2_run(p, f, rep)
+    checks = harness.vanishing_sweep_gl2(run)
+    assert checks == reference_sweep_gl2(run)
+    assert all(c.passed for c in checks)
+
+
+def _corrupt_oracle(run, key):
+    run.oracle.values[key] = run.oracle.values[key] + run.tower.ring.one
+
+
+def _corrupt_gamma(run, key):
+    real = run.gamma.value_for_charpoly
+
+    def corrupted(char_coeffs):
+        value = real(char_coeffs)
+        return value + run.tower.ring.one if tuple(char_coeffs) == key[:2] else value
+
+    run.gamma.value_for_charpoly = corrupted
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_oracle, _corrupt_gamma])
+@pytest.mark.parametrize("p", [3, 5])
+def test_sweep_witnesses_match_the_reference_under_mutation(p, corrupt):
+    run = gl2_run(p, 1, "sym2")
+    key = next(c.key for c in run.table.classes if c.kind == "split")
+    run.oracle  # solved before the corruption, from the true gamma values
+    corrupt(run, key)
+    with pytest.raises(VanishingFailed) as new:
+        harness.vanishing_sweep_gl2(run)
+    with pytest.raises(VanishingFailed) as ref:
+        reference_sweep_gl2(run)
+    new, ref = new.value, ref.value
+    assert ref.failures and ref.route_mismatches
+    assert new.failures == ref.failures[: harness.WITNESS_CAP]
+    assert new.route_mismatches == ref.route_mismatches[: harness.WITNESS_CAP]
+    assert str(new) == str(ref)
+    assert new.checks == ref.checks
+    assert not new.checks[0].passed
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1)])
+def test_sweep_classifies_each_matrix_once_and_sums_each_coset_once(
+    monkeypatch, p, f
+):
+    run = gl2_run(p, f, "std")
+    run.oracle  # built before counting
+    q = run.tower.q
+    lv = run.tower.level(1)
+    multisets = {
+        tuple(
+            sorted(
+                class_of(run.tower, left_translate(lv, g.rows, (v0,)))
+                for v0 in lv.elements()
+            )
+        )
+        for g in harness.iter_invertible(run.tower, 2)
+        if not harness.in_borel(g.rows)
+    }
+    counts = {"class_of": 0, "add": 0}
+    real_class_of, real_add = harness.class_of, CycNum.__add__
+
+    def counted_class_of(tower, rows):
+        counts["class_of"] += 1
+        return real_class_of(tower, rows)
+
+    def counted_add(self, other):
+        # only the additions the sweep makes itself, not those of the
+        # gamma values it builds on first use
+        if sys._getframe(1).f_code is harness.vanishing_sweep_gl2.__code__:
+            counts["add"] += 1
+        return real_add(self, other)
+
+    monkeypatch.setattr(harness, "class_of", counted_class_of)
+    monkeypatch.setattr(CycNum, "__add__", counted_add)
+    harness.vanishing_sweep_gl2(run)
+    borel = (q - 1) ** 2 * q
+    assert counts["class_of"] == gl2_order(q) - borel
+    assert 0 < counts["add"] <= 3 * q * len(multisets)

@@ -103,6 +103,7 @@ def test_validate_config_rejections():
         {"shape": [1, 1], "rep": [[[1, 0], 1], [[0, 1], 1]], "suites": ["induction"]},
         {"p": 100000000000031},
         {"p": 2, "f": 10**18},
+        {"p": 4099, "suites": ["arith"]},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -169,6 +170,16 @@ def test_q_above_the_enumeration_cap_is_refused_before_trial_division(monkeypatc
     for raw in ({"p": 100000000000031}, {"p": 2, "f": 10**18},
                 {"p": 5, "caps": {"enumeration": 4}}):
         with pytest.raises(ConfigInvalid, match="caps.enumeration"):
+            validate_config(raw)
+
+
+def test_tower_above_the_enumeration_cap_is_refused():
+    # q + q^2 + ... + q^tower against the cap, equality allowed
+    assert validate_config({"p": 2, "caps": {"tower": 2, "enumeration": 6}})
+    for raw in ({"p": 2, "caps": {"tower": 2, "enumeration": 5}},
+                {"p": 4099, "suites": ["arith"]},
+                {"p": 2, "caps": {"tower": 10**18}}):
+        with pytest.raises(ConfigInvalid, match="tower.*caps.enumeration"):
             validate_config(raw)
 
 
