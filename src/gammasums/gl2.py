@@ -260,7 +260,6 @@ class Gl2Table:
                     acc.add_term(e, m)
                 reduced[terms] = acc.value()
         self.values = {key: reduced[terms] for key, terms in self.terms.items()}
-        self.by_key = {cls.key: cls for cls in self.classes}
 
     def value(self, irrep, class_key):
         return self.values[(irrep, class_key)]

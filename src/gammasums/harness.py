@@ -274,10 +274,11 @@ def validate_config(raw, suites=None) -> dict:
     if not cfg["shape"] or any(not _is_int(n) or n < 1 for n in cfg["shape"]):
         raise ConfigInvalid("shape must be a list of positive integers")
     # a twisted point of w lives at the level of w's order, the lcm of its
-    # cycle lengths; the mirabolic suite needs level 1
+    # cycle lengths, so the twisted suites need the largest Weyl order (read
+    # off the shape only for them); the mirabolic suite needs level 1
     twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
-    order = largest_weyl_order(cfg["shape"])
-    cfg["caps"].setdefault("tower", max(2, order if twisted else max(cfg["shape"])))
+    level = largest_weyl_order(cfg["shape"]) if twisted else max(cfg["shape"])
+    cfg["caps"].setdefault("tower", max(2, level))
     cfg["caps"].setdefault("enumeration", 1 << 24)
     cfg["caps"].setdefault("samples", 60)
     unknown_caps = set(cfg["caps"]) - {"tower", "enumeration", "samples"}
@@ -324,8 +325,8 @@ def validate_config(raw, suites=None) -> dict:
             raise ConfigInvalid(f"{s} suite needs a single-factor shape")
     if "induction" in cfg["suites"] and max(cfg["shape"]) > FLAG_N_MAX:
         raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
-    if twisted and cfg["caps"]["tower"] < order:
-        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {order}")
+    if twisted and cfg["caps"]["tower"] < level:
+        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {level}")
     for s in cfg["suites"]:
         if q > SUITE_Q_CAPS.get(s, q):
             raise ConfigInvalid(f"{s} runs at q <= {SUITE_Q_CAPS[s]}")
@@ -956,8 +957,8 @@ def in_borel(rows):
     return rows[1][0] == 0
 
 
-# A failed sweep carries at most this many failing cosets, and as many route
-# mismatches, as attributes of its VanishingFailed.
+# A failed sweep carries at most this many failing cosets (gl3-top: points),
+# and as many route mismatches, as attributes of its VanishingFailed.
 WITNESS_CAP = 1000
 
 
@@ -1072,11 +1073,11 @@ def vanishing_sweep_gl3_top(run) -> list:
         if stratum_index(x) == 3:
             points.append(x)
             extras += 1
-    bad = []
+    bad = []  # (rows, coset sum, det-fiber sum) of each failing point
     for x in points:
         coset, det_fiber = gamma.coset_vanishing_top(x)
         if not coset.is_zero() or coset != det_fiber:
-            bad.append(x.rows)
+            bad.append((x.rows, serialize_value(coset), serialize_value(det_fiber)))
     checks.append(
         CheckResult(
             "top-stratum-coset-vanishing",
@@ -1088,8 +1089,11 @@ def vanishing_sweep_gl3_top(run) -> list:
         CheckResult("sigma-fiber-gl3-torus", not sigma_fiber_failures(traces))
     )
     if bad:
-        exc = VanishingFailed(f"gl3 coset vanishing failed at {bad[:3]}")
+        exc = VanishingFailed(
+            f"gl3 coset vanishing failed at {[rows for rows, _, _ in bad[:3]]}"
+        )
         exc.checks = checks
+        exc.failures = bad[:WITNESS_CAP]
         raise exc
     return checks
 

@@ -5,7 +5,9 @@ representation together with the block structure of repeated weights and the
 Weyl group of the ambient product of general linear groups.  The trace
 operations all reduce to exact character sums:
 
-  * hyper_trace       signed psi-sum over the fiber of the monomial map
+  * hyper_trace       signed psi-sum over the fiber of the monomial map: the
+                      identity twist's bucket of the point at level 1, from
+                      the same walk as the twisted sums
   * twisted sums      fixed points of (slot permutation) o Frobenius on the
                       covering coordinates, with the Weyl descent
                       normalization sign_r(xi) * sign_W(w) on top of the raw
@@ -468,42 +470,24 @@ class TorusTraces:
         self._quotients = None
         self._reference = {}
         self._mellin_unit = None
-        lv = tower.level(1)
-        # completion lookup for the last slot of the rational fiber
-        last = ws.slots[-1]
-        table = {}
-        for u in lv.units():
-            key = tuple(lv.power(u, c) if c else 1 for c in last)
-            table.setdefault(key, []).append(u)
-        self._last_slot_table = table
 
     # -- rational points ------------------------------------------------
 
     def hyper_trace(self, t) -> CycNum:
-        """Signed psi-sum over the fiber of the monomial map above t in T(F_q)."""
+        """Signed psi-sum over the fiber of the monomial map above t in T(F_q).
+
+        The fiber is the bucket of t in the walk of the identity twist's fixed
+        points at level 1 (_fixed_point_buckets), so one walk serves every t.
+        """
         t = tuple(t)
         if t in self._hyper:
             return self._hyper[t]
-        tower, ws = self.tower, self.ws
-        lv = tower.level(1)
         if any(v == 0 for v in t):
             raise ValueError("torus points have unit coordinates")
-        d, r = ws.d, ws.r
-        counts = {}
-        lead_slots = ws.slots[:-1]
-        for xs in itertools.product(lv.units(), repeat=r - 1):
-            coords = list(t)
-            s = 0
-            for x, vec in zip(xs, lead_slots):
-                s = lv.add(s, x)
-                for j in range(d):
-                    c = vec[j]
-                    if c:
-                        coords[j] = lv.mul(coords[j], lv.power(x, -c))
-            for x_last in self._last_slot_table.get(tuple(coords), ()):
-                sv = lv.add(s, x_last)
-                counts[sv] = counts.get(sv, 0) + 1
-        total = psi_sum(tower, counts, r)
+        tower, r = self.tower, self.ws.r
+        buckets = self._fixed_point_buckets(perm_identity(r), 1)
+        dlog = tower.level(1).dlog
+        total = psi_sum(tower, buckets.get(tuple(dlog[v] for v in t), {}), r)
         self._hyper[t] = total
         return total
 
@@ -640,25 +624,25 @@ class TorusTraces:
             out.append(MultCharacter(tower, ell, e_total))
         return out
 
+    def _gauss_product(self, prod, w, theta: TorusCharacter) -> CycNum:
+        """prod times the Gauss sums of the conjugate orbit characters."""
+        for chi in self.mellin_orbit_characters(w, theta):
+            prod = prod * gauss_sum(chi.conj())
+        return prod
+
     def mellin_reference(self, w, theta: TorusCharacter) -> CycNum:
         """Product of Gauss sums along lift cycles, times the frozen unit."""
         key = (tuple(w), theta)
         if key not in self._reference:
-            prod = self.mellin_unit()
-            for chi in self.mellin_orbit_characters(w, theta):
-                prod = prod * gauss_sum(chi.conj())
-            self._reference[key] = prod
+            self._reference[key] = self._gauss_product(self.mellin_unit(), w, theta)
         return self._reference[key]
 
     def mellin_unit(self) -> CycNum:
         """Unit calibrated once from the identity twist and trivial character."""
         if self._mellin_unit is None:
-            d = self.ws.d
-            w = perm_identity(d)
+            w = perm_identity(self.ws.d)
             theta = trivial_character(self.tower, w)
-            raw = self.tower.ring.one
-            for chi in self.mellin_orbit_characters(w, theta):
-                raw = raw * gauss_sum(chi.conj())
+            raw = self._gauss_product(self.tower.ring.one, w, theta)
             self._mellin_unit = self.mellin_gamma(w, theta) / raw
         return self._mellin_unit
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from gammasums import gl2, harness
 from gammasums.cli import main
-from gammasums.errors import ConfigInvalid
+from gammasums.errors import ConfigInvalid, VanishingFailed
 from gammasums.fields import build_tower
 from gammasums.harness import (
     SUITE_NAMES,
@@ -16,8 +17,9 @@ from gammasums.harness import (
     run_suite,
     validate_config,
 )
-from gammasums.induction import factor_monic
+from gammasums.induction import GammaTrace, factor_monic
 from gammasums.matrices import char_coeffs_to_poly
+from gammasums.mirabolic import companion_matrix, group_point, stratum_index
 
 
 BASE_CFG = {
@@ -181,6 +183,56 @@ def test_tower_above_the_enumeration_cap_is_refused():
                 {"p": 2, "caps": {"tower": 10**18}}):
         with pytest.raises(ConfigInvalid, match="tower.*caps.enumeration"):
             validate_config(raw)
+
+
+def test_non_twisted_configs_skip_the_largest_weyl_order(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("largest_weyl_order ran for a non-twisted config")
+
+    monkeypatch.setattr(harness, "largest_weyl_order", refuse)
+    # at [200], largest_weyl_order takes tens of seconds, for a value unused here
+    assert validate_config({"shape": [200], "caps": {"tower": 1}})["caps"]["tower"] == 1
+    for suites in (["arith"], ["mirabolic"], ["gl2-main", "oracle"]):
+        assert validate_config(dict(BASE_CFG, suites=suites))["caps"]["tower"] == 2
+    assert validate_config({"p": 2, "shape": [5]})["caps"]["tower"] == 5
+    for suite in ("torus", "induction", "gl3-top"):
+        with pytest.raises(AssertionError, match="non-twisted"):
+            validate_config({"p": 2, "shape": [3], "suites": [suite]})
+
+
+def test_gl3_top_failure_carries_every_failing_point():
+    """The untwisted descent breaks the q = 2 std sweep; the exception carries
+    each failing point with both sums, as a per-point loop finds them."""
+    run = harness.Run(validate_config({"p": 2, "shape": [3], "suites": ["gl3-top"]}))
+    run.__dict__["gamma"] = GammaTrace(run.traces, weyl_sign=False)
+    tower = run.tower
+    lv = tower.level(1)
+    # the sweep's points: every companion matrix, then 100 random top-stratum
+    # points drawn from the seed
+    points = [
+        group_point(tower, companion_matrix(lv, tuple(lead) + (const,), 3))
+        for lead in itertools.product(lv.elements(), repeat=2)
+        for const in lv.units()
+    ]
+    rng = random.Random(run.cfg["seed"])
+    random_points = []
+    while len(random_points) < 100:
+        x = harness._random_group_point(tower, 3, rng)
+        if stratum_index(x) == 3:
+            random_points.append(x)
+    want = []
+    for x in points + random_points:
+        coset, det_fiber = run.gamma.coset_vanishing_top(x)
+        if not coset.is_zero() or coset != det_fiber:
+            want.append(
+                (x.rows, harness.serialize_value(coset), harness.serialize_value(det_fiber))
+            )
+    with pytest.raises(VanishingFailed) as caught:
+        harness.vanishing_sweep_gl3_top(run)
+    exc = caught.value
+    assert want and exc.failures == want[: harness.WITNESS_CAP]
+    assert str(exc) == f"gl3 coset vanishing failed at {[w[0] for w in want[:3]]}"
+    assert [c.passed for c in exc.checks] == [False, True]
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,6 +20,7 @@ from gammasums.torus import (
     largest_weyl_order,
     perm_compose,
     perm_cycles,
+    perm_identity,
     perm_sign,
     rational_character,
     torus_characters,
@@ -338,7 +339,7 @@ def test_twisted_local_sum_is_the_per_point_loop(request, tower_name, shape, rep
     ws = validate_weight_system(shape, rep)
     traces = TorusTraces(tower, ws)
     sig = ws.sigma_block_elements()
-    empty = shallow = 0
+    empty = shallow = hyper = 0
     for w in ws.weyl():
         xi0 = weyl_lift(ws, w)[0]
         for xi in {xi0, *(perm_compose(xi0, tau) for tau in sig)}:
@@ -353,10 +354,39 @@ def test_twisted_local_sum_is_the_per_point_loop(request, tower_name, shape, rep
                 empty += not counts
                 want = psi_sum(tower, counts, ws.r)
                 assert traces.twisted_local_sum(xi, pt) == want, (xi, pt)
+                if xi == xi0 and w == perm_identity(ws.d):
+                    t = expand_twisted_point(tower, pt, 1)
+                    assert traces.hyper_trace(t) == want, t
+                    hyper += 1
+    assert hyper == (tower.q - 1) ** ws.d
     if rep == [[(1, 0), 2], [(0, 1), 2]]:
         assert shallow
     if rep == [[(2,), 2]]:
         assert empty
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_hyper_and_identity_twist_share_one_walk(monkeypatch, tower_f5, rep):
+    """hyper_trace at every split-torus point, then the stalk trace at every
+    identity-twist point: the fixed points of the identity are walked once."""
+    walks = []
+    real = TorusTraces._fixed_point_buckets
+
+    def counted(self, xi, work):
+        if (xi, work) not in self._buckets:
+            walks.append((xi, work))
+        return real(self, xi, work)
+
+    monkeypatch.setattr(TorusTraces, "_fixed_point_buckets", counted)
+    ws = validate_weight_system([2], rep)
+    traces = TorusTraces(tower_f5, ws)
+    one_walk = [(perm_identity(ws.r), 1)]
+    for t in itertools.product(tower_f5.level(1).units(), repeat=2):
+        traces.hyper_trace(t)
+    assert walks == one_walk
+    for pt in enumerate_twisted_points(tower_f5, perm_identity(2)):
+        traces.twisted_stalk_trace(pt)
+    assert walks == one_walk
 
 
 def test_kummer_reaches_not_constant(tower_f3):
