@@ -42,7 +42,6 @@ from .mirabolic import (
     GroupPoint,
     StratumData,
     bernstein_coords,
-    companion_normalize,
     coset_charpoly,
     group_point,
     orbit_census,

@@ -273,12 +273,6 @@ def validate_config(raw, suites=None) -> dict:
             raise ConfigInvalid(f"unknown suite {s!r}")
     if not cfg["shape"] or any(not _is_int(n) or n < 1 for n in cfg["shape"]):
         raise ConfigInvalid("shape must be a list of positive integers")
-    # a twisted point of w lives at the level of w's order, the lcm of its
-    # cycle lengths, so the twisted suites need the largest Weyl order (read
-    # off the shape only for them); the mirabolic suite needs level 1
-    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
-    level = largest_weyl_order(cfg["shape"]) if twisted else max(cfg["shape"])
-    cfg["caps"].setdefault("tower", max(2, level))
     cfg["caps"].setdefault("enumeration", 1 << 24)
     cfg["caps"].setdefault("samples", 60)
     unknown_caps = set(cfg["caps"]) - {"tower", "enumeration", "samples"}
@@ -296,6 +290,24 @@ def validate_config(raw, suites=None) -> dict:
             raise ConfigInvalid(
                 f"q = p^f is above caps.enumeration = {cfg['caps']['enumeration']}"
             )
+    # a twisted point of w lives at the level of w's order, the lcm of its
+    # cycle lengths, so the twisted suites need the largest Weyl order (read
+    # off the shape only for them); the mirabolic suite needs level 1.  That
+    # order is at least n = max(shape), so level n, with q^n elements, is
+    # held to the cap first: the order's search grows with the shape
+    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
+    if twisted:
+        size = 1
+        for _ in range(max(cfg["shape"])):
+            size *= q
+            if size > cfg["caps"]["enumeration"]:
+                raise ConfigInvalid(
+                    f"{twisted[0]} needs tower level n = {max(cfg['shape'])}, whose "
+                    f"q^n elements are above caps.enumeration = "
+                    f"{cfg['caps']['enumeration']}"
+                )
+    level = largest_weyl_order(cfg["shape"]) if twisted else max(cfg["shape"])
+    cfg["caps"].setdefault("tower", max(2, level))
     # the tower holds q + q^2 + ... + q^tower elements; each term at least
     # doubles, so the sum passes the cap within log2(cap) + 1 terms
     total, term = 0, 1
@@ -710,7 +722,9 @@ def coset_failures(x, y, m):
         neg_v = tuple(map(lv.neg, v))
         b = coset_charpoly(lv, a, v)
         block = charpoly(lv, left_translate(lv, x_f, neg_v[: m - 1]))
-        whole = char_coeffs_to_poly(charpoly(lv, left_translate(lv, y.rows, neg_v)))
+        # at m = n, x_F is all of y and the two translates are one matrix
+        whole = block if m == y.n else charpoly(lv, left_translate(lv, y.rows, neg_v))
+        whole = char_coeffs_to_poly(whole)
         if b != block or whole != pol_mul(lv, char_coeffs_to_poly(b), c_e):
             formula.append(v)
     return formula, [pt.rows for pt in (y, x) if coset_rank(pt) != m - 1]

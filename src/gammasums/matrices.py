@@ -1,20 +1,24 @@
 """Dense linear algebra over a tower level, Q or Q(zeta_N).
 
-Matrices are tuples of row tuples of field elements.  Gaussian elimination
-lives in row_reduce, with reduce_against for spans built one vector at a
-time; polynomial products and divisions live in pol_mul and pol_divmod.  These
-kernels take any field with add, sub, mul and inv: a tower level (encoded
-elements), prime_field(p) (residues mod p, for building a tower's levels) or
-EXACT (int, Fraction and CycNum values, for cyclotomic polynomials and
-inverses in Q(zeta_N)).  The matrix helpers mat_mul, mat_vec and charpoly work
-over a tower level, and all_matrices enumerates every n x k matrix over one,
-for the exhaustive sweeps.
+Matrices are tuples of row tuples of field elements.  Two kinds of kernel:
 
-charpoly runs Berkowitz's division-free recursion on the leading blocks, with
-mat_vec and pol_mul for its products, in O(n^4) field operations.
-Characteristic polynomials are returned as the coefficient vector
-(a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
-companion-matrix convention used throughout the mirabolic module.
+- Field-generic: row_reduce (Gaussian elimination), pol_mul and pol_divmod
+  take any field with add, sub, mul and inv: a tower level (encoded
+  elements), prime_field(p) (residues mod p, for building a tower's levels)
+  or EXACT (int, Fraction and CycNum values, for cyclotomic polynomials and
+  inverses in Q(zeta_N)).  mat_inv and mat_rank go through row_reduce.
+- Level-only and table-driven: mat_vec, mat_mul, charpoly and
+  reduce_against (spans built one vector at a time) run over a tower Level
+  alone.  They read its dlog, exp and Zech tables inline, with no Level
+  method call per entry: mat_vec keeps each partial sum as a discrete log,
+  and mat_mul and charpoly do their products through mat_vec.
+
+all_matrices enumerates every n x k matrix over a level, for the exhaustive
+sweeps.  charpoly runs Berkowitz's division-free recursion on the leading
+blocks in O(n^4) field operations.  Characteristic polynomials are returned
+as the coefficient vector (a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n,
+matching the companion-matrix convention used throughout the mirabolic
+module.
 """
 
 from __future__ import annotations
@@ -36,33 +40,36 @@ def mat_identity(n):
 
 
 def mat_mul(level, a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    add, mul = level.add, level.mul
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                if ai[t] and b[t][j]:
-                    acc = add(acc, mul(ai[t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """a b over level, one mat_vec per row of a."""
+    cols = tuple(zip(*b))
+    return tuple(mat_vec(level, cols, row) for row in a)
 
 
 def mat_vec(level, a, v):
-    add, mul = level.add, level.mul
+    """a v over level, summed in discrete logs; only the first len(v)
+    entries of each row of a are read.
+
+    A term c x has log dlog[c] + dlog[x], below twice the group order; the
+    partial sum's log s is kept reduced, and x^s + x^t = x^(s + Z(t - s)) with
+    Z the level's Zech logarithm (-1 where the sum is 0).
+    """
+    dlog, zech, exp, order = level.dlog, level.zech, level.exp, level.size - 1
+    terms = [(j, dlog[x]) for j, x in enumerate(v) if x]
     out = []
     for row in a:
-        acc = 0
-        for c, x in zip(row, v):
-            if c and x:
-                acc = add(acc, mul(c, x))
-        out.append(acc)
+        s = -1  # log of the partial sum; -1 while it is 0
+        for j, t in terms:
+            c = row[j]
+            if c:
+                t += dlog[c]
+                if s >= 0:
+                    z = zech[t - s]
+                    if z < 0:
+                        s = -1
+                        continue
+                    t = s + z
+                s = t if t < order else t - order
+        out.append(exp[s] if s >= 0 else 0)
     return tuple(out)
 
 
@@ -99,24 +106,42 @@ def row_reduce(field, rows, ncols):
     return rows, pivots
 
 
-def reduce_against(field, basis, v):
+def reduce_against(level, basis, v):
     """Extend an echelon basis by v; False, leaving it as is, if v is in its span.
 
     Each row of basis has a 1 at its pivot, its first nonzero entry, and a 0
     at the pivots of the rows before it, as the pivot rows of row_reduce do.
     A v outside the span is reduced against the rows and appended, scaled to
     a 1 at its pivot, so a span built one vector at a time keeps that form.
+    The subtractions v - f row run on level's log tables, as in mat_vec.
     """
-    sub, mul = field.sub, field.mul
+    dlog, zech, exp2, order = level.dlog, level.zech, level.exp2, level.size - 1
+    log_neg_one = level.log_neg_one
     for row in basis:
         f = v[row.index(1)]
         if f:
-            v = [sub(a, mul(f, b)) if b else a for a, b in zip(v, row)]
-    lead = next((c for c in v if c), None)
-    if lead is None:
+            g = dlog[f] + log_neg_one  # a log of -f, reduced below
+            if g >= order:
+                g -= order
+            out = []
+            for a, b in zip(v, row):
+                if b:
+                    t = g + dlog[b]
+                    if a:
+                        i = dlog[a]
+                        z = zech[t - i]
+                        a = exp2[i + z] if z >= 0 else 0
+                    else:
+                        a = exp2[t]
+                out.append(a)
+            v = out
+    for lead in v:
+        if lead:
+            break
+    else:
         return False
-    lead = field.inv(lead)
-    basis.append([mul(lead, c) if c else c for c in v])
+    inv = -dlog[lead] % order  # the log of 1 / lead
+    basis.append([exp2[dlog[c] + inv] if c else 0 for c in v])
     return True
 
 
@@ -160,19 +185,26 @@ def charpoly(level, a):
     leading k x k block.  The characteristic vector of the larger block,
     leading 1 included, is T times that of A, where T is the (k+2) x (k+1)
     lower-triangular Toeplitz matrix with first column
-    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).  That product is the
-    convolution of the column with the vector, cut to its first k+2 terms.
+    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).  That product is one
+    mat_vec, on rows of T sliced from the reversed column.
     """
+    dlog, exp2, log_neg_one = level.dlog, level.exp2, level.log_neg_one
     poly = (1,)
     for k, row in enumerate(a):
-        block = tuple(r[:k] for r in a[:k])
-        krylov = [tuple(r[k] for r in a[:k])] if k else []
+        # the block's rows run past column k, but mat_vec reads only the
+        # first len(v) = k entries of each
+        block = a[:k]
+        krylov = [tuple(r[k] for r in block)] if k else []
         while len(krylov) < k:
             krylov.append(mat_vec(level, block, krylov[-1]))
-        col = (1, level.neg(row[k])) + tuple(
-            level.neg(c) for c in mat_vec(level, krylov, row[:k])
+        col = (1,) + tuple(
+            exp2[dlog[c] + log_neg_one] if c else 0
+            for c in (row[k],) + mat_vec(level, krylov, row[:k])
         )
-        poly = pol_mul(level, col, poly)[:k + 2]
+        # row j of T is (col_j, col_(j-1), ..., col_(j-k)), zero past col_0
+        rev = col[::-1] + (0,) * k
+        toeplitz = [rev[k + 1 - j:2 * k + 2 - j] for j in range(k + 2)]
+        poly = mat_vec(level, toeplitz, poly)
     return poly[1:]
 
 

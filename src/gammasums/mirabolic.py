@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotCyclic, NotNormalized, SolverSingular
+from .errors import CapExceeded, NotNormalized, SolverSingular
 from .matrices import (
     all_matrices,
     char_coeffs_to_poly,
@@ -76,8 +76,10 @@ def krylov(level, rows, basis):
     n = len(rows)
     out = []
     v = (1,) + (0,) * (n - 1)
-    while len(out) < n and reduce_against(level, basis, v):
+    while reduce_against(level, basis, v):
         out.append(v)
+        if len(out) == n:
+            break
         v = mat_vec(level, rows, v)
     return out
 
@@ -101,23 +103,6 @@ def is_companion(level, block):
             if block[i][j] != want:
                 return False
     return True
-
-
-def companion_normalize(level, x_f):
-    """Unique g with g e_1 = e_1 and g^(-1) x_f g in companion form.
-
-    The columns of g are the cyclic basis e_1, x_f e_1, ...; raises NotCyclic
-    when e_1 is not cyclic for x_f.
-    """
-    cols = krylov(level, x_f, [])
-    if len(cols) < len(x_f):
-        raise NotCyclic("e_1 is not a cyclic vector for the block")
-    g = tuple(zip(*cols))
-    comp = mat_mul(level, mat_inv(level, g), mat_mul(level, x_f, g))
-    a = charpoly(level, x_f)
-    if comp != companion_matrix(level, a):
-        raise ArithmeticError("cyclic-basis conjugation is not companion")
-    return g, a
 
 
 def normalize_stratum(x: GroupPoint):

@@ -106,6 +106,7 @@ def test_validate_config_rejections():
         {"p": 100000000000031},
         {"p": 2, "f": 10**18},
         {"p": 4099, "suites": ["arith"]},
+        {"shape": [200], "suites": ["torus"]},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -198,6 +199,23 @@ def test_non_twisted_configs_skip_the_largest_weyl_order(monkeypatch):
     for suite in ("torus", "induction", "gl3-top"):
         with pytest.raises(AssertionError, match="non-twisted"):
             validate_config({"p": 2, "shape": [3], "suites": [suite]})
+
+
+def test_twisted_level_above_the_enumeration_cap_is_refused_first(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("largest_weyl_order ran before the level bound")
+
+    monkeypatch.setattr(harness, "largest_weyl_order", refuse)
+    for suite in ("torus", "induction", "gl3-top"):
+        with pytest.raises(ConfigInvalid, match=f"{suite} needs tower level n = 200"):
+            validate_config({"shape": [200], "suites": [suite]})
+    # q^n against the cap, equality allowed
+    with pytest.raises(ConfigInvalid, match="caps.enumeration = 7"):
+        validate_config({"p": 2, "shape": [3], "suites": ["torus"],
+                         "caps": {"enumeration": 7}})
+    with pytest.raises(AssertionError, match="level bound"):
+        validate_config({"p": 2, "shape": [3], "suites": ["torus"],
+                         "caps": {"enumeration": 8}})
 
 
 def test_gl3_top_failure_carries_every_failing_point():

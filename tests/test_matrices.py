@@ -19,6 +19,8 @@ from gammasums.matrices import (
     mat_inv,
     mat_mul,
     mat_rank,
+    mat_vec,
+    reduce_against,
     row_reduce,
 )
 
@@ -119,6 +121,116 @@ LEVELS = {
 }
 
 
+# F_4, F_8, F_9 and F_25 as level 1, and F_16 as level 2 of the tower over F_4
+EXTENSION_LEVELS = [
+    build_tower(2, 2, 1).level(1),
+    build_tower(2, 3, 1).level(1),
+    build_tower(3, 2, 1).level(1),
+    build_tower(5, 2, 1).level(1),
+    build_tower(2, 2, 2).level(2),
+]
+
+
+def _entries(lv):
+    """Field elements, often 0, 1, -1 or the units of the two largest logs:
+    their products index the last entries of the doubled exp and Zech tables."""
+    corners = [0, 1, lv.p - 1, lv.exp[-1], lv.exp[-2 % len(lv.exp)]]
+    return st.sampled_from(corners) | st.integers(0, lv.size - 1)
+
+
+def _rows(data, lv, n, k):
+    entry = _entries(lv)
+    return tuple(
+        tuple(data.draw(st.lists(entry, min_size=k, max_size=k))) for _ in range(n)
+    )
+
+
+# The kernels as they were written before they read the log tables, one
+# Level.add / Level.mul call per entry.
+def ref_mat_vec(lv, a, v):
+    out = []
+    for row in a:
+        acc = 0
+        for c, x in zip(row, v):
+            acc = lv.add(acc, lv.mul(c, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_mat_mul(lv, a, b):
+    return tuple(ref_mat_vec(lv, tuple(zip(*b)), row) for row in a)
+
+
+def ref_reduce_against(lv, basis, v):
+    for row in basis:
+        f = v[row.index(1)]
+        v = [lv.sub(a, lv.mul(f, b)) for a, b in zip(v, row)]
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        return False
+    lead = lv.inv(lead)
+    basis.append([lv.mul(lead, c) for c in v])
+    return True
+
+
+def _gf(rows, p, shape):
+    field = sympy.GF(p)
+    return DomainMatrix([[field(c) for c in row] for row in rows], shape, field)
+
+
+def _residues(dm, p):
+    return tuple(tuple(int(c) % p for c in row) for row in dm.to_list())
+
+
+def _assert_echelon(basis):
+    pivots = []
+    for row in basis:
+        pivot = next(j for j, c in enumerate(row) if c)
+        assert row[pivot] == 1 and all(row[j] == 0 for j in pivots)
+        pivots.append(pivot)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_kernels_match_sympy_over_prime_fields(data, p):
+    lv = LEVELS[p, 1]
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = _rows(data, lv, n, k), _rows(data, lv, k, m)
+    v = _rows(data, lv, 1, k)
+    assert mat_mul(lv, a, b) == _residues(_gf(a, p, (n, k)) * _gf(b, p, (k, m)), p)
+    column = _residues(_gf(a, p, (n, k)) * _gf(v, p, (1, k)).transpose(), p)
+    assert mat_vec(lv, a, v[0]) == tuple(c for (c,) in column)
+    # span membership: a vector extends the basis exactly when it raises the
+    # rank of the vectors taken so far; the basis spans what they span
+    basis, taken = [], []
+    for w in _rows(data, lv, data.draw(st.integers(1, 6)), k):
+        rank = len(taken) and _gf(taken, p, (len(taken), k)).rank()
+        grew = _gf(taken + [w], p, (len(taken) + 1, k)).rank() > rank
+        assert reduce_against(lv, basis, w) == grew
+        if grew:
+            taken.append(w)
+    _assert_echelon(basis)
+    if taken:
+        assert _residues(_gf(basis, p, (len(basis), k)).rref()[0], p) == _residues(
+            _gf(taken, p, (len(taken), k)).rref()[0], p
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), lv=st.sampled_from(EXTENSION_LEVELS))
+def test_kernels_match_the_level_op_reference(data, lv):
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b = _rows(data, lv, n, k), _rows(data, lv, k, m)
+    (v,) = _rows(data, lv, 1, k)
+    assert mat_vec(lv, a, v) == ref_mat_vec(lv, a, v)
+    assert mat_mul(lv, a, b) == ref_mat_mul(lv, a, b)
+    basis, ref_basis = [], []
+    for w in _rows(data, lv, data.draw(st.integers(1, 6)), k):
+        assert reduce_against(lv, basis, w) == ref_reduce_against(lv, ref_basis, w)
+        assert basis == ref_basis
+    _assert_echelon(basis)
+
+
 def _matrix(data, size):
     n = data.draw(st.integers(0, 5))
     entry = st.integers(0, size - 1)
@@ -151,11 +263,11 @@ def _det(lv, rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), pf=st.sampled_from([(2, 2), (3, 2)]))
-def test_charpoly_evaluates_to_det_over_extension_fields(data, pf):
-    # F_4 and F_9: c(t) = det(tI - x) at every t of the field
-    lv = LEVELS[pf]
-    rows = _matrix(data, lv.size)
+@given(data=st.data(), lv=st.sampled_from(EXTENSION_LEVELS))
+def test_charpoly_evaluates_to_det_over_extension_fields(data, lv):
+    # c(t) = det(tI - x) at every t of the field
+    n = data.draw(st.integers(0, 5))
+    rows = _rows(data, lv, n, n)
     coeffs = charpoly(lv, rows)
     for t in lv.elements():
         value = 1

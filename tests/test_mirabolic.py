@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gammasums import harness
+from gammasums import harness, mirabolic
+from gammasums.harness import run_suite
 from gammasums.errors import CapExceeded, NotCyclic, NotNormalized
 from gammasums.fields import build_tower
 from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul
@@ -11,9 +12,9 @@ from gammasums.mirabolic import (
     bernstein_coords,
     census_prediction,
     companion_matrix,
-    companion_normalize,
     coset_charpoly,
     group_point,
+    krylov,
     left_translate,
     lemma_translation_map,
     normalize_stratum,
@@ -40,6 +41,23 @@ def u_q_matrix(n, v):
     for j, c in enumerate(v):
         rows[0][j + 1] = c
     return tuple(tuple(r) for r in rows)
+
+
+def companion_normalize(level, x_f):
+    """Unique g with g e_1 = e_1 and g^(-1) x_f g in companion form.
+
+    The columns of g are the cyclic basis e_1, x_f e_1, ...; raises NotCyclic
+    when e_1 is not cyclic for x_f.
+    """
+    cols = krylov(level, x_f, [])
+    if len(cols) < len(x_f):
+        raise NotCyclic("e_1 is not a cyclic vector for the block")
+    g = tuple(zip(*cols))
+    comp = mat_mul(level, mat_inv(level, g), mat_mul(level, x_f, g))
+    a = charpoly(level, x_f)
+    if comp != companion_matrix(level, a):
+        raise ArithmeticError("cyclic-basis conjugation is not companion")
+    return g, a
 
 
 def random_point(tower, n, rng):
@@ -157,6 +175,61 @@ def test_coset_charpoly_shift_formula(t3):
         x = random_point(t3, 3, rng)
         h, y, m = normalize_stratum(x)
         assert harness.coset_failures(x, y, m) == ([], [])
+
+
+def test_krylov_makes_one_product_per_vector_after_the_first(t3, monkeypatch):
+    # at stratum m < n the m-th product is read (it is in the span); at m = n
+    # the loop stops before the product it would never read
+    calls = []
+    real = mirabolic.mat_vec
+
+    def counted(level, a, v):
+        calls.append(v)
+        return real(level, a, v)
+
+    monkeypatch.setattr(mirabolic, "mat_vec", counted)
+    lv = t3.level(1)
+    for rows, m in (
+        (companion_matrix(lv, (1, 2, 1)), 3),
+        (((1, 0, 0), (1, 2, 0), (0, 0, 1)), 2),
+        (mat_identity(3), 1),
+    ):
+        calls.clear()
+        assert len(krylov(lv, rows, [])) == m
+        assert len(calls) == min(m, 2)
+
+
+def _mirabolic_check(name):
+    # left-translation-stability sweeps all of GL(3, F_2)
+    (report,) = run_suite({"p": 2, "shape": [3], "suites": ["mirabolic"], "seed": 1})
+    (check,) = [c for c in report.checks if c.name == name]
+    return check.passed
+
+
+def test_left_translation_stability_breaks_under_a_wrong_krylov(monkeypatch):
+    # the translates' Krylov runs see x with row 1 += row 0, the points' own
+    # strata do not
+    real = harness.krylov
+
+    def skewed(level, rows, basis):
+        row1 = tuple(map(level.add, rows[1], rows[0]))
+        return real(level, (rows[0], row1) + tuple(rows[2:]), basis)
+
+    assert _mirabolic_check("left-translation-stability")
+    monkeypatch.setattr(harness, "krylov", skewed)
+    assert not _mirabolic_check("left-translation-stability")
+
+
+def test_coset_charpoly_formula_breaks_under_a_wrong_formula(monkeypatch):
+    real = harness.coset_charpoly
+
+    def shifted(level, a, v):
+        b = real(level, a, v)
+        return (level.add(b[0], 1),) + b[1:]
+
+    assert _mirabolic_check("coset-charpoly-formula")
+    monkeypatch.setattr(harness, "coset_charpoly", shifted)
+    assert not _mirabolic_check("coset-charpoly-formula")
 
 
 def test_coset_charpoly_m2_formula(t3):
