@@ -57,6 +57,7 @@ from .matrices import (
 )
 from .mirabolic import (
     bernstein_coords,
+    census_in_reach,
     census_prediction,
     companion_matrix,
     coset_charpoly,
@@ -653,7 +654,7 @@ def suite_torus(run) -> list:
         aux_tr = TorusTraces(tower, aux_ws)
         sig = aux_ws.sigma_block_elements()
         for w in aux_ws.weyl():
-            xi0, _, _, _ = weyl_lift(aux_ws, w)
+            xi0 = weyl_lift(aux_ws, w)[0]
             lifts = [perm_compose(xi0, tau) for tau in sig]
             pts = list(enumerate_twisted_points(tower, w))
             rng.shuffle(pts)
@@ -749,19 +750,16 @@ def translation_map_failures(tower):
 
 
 def orbit_census_failures(tower, n):
-    """Charpolys of GL(n) whose orbit census differs from the recursion."""
-    lv = tower.level(1)
-    bad = []
-    for lead in itertools.product(lv.elements(), repeat=n - 1):
-        for const in lv.units():
-            a = tuple(lead) + (const,)
-            cen = orbit_census(tower, n, a)
-            pred = census_prediction(tower, n, a)
-            if cen["count"] != pred["count"] or {
-                k: len(v) for k, v in cen["by_stratum"].items()
-            } != pred["by_stratum"]:
-                bad.append(a)
-    return bad
+    """Characteristic vectors of GL(n) whose orbit census differs from the
+    recursion."""
+    census = orbit_census(tower, n)
+    prediction = census_prediction(tower, n)
+    return [
+        a
+        for a in sorted(census.keys() | prediction.keys())
+        if {m: len(sizes) for m, sizes in census.get(a, {}).items()}
+        != prediction.get(a)
+    ]
 
 
 def suite_mirabolic(run) -> list:
@@ -826,7 +824,7 @@ def suite_mirabolic(run) -> list:
         )
     )
     # census vs recursion
-    ran = (n <= 3 and q <= 3) or (n == 2 and q <= 7)
+    ran = census_in_reach(n, q)
     checks.append(
         CheckResult(
             "orbit-census-recursion",

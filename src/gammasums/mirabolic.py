@@ -13,6 +13,11 @@ structure from the bottom row upward.
 The one coset map is left_translate, the rows of u x for u in U_Q; on a
 normalized stratum-m point the characteristic polynomials of the translates
 follow a closed formula in (a, v) alone, coset_charpoly.
+
+An orbit census is one pass per n: orbit_census takes one charpoly of each
+n x n matrix and splits every fiber into Q_1-orbits, and census_prediction
+counts every fiber's chart orbits from the factor pairs (a_t, c'), with
+GL(k) and its fibers built once per k.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .matrices import (
     mat_mul,
     mat_rank,
     mat_vec,
-    pol_divmod,
+    pol_mul,
     poly_to_char_coeffs,
     reduce_against,
     row_reduce,
@@ -290,6 +295,12 @@ def coset_rank(x: GroupPoint) -> int:
 # -- orbit census -------------------------------------------------------------
 
 
+def census_in_reach(n, q):
+    """Whether the census enumerates GL(n, F_q) at desk scale: n <= 3 with
+    q <= 3, or n = 2 with q <= 7."""
+    return (n <= 3 and q <= 3) or (n == 2 and q <= 7)
+
+
 def q1_elements(tower, n):
     """All elements of the stabilizer of e_1 in GL(n, F_q)."""
     lv = tower.level(1)
@@ -304,108 +315,60 @@ def q1_elements(tower, n):
     return out
 
 
-def matrices_with_charpoly(tower, n, a):
-    """Every invertible matrix over F_q with characteristic vector a."""
-    lv = tower.level(1)
-    a = tuple(a)
-    return [rows for rows in all_matrices(lv, n, n) if charpoly(lv, rows) == a]
+def orbit_census(tower, n):
+    """Partition of every charpoly fiber of GL(n, F_q) into Q_1-conjugation
+    orbits, from one pass over the n x n matrices.
 
-
-def orbit_census(tower, n, a):
-    """Partition of the charpoly fiber into conjugation orbits of Q_1.
-
-    Returns a dict with orbit sizes grouped by stratum.  Enumeration caps
-    follow the desk-scale contract: n <= 3 with q <= 3, or n = 2 with q <= 7.
+    Returns {a: {stratum: sorted orbit sizes}} for every characteristic
+    vector a with unit constant term.
     """
     q = tower.q
-    if not ((n <= 3 and q <= 3) or (n == 2 and q <= 7)):
+    if not census_in_reach(n, q):
         raise CapExceeded(f"census enumeration not supported for n={n}, q={q}")
-    if a[-1] == 0:
-        raise ValueError("characteristic vector must have unit constant term")
     lv = tower.level(1)
-    pool = set(matrices_with_charpoly(tower, n, a))
+    fibers = {}
+    for rows in all_matrices(lv, n, n):
+        a = charpoly(lv, rows)
+        if a[-1]:
+            fibers.setdefault(a, set()).add(rows)
     group = q1_elements(tower, n)
-    orbits = []
-    while pool:
-        seed = min(pool)
-        orbit = set()
-        for g, ginv in group:
-            orbit.add(mat_mul(lv, g, mat_mul(lv, seed, ginv)))
-        pool -= orbit
-        m = stratum_index(group_point(tower, seed))
-        orbits.append({"stratum": m, "size": len(orbit)})
-    orbits.sort(key=lambda o: (o["stratum"], o["size"]))
-    by_stratum = {}
-    for o in orbits:
-        by_stratum.setdefault(o["stratum"], []).append(o["size"])
-    return {"orbits": orbits, "by_stratum": by_stratum, "count": len(orbits)}
+    census = {}
+    for a, pool in fibers.items():
+        orbits = []
+        while pool:
+            seed = min(pool)
+            orbit = {mat_mul(lv, g, mat_mul(lv, seed, ginv)) for g, ginv in group}
+            pool -= orbit
+            orbits.append((len(krylov(lv, seed, [])), len(orbit)))
+        by_stratum = census[a] = {}
+        for m, size in sorted(orbits):
+            by_stratum.setdefault(m, []).append(size)
+    return census
 
 
-def monic_divisors(tower, a, m):
-    """Monic degree-m divisors with unit constant term of the a-polynomial."""
-    lv = tower.level(1)
-    poly = char_coeffs_to_poly(a)
-    n = len(a)
-    out = []
-    units = [u for u in lv.elements() if u != 0]
-    for tail in itertools.product(lv.elements(), repeat=m - 1) if m > 1 else [()]:
-        for const in units:
-            cand = (const,) + tuple(tail) + (1,)
-            quot, rem = pol_divmod(lv, poly, cand)
-            if not any(rem):
-                quot_t = tuple(quot) + (0,) * (n - m + 1 - len(quot))
-                out.append((cand, quot_t))
-    if m == 0:
-        out = [((1,), poly)]
-    return out
+def chart_orbit_count(lv, x_f, fiber, gl, translations):
+    """Orbit count on the stratum chart of one factorization c = a_t * c'.
 
-
-def chart_orbit_count(tower, a_t_vec, k, cpoly_low):
-    """Orbit count on the stratum chart for one factorization c = a_t * c'.
-
-    Pairs (x', y) with x' in GL(k), c(x') = c' and y an m x k block, under the
-    unipotent-times-Levi chart group: g conjugates x' and multiplies y on the
-    right by g^(-1); the unipotent part translates y by x_F v - v x' with
-    x_F the companion matrix of a_t.  Without the translations the count
+    Pairs (x', y) with x' in fiber, the x' in GL(k) with c(x') = c', and y an
+    m x k block, under the unipotent-times-Levi chart group: g in gl, given
+    with its inverse, conjugates x' and multiplies y on the right by g^(-1);
+    the unipotent part translates y by x_F v - v x' for v in translations,
+    with x_F the companion matrix of a_t.  Without the translations the count
     would be wrong whenever a_t and c' are coprime.
     """
-    lv = tower.level(1)
-    m = len(a_t_vec)
-    if k == 0:
-        return 1 if tuple(cpoly_low) == (1,) else 0
-    target = tuple(cpoly_low)
-    mats = []
-    gl = []
-    for rows in all_matrices(lv, k, k):
-        if char_coeffs_to_poly(charpoly(lv, rows)) == target:
-            mats.append(rows)
-        try:
-            inv = mat_inv(lv, rows)
-        except ValueError:
-            continue
-        gl.append((rows, inv))
-    x_f = companion_matrix(lv, a_t_vec, m)
-    translations = list(all_matrices(lv, m, k))
-    pool = set()
-    for mrows in mats:
-        for y in translations:
-            pool.add((mrows, y))
+    shifts = [(v, mat_mul(lv, x_f, v)) for v in translations]
+    pool = {(x, y) for x in fiber for y in translations}
     count = 0
     while pool:
-        seed_m, seed_y = min(pool)
+        seed_x, seed_y = min(pool)
         orbit = set()
         for g, ginv in gl:
-            new_x = mat_mul(lv, g, mat_mul(lv, seed_m, ginv))
+            new_x = mat_mul(lv, g, mat_mul(lv, seed_x, ginv))
             yg = mat_mul(lv, seed_y, ginv)
-            for v in translations:
-                shift = mat_mul(lv, x_f, v)
-                shift2 = mat_mul(lv, v, new_x)
+            for v, x_f_v in shifts:
                 new_y = tuple(
-                    tuple(
-                        lv.sub(lv.add(yg[i][j], shift[i][j]), shift2[i][j])
-                        for j in range(k)
-                    )
-                    for i in range(m)
+                    tuple(lv.sub(lv.add(c, s), t) for c, s, t in zip(*rows))
+                    for rows in zip(yg, x_f_v, mat_mul(lv, v, new_x))
                 )
                 orbit.add((new_x, new_y))
         pool -= orbit
@@ -413,23 +376,48 @@ def chart_orbit_count(tower, a_t_vec, k, cpoly_low):
     return count
 
 
-def census_prediction(tower, n, a):
-    """Orbit count predicted by the stratification recursion.
+def _unit_constant_vectors(lv, d):
+    """Every characteristic vector of degree d with unit constant term."""
+    return [
+        tuple(lead) + (const,)
+        for lead in itertools.product(lv.elements(), repeat=d - 1)
+        for const in lv.units()
+    ]
 
-    Strata are matched to monic factorizations c = a_t * c' with deg a_t = m;
-    the stratum-m orbit count is recomputed on the block chart (companion
-    piece, smaller group element, off-diagonal block) under the chart group,
-    a different enumeration from the full-size conjugation census.
+
+def census_prediction(tower, n):
+    """Orbit counts predicted by the stratification recursion, for every
+    characteristic vector a of GL(n, F_q) with unit constant term.
+
+    Stratum m of the fiber of a is matched to the factorizations a = a_t * c'
+    with a_t of degree m and c' a charpoly fiber of GL(k), k = n - m; each
+    pair adds its orbit count on the block chart (companion piece, smaller
+    group element, off-diagonal block), a different enumeration from the
+    full-size conjugation census.  Returns {a: {stratum: count}}.
     """
-    per_stratum = {}
-    for m in range(1, n + 1):
-        total = 0
-        for a_t, quot in monic_divisors(tower, a, m):
-            a_t_vec = poly_to_char_coeffs(a_t)
-            total += chart_orbit_count(tower, a_t_vec, n - m, quot)
-        if total:
-            per_stratum[m] = total
-    return {"by_stratum": per_stratum, "count": sum(per_stratum.values())}
+    lv = tower.level(1)
+    # at k = 0 the chart is the companion matrix of a alone: one orbit
+    prediction = {a: {n: 1} for a in _unit_constant_vectors(lv, n)}
+    for m in range(1, n):
+        k = n - m
+        gl, fibers = [], {}
+        for rows in all_matrices(lv, k, k):
+            try:
+                inv = mat_inv(lv, rows)
+            except ValueError:
+                continue
+            gl.append((rows, inv))
+            fibers.setdefault(charpoly(lv, rows), []).append(rows)
+        translations = list(all_matrices(lv, m, k))
+        for a_t in _unit_constant_vectors(lv, m):
+            x_f = companion_matrix(lv, a_t)
+            for c_low, fiber in fibers.items():
+                a = poly_to_char_coeffs(
+                    pol_mul(lv, char_coeffs_to_poly(a_t), char_coeffs_to_poly(c_low))
+                )
+                count = chart_orbit_count(lv, x_f, fiber, gl, translations)
+                prediction[a][m] = prediction[a].get(m, 0) + count
+    return prediction
 
 
 # -- maximal parabolic rank classification -----------------------------------

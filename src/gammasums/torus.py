@@ -276,8 +276,8 @@ def weyl_lift(ws: WeightSystem, w):
     """Canonical lift of a Weyl element to a slot permutation, with sign data.
 
     The lift sends the slot block of each weight onto the block of its Weyl
-    image, preserving order inside blocks.  Returns (xi, sign_r, sign_W, eps)
-    where eps = sign_r(xi) * sign_W(w).
+    image, preserving order inside blocks.  Returns (xi, sign_r, sign_W), the
+    signs of xi and of w.
     """
     xi = [None] * ws.r
     for vec, _ in ws.weights:
@@ -286,9 +286,7 @@ def weyl_lift(ws: WeightSystem, w):
         for s, t in zip(src, dst):
             xi[s] = t
     xi = tuple(xi)
-    sr = perm_sign(xi)
-    sw = perm_sign(w)
-    return xi, sr, sw, sr * sw
+    return xi, perm_sign(xi), perm_sign(w)
 
 
 # -- twisted torus points ----------------------------------------------------
@@ -560,6 +558,13 @@ class TorusTraces:
         self._buckets[key] = buckets
         return buckets
 
+    def _lift(self, w):
+        """weyl_lift of w, computed once per twist."""
+        w = tuple(w)
+        if w not in self._lifts:
+            self._lifts[w] = weyl_lift(self.ws, w)
+        return self._lifts[w]
+
     def twisted_stalk_trace(
         self, pt: TwistedTorusPoint, xi=None, weyl_sign=True
     ) -> CycNum:
@@ -572,9 +577,7 @@ class TorusTraces:
         deliberately wrong, untwisted descent used by mutation controls).
         """
         if xi is None:
-            if pt.w not in self._lifts:
-                self._lifts[pt.w] = weyl_lift(self.ws, pt.w)
-            xi, sr, sw, _ = self._lifts[pt.w]
+            xi, sr, sw = self._lift(pt.w)
         else:
             for s in range(self.ws.r):
                 want = self.ws.weight_image(pt.w, self.ws.slots[s])
@@ -606,7 +609,7 @@ class TorusTraces:
         """
         tower, ws = self.tower, self.ws
         q = tower.q
-        xi, _, _, _ = weyl_lift(ws, w)
+        xi = self._lift(w)[0]
         theta_exp = dict(theta.exponents)
         out = []
         for cyc in perm_cycles(xi):

@@ -253,6 +253,25 @@ def test_gl3_top_failure_carries_every_failing_point():
     assert [c.passed for c in exc.checks] == [False, True]
 
 
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_gl3_top_vanishing_breaks_under_the_untwisted_descent(rep, monkeypatch):
+    cfg = {"p": 3, "shape": [3], "rep": rep, "suites": ["gl3-top"]}
+
+    def vanishing(report):
+        (check,) = [c for c in report.checks if c.name == "top-stratum-coset-vanishing"]
+        return check.passed
+
+    (report,) = run_suite(cfg)
+    assert vanishing(report)
+    monkeypatch.setattr(
+        harness.Run,
+        "gamma",
+        property(lambda self: GammaTrace(self.traces, weyl_sign=False)),
+    )
+    (report,) = run_suite(cfg)
+    assert not vanishing(report)
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw=FUZZED_CONFIG)
 def test_validate_config_refuses_only_with_config_invalid(raw):

@@ -10,7 +10,6 @@ from gammasums.fields import build_tower
 from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul
 from gammasums.mirabolic import (
     bernstein_coords,
-    census_prediction,
     companion_matrix,
     coset_charpoly,
     group_point,
@@ -243,30 +242,56 @@ def test_coset_charpoly_m2_formula(t3):
 
 @pytest.mark.parametrize(
     "n,q,p,f",
-    [(2, 2, 2, 1), (2, 3, 3, 1), (2, 4, 2, 2), (2, 5, 5, 1), (3, 2, 2, 1)],
+    # criterion 8's grid, then the two points it does not run
+    [(2, 2, 2, 1), (2, 3, 3, 1), (2, 4, 2, 2), (2, 5, 5, 1), (3, 2, 2, 1),
+     (2, 7, 7, 1), (3, 3, 3, 1)],
 )
 def test_orbit_census_matches_recursion(n, q, p, f):
-    tower = build_tower(p, f, 1)
-    lv = tower.level(1)
-    for lead in itertools.product(lv.elements(), repeat=n - 1):
-        for const in lv.units():
-            a = tuple(lead) + (const,)
-            cen = orbit_census(tower, n, a)
-            pred = census_prediction(tower, n, a)
-            assert cen["count"] == pred["count"], a
-            assert {
-                k: len(v) for k, v in cen["by_stratum"].items()
-            } == pred["by_stratum"], a
+    assert harness.orbit_census_failures(build_tower(p, f, 1), n) == []
 
 
 def test_census_n1_single_orbit(t3):
-    assert orbit_census(t3, 1, (2,))["count"] == 1
+    # the 1 x 1 matrix (x) has characteristic vector (-x)
+    assert orbit_census(t3, 1) == {(1,): {1: [1]}, (2,): {1: [1]}}
 
 
 def test_census_cap():
     t7 = build_tower(7, 1, 1)
     with pytest.raises(CapExceeded):
-        orbit_census(t7, 3, (0, 0, 1))
+        orbit_census(t7, 3)
+
+
+def test_orbit_census_takes_one_charpoly_per_matrix(monkeypatch):
+    calls = []
+    real = mirabolic.charpoly
+
+    def counted(level, a):
+        calls.append(a)
+        return real(level, a)
+
+    monkeypatch.setattr(mirabolic, "charpoly", counted)
+    census = orbit_census(build_tower(2, 1, 1), 3)
+    assert len(census) == 4 and len(calls) <= 2**9
+
+
+def test_orbit_census_recursion_breaks_under_a_trivial_q1(monkeypatch):
+    assert _mirabolic_check("orbit-census-recursion")
+    monkeypatch.setattr(
+        mirabolic, "q1_elements", lambda tower, n: [(mat_identity(n), mat_identity(n))]
+    )
+    assert not _mirabolic_check("orbit-census-recursion")
+
+
+def test_orbit_census_recursion_breaks_under_one_extra_orbit(monkeypatch):
+    real = harness.census_prediction
+
+    def one_more(tower, n):
+        prediction = real(tower, n)
+        prediction[min(prediction)][n] += 1
+        return prediction
+
+    monkeypatch.setattr(harness, "census_prediction", one_more)
+    assert not _mirabolic_check("orbit-census-recursion")
 
 
 def test_parabolic_rank_classify(t3):

@@ -56,14 +56,14 @@ def test_validate_rejections():
 
 def test_weyl_lift_examples():
     std = validate_weight_system([2], "std")
-    xi, sr, sw, eps = weyl_lift(std, (0, 1))
-    assert xi == (0, 1) and eps == 1
-    xi, sr, sw, eps = weyl_lift(std, (1, 0))
-    assert xi == (1, 0) and sr == -1 and sw == -1 and eps == 1
+    xi, sr, sw = weyl_lift(std, (0, 1))
+    assert xi == (0, 1) and sr * sw == 1
+    xi, sr, sw = weyl_lift(std, (1, 0))
+    assert xi == (1, 0) and sr == -1 and sw == -1 and sr * sw == 1
     sym2 = validate_weight_system([2], "sym2")
-    xi, sr, sw, eps = weyl_lift(sym2, (1, 0))
+    xi, sr, sw = weyl_lift(sym2, (1, 0))
     # slots ordered (0,2), (1,1), (2,0): the outer two swap, middle fixed
-    assert xi == (2, 1, 0) and eps == 1
+    assert xi == (2, 1, 0) and sr * sw == 1
 
 
 def test_hyper_trace_std_single_fiber_point(tower_f3):
