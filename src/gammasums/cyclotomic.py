@@ -31,7 +31,10 @@ a sum of values times character values -- is collected in a ZetaSum
 (CyclotomicRing.accumulator()): add_term(k, c) adds c * z^k, add_shifted(v,
 k, c) adds c * z^k * v by moving v's coordinates up k places mod N, and
 value() reduces modulo Phi_N once.  That replaces one product and one
-reduction per term.  Conjugation likewise maps k to -k in the group ring.
+reduction per term.  add_shifted reads v's support, the nonzero (index,
+coordinate) pairs that a CycNum builds once with compress and caches, so a
+psi-value with a few nonzero coordinates costs a few list updates, not
+phi(N).  Conjugation likewise maps k to -k in the group ring.
 Other polynomial arithmetic (building Phi_N, the Euclid steps of an inverse)
 runs on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
 """
@@ -209,18 +212,22 @@ class ZetaSum:
         self.coeffs[k % self.ring.conductor] += c * self.den
 
     def add_shifted(self, value: "CycNum", k: int = 0, c: int = 1):
-        """Add c * zeta^k * value by shifting value's nonzero coordinates by k."""
+        """Add c * zeta^k * value by shifting value's nonzero coordinates by k.
+
+        The coordinates are read from value's cached support, so a value with
+        few nonzero coordinates costs that many list updates, not phi(N).
+        """
         if self.den % value.den:
             scale = value.den // gcd(self.den, value.den)
             self.coeffs = [v * scale for v in self.coeffs]
             self.den *= scale
         c *= self.den // value.den
-        num, coeffs = value.num, self.coeffs
+        coeffs = self.coeffs
         # coordinate i goes to i + k - N, in [-N, N): a negative index is
         # read from the end of the list, which folds it mod N
         shift = k % self.ring.conductor - self.ring.conductor
-        for i in compress(range(len(num)), num):
-            coeffs[i + shift] += c * num[i]
+        for i, v in value._nonzero():
+            coeffs[i + shift] += c * v
 
     def value(self, den: int = 1) -> "CycNum":
         """The sum divided by den, reduced into the power basis."""
@@ -230,7 +237,7 @@ class ZetaSum:
 class CycNum:
     """One exact element of a CyclotomicRing."""
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "num", "den", "_support")
 
     def __init__(self, ring: CyclotomicRing, num, den: int = 1):
         if den == 0:
@@ -249,6 +256,7 @@ class CycNum:
         self.ring = ring
         self.num = tuple(num)
         self.den = den
+        self._support = None
 
     # -- ring structure -------------------------------------------------
 
@@ -317,6 +325,15 @@ class CycNum:
         if isinstance(other, Fraction):
             return self.ring.from_fraction(other)
         return NotImplemented
+
+    def _nonzero(self) -> tuple:
+        """The nonzero (index, coordinate) pairs of num, built once."""
+        if self._support is None:
+            num = self.num
+            self._support = tuple(
+                zip(compress(range(len(num)), num), compress(num, num))
+            )
+        return self._support
 
     # -- predicates and maps ---------------------------------------------
 

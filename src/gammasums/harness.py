@@ -235,6 +235,13 @@ def _is_int(v):
 # the family-scale calibration (2-vCPU machine).
 SUITE_Q_CAPS = {"gl2-main": 9, "gl3-top": 3, "oracle": 9}
 
+# Largest q^(n-1) the mirabolic suite runs at: it translates each of up to 300
+# pool points and 60 samples by all q^(n-1) vectors v.  Single runs at
+# caps.tower 1 (2-vCPU x86-64, Python 3.11): q^(n-1) = 64 at GL(7), q=2,
+# 1.8 s; 128 at GL(8), q=2, 4.5 s; 256 at GL(9), q=2, 11.8 s; 343 at GL(4),
+# q=7, 3.6 s.
+MIRABOLIC_TRANSLATES_CAP = 343
+
 
 def validate_config(raw, suites=None) -> dict:
     """The checked config with defaults filled in; suites, when given,
@@ -291,6 +298,17 @@ def validate_config(raw, suites=None) -> dict:
             raise ConfigInvalid(
                 f"q = p^f is above caps.enumeration = {cfg['caps']['enumeration']}"
             )
+    # checked before the tower and every enumeration: q^(n-1) passes the cap
+    # within log2(cap) + 1 factors of q
+    if "mirabolic" in cfg["suites"]:
+        translates = 1
+        for _ in range(max(cfg["shape"]) - 1):
+            translates *= q
+            if translates > MIRABOLIC_TRANSLATES_CAP:
+                raise ConfigInvalid(
+                    f"mirabolic runs at q^(n-1) <= {MIRABOLIC_TRANSLATES_CAP}, "
+                    f"and n = {max(cfg['shape'])} is above it at q = {q}"
+                )
     # a twisted point of w lives at the level of w's order, the lcm of its
     # cycle lengths, so the twisted suites need the largest Weyl order (read
     # off the shape only for them); the mirabolic suite needs level 1.  That

@@ -17,13 +17,19 @@ operations all reduce to exact character sums:
   * twisted_charpoly  the characteristic vector of a twisted point, which
                       sorts the points into Steinberg fibers
   * mellin_gamma      character-sum transform over a twisted torus, which
-                      factorizes into Gauss sums along permutation orbits
+                      factorizes into Gauss sums along permutation orbits;
+                      each twist's points and their normalized traces are
+                      collected once, and each Gauss sum is computed once
   * kummer            convolution of the trace against a rational character;
                       the split-torus points and the index of every quotient
                       x / s are built once per instance, the traces and the
-                      character's exponents are read on each call
+                      character's exponents are read on each call; each
+                      point's sum is compared with the first point's in
+                      Z[Z/N], so a character costs one reduction unless the
+                      sums differ
   * sigma_fiber_sum   the sign-averaged determinant-fiber sum that must
-                      vanish whenever a factor has rank at least two
+                      vanish whenever a factor has rank at least two, read
+                      from the same per-twist collection as mellin_gamma
 
 Coordinate convention: a Weyl element w acts by (w.t)_{w(i)} = t_i, and a
 twisted point satisfies t_{w(i)} = t_i^q, so each w-cycle is determined by
@@ -465,6 +471,8 @@ class TorusTraces:
         self._local = {}
         self._buckets = {}
         self._lifts = {}
+        self._twists = {}
+        self._gauss = {}
         self._quotients = None
         self._reference = {}
         self._mellin_unit = None
@@ -589,14 +597,26 @@ class TorusTraces:
         total = self.twisted_local_sum(xi, pt)
         return total if eps == 1 else -total
 
+    def _twist_traces(self, w):
+        """The points of the w-twisted torus, each with its descent-normalized
+        twisted trace, collected once per twist."""
+        w = tuple(w)
+        if w not in self._twists:
+            self._twists[w] = [
+                (pt, self.twisted_stalk_trace(pt))
+                for pt in enumerate_twisted_points(self.tower, w)
+            ]
+        return self._twists[w]
+
     # -- Mellin transform --------------------------------------------------
 
     def mellin_gamma(self, w, theta: TorusCharacter) -> CycNum:
-        """Sum of twisted traces against theta^(-1) over the w-twisted torus."""
+        """Sum of twisted traces against theta^(-1) over the w-twisted torus,
+        read from the twist's one collection of points and traces."""
         tower = self.tower
         acc = tower.ring.accumulator()
-        for pt in enumerate_twisted_points(tower, w):
-            acc.add_shifted(self.twisted_stalk_trace(pt), -theta.exponent(tower, pt))
+        for pt, trace in self._twist_traces(w):
+            acc.add_shifted(trace, -theta.exponent(tower, pt))
         return acc.value()
 
     def mellin_orbit_characters(self, w, theta: TorusCharacter):
@@ -628,9 +648,14 @@ class TorusTraces:
         return out
 
     def _gauss_product(self, prod, w, theta: TorusCharacter) -> CycNum:
-        """prod times the Gauss sums of the conjugate orbit characters."""
+        """prod times the Gauss sums of the conjugate orbit characters, each
+        Gauss sum computed once per character."""
         for chi in self.mellin_orbit_characters(w, theta):
-            prod = prod * gauss_sum(chi.conj())
+            conj = chi.conj()
+            key = (conj.level, conj.exponent)
+            if key not in self._gauss:
+                self._gauss[key] = gauss_sum(conj)
+            prod = prod * self._gauss[key]
         return prod
 
     def mellin_reference(self, w, theta: TorusCharacter) -> CycNum:
@@ -652,21 +677,28 @@ class TorusTraces:
     # -- Kummer convolution -------------------------------------------------
 
     def kummer_convolution_scalar(self, chi: TorusCharacter) -> CycNum:
-        """The constant (t_psi * chi)(x) / chi(x); raises NotConstant otherwise."""
+        """The constant (t_psi * chi)(x) / chi(x); raises NotConstant otherwise.
+
+        Each point's sum is compared with the first point's in Z[Z/N], before
+        reduction: equal lists over equal denominators are equal values, so
+        only a sum whose list differs is reduced and compared exactly.  A
+        clean run reduces once per character.
+        """
         tower = self.tower
         points, coords, quotient = self._kummer_quotients()
         traces = [self.hyper_trace(t_coords) for t_coords in coords]
         exps = [chi.exponent(tower, pt) for pt in points]
-        constant = None
+        first = constant = None
         for x, x_exp in enumerate(exps):
             # sum of t(s) chi(x / s) chi(x)^(-1) over the points s
             acc = tower.ring.accumulator()
             for trace, x_over_s in zip(traces, quotient[x]):
                 acc.add_shifted(trace, exps[x_over_s] - x_exp)
-            ratio = acc.value()
-            if constant is None:
-                constant = ratio
-            elif ratio != constant:
+            if first is None:
+                first, constant = acc, acc.value()
+            elif (acc.den, acc.coeffs) != (first.den, first.coeffs) and (
+                acc.value() != constant
+            ):
                 raise NotConstant(
                     "convolution against a character is not a character multiple"
                 )
@@ -700,8 +732,8 @@ class TorusTraces:
         """Average over the factor-j Weyl group of det-fiber twisted sums.
 
         Returns (1/|W_j|) * sum over w in W_j and twisted points with block-j
-        determinant z of the normalized twisted trace.  Vanishes exactly when
-        shape[j] >= 2.
+        determinant z of the normalized twisted trace, read from each twist's
+        collection of points and traces.  Vanishes exactly when shape[j] >= 2.
         """
         ws, tower = self.ws, self.tower
         if ws.shape[j] < 2:
@@ -712,7 +744,7 @@ class TorusTraces:
         elements = weyl_block_elements(ws.shape, j)
         acc = tower.ring.accumulator()
         for w in elements:
-            for pt in enumerate_twisted_points(tower, w):
+            for pt, trace in self._twist_traces(w):
                 if point_block_norm(tower, pt, block) == z:
-                    acc.add_shifted(self.twisted_stalk_trace(pt))
+                    acc.add_shifted(trace)
         return acc.value(len(elements))

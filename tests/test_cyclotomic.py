@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import compress
+from math import gcd
 
 import pytest
 import sympy
@@ -218,6 +220,40 @@ def test_accumulator_is_the_dense_sum(n, data):
             want = want + ring.zeta_power(k) * value * c
     den = data.draw(st.integers(1, 12))
     assert acc.value(den) == want * Fraction(1, den)
+
+
+def add_shifted_by_scan(acc, value, k, c):
+    """ZetaSum.add_shifted reading every coordinate of value with compress,
+    as it did before the support was cached."""
+    if acc.den % value.den:
+        scale = value.den // gcd(acc.den, value.den)
+        acc.coeffs = [v * scale for v in acc.coeffs]
+        acc.den *= scale
+    c *= acc.den // value.den
+    num, n = value.num, acc.ring.conductor
+    for i in compress(range(len(num)), num):
+        acc.coeffs[(i + k) % n] += c * num[i]
+
+
+@pytest.mark.parametrize("n", sorted(ACC_RINGS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_add_shifted_is_the_coordinate_scan(n, data):
+    """The cached-support add_shifted leaves the same list and denominator as
+    the scan, for denominators other than 1, any c and shifts outside [0, N)."""
+    ring = ACC_RINGS[n]
+    acc, scan = ring.accumulator(), ring.accumulator()
+    for _ in range(data.draw(st.integers(1, 6))):
+        value = ring.from_coeffs(*draw_vector(data, n, nonzero=8))
+        k = data.draw(st.integers(-3 * n, 3 * n))
+        c = data.draw(st.integers(-9, 9))
+        acc.add_shifted(value, k, c)
+        add_shifted_by_scan(scan, value, k, c)
+        assert (acc.den, acc.coeffs) == (scan.den, scan.coeffs)
+        # the support is built once, and a second use reads the same pairs
+        support = value._nonzero()
+        assert support == tuple((i, v) for i, v in enumerate(value.num) if v)
+        assert value._nonzero() is support
 
 
 @pytest.mark.parametrize("n", [630, 3720])

@@ -107,6 +107,10 @@ def test_validate_config_rejections():
         {"p": 2, "f": 10**18},
         {"p": 4099, "suites": ["arith"]},
         {"shape": [200], "suites": ["torus"]},
+        {"p": 2, "shape": [60], "suites": ["mirabolic"]},
+        {"p": 2, "shape": [60], "suites": ["mirabolic"], "caps": {"tower": 1}},
+        {"p": 2, "shape": [10], "suites": ["mirabolic"], "caps": {"tower": 1}},
+        {"p": 11, "shape": [4], "suites": ["mirabolic"], "caps": {"tower": 1}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):

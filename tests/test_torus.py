@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from math import lcm
 
 import pytest
 
-from gammasums import harness
+from gammasums import harness, torus
+from gammasums.cyclotomic import ZetaSum
 from gammasums.errors import (
     NotConstant,
     NotSigmaPositive,
@@ -11,7 +13,7 @@ from gammasums.errors import (
     NotWStable,
     TowerTooShallow,
 )
-from gammasums.fields import kloosterman, psi_sum
+from gammasums.fields import build_tower, kloosterman, psi_sum
 from gammasums.torus import (
     TorusCharacter,
     TorusTraces,
@@ -404,3 +406,127 @@ def test_kummer_reaches_not_constant(tower_f3):
     traces.kummer_convolution_scalar(chi)
     with pytest.raises(NotConstant):
         traces.kummer_convolution_scalar(skewed)
+
+
+def reference_mellin_gamma(traces, w, theta):
+    """The Mellin transform point by point, one stalk trace per point."""
+    tower = traces.tower
+    acc = tower.ring.accumulator()
+    for pt in enumerate_twisted_points(tower, w):
+        acc.add_shifted(traces.twisted_stalk_trace(pt), -theta.exponent(tower, pt))
+    return acc.value()
+
+
+@pytest.mark.parametrize(
+    "p,f,shape,rep", [(3, 1, [2], "std"), (3, 1, [2], "sym2"), (2, 2, [3], "std")]
+)
+def test_mellin_gamma_is_the_per_point_loop(p, f, shape, rep):
+    tower = build_tower(p, f, shape[0])
+    traces = TorusTraces(tower, validate_weight_system(shape, rep))
+    for w in traces.ws.weyl():
+        for theta in torus_characters(tower, w):
+            want = reference_mellin_gamma(traces, w, theta)
+            assert traces.mellin_gamma(w, theta) == want, (w, theta)
+
+
+def reference_kummer_scalar(traces, chi):
+    """(t_psi * chi)(x) / chi(x) at every split-torus point x, each sum
+    reduced on its own; NotConstant unless all of them are equal."""
+    tower, d = traces.tower, traces.ws.d
+    lv = tower.level(1)
+    units = list(itertools.product(lv.units(), repeat=d))
+
+    def exponent(t):
+        pt = twisted_point(tower, perm_identity(d), dict(enumerate(t)))
+        return chi.exponent(tower, pt)
+
+    ratios = set()
+    for x in units:
+        acc = tower.ring.accumulator()
+        for s in units:
+            x_over_s = tuple(lv.mul(lv.inv(sc), xc) for sc, xc in zip(s, x))
+            acc.add_shifted(traces.hyper_trace(s), exponent(x_over_s) - exponent(x))
+        ratios.add(acc.value())
+    if len(ratios) != 1:
+        raise NotConstant("reference convolution is not a character multiple")
+    return ratios.pop()
+
+
+@pytest.mark.parametrize("tower_name", ["tower_f3", "tower_f5"])
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_kummer_scalar_is_the_reduce_every_point_reference(request, tower_name, rep):
+    tower = request.getfixturevalue(tower_name)
+    traces = TorusTraces(tower, validate_weight_system([2], rep))
+    for exps in itertools.product(range(tower.q - 1), repeat=2):
+        chi = rational_character(tower, exps)
+        assert traces.kummer_convolution_scalar(chi) == reference_kummer_scalar(
+            traces, chi
+        ), exps
+    # a character off by one at a single point is refused by both routes
+    bad = twisted_point(tower, (0, 1), {0: 2, 1: 1})
+    chi = rational_character(tower, (1, 0))
+
+    class OffByOne(TorusCharacter):
+        def exponent(self, tower, pt):
+            return super().exponent(tower, pt) + (pt == bad)
+
+    skewed = OffByOne(chi.w, chi.exponents)
+    with pytest.raises(NotConstant):
+        traces.kummer_convolution_scalar(skewed)
+    with pytest.raises(NotConstant):
+        reference_kummer_scalar(traces, skewed)
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_clean_kummer_run_reduces_once_per_character(monkeypatch, tower_f5, rep):
+    traces = TorusTraces(tower_f5, validate_weight_system([2], rep))
+    # the traces are psi-sums, each reduced once on first use
+    for t in itertools.product(tower_f5.level(1).units(), repeat=2):
+        traces.hyper_trace(t)
+    reductions = []
+    real = ZetaSum.value
+
+    def counted(self, den=1):
+        reductions.append(den)
+        return real(self, den)
+
+    monkeypatch.setattr(ZetaSum, "value", counted)
+    for exps in itertools.product(range(tower_f5.q - 1), repeat=2):
+        reductions.clear()
+        traces.kummer_convolution_scalar(rational_character(tower_f5, exps))
+        assert len(reductions) == 1, exps
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_mellin_check_takes_each_gauss_sum_once(monkeypatch, tower_f3, rep):
+    calls = Counter()
+    real = torus.gauss_sum
+
+    def counted(chi):
+        calls[chi.level, chi.exponent] += 1
+        return real(chi)
+
+    monkeypatch.setattr(torus, "gauss_sum", counted)
+    traces = TorusTraces(tower_f3, validate_weight_system([2], rep))
+    assert harness.mellin_failures(traces) == []
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_mellin_factorization_breaks_under_one_corrupted_twisted_trace(tower_f3, rep):
+    """The twisted trace at one point of the swap twist, plus 1, before that
+    twist's points are collected: every character of the swap twist fails."""
+    ws = validate_weight_system([2], rep)
+    assert harness.mellin_failures(TorusTraces(tower_f3, ws)) == []
+    traces = TorusTraces(tower_f3, ws)
+    swap = (1, 0)
+    bad = next(enumerate_twisted_points(tower_f3, swap))
+    clean = traces.twisted_local_sum
+
+    def corrupted(xi, pt):
+        value = clean(xi, pt)
+        return value + 1 if pt == bad else value
+
+    traces.twisted_local_sum = corrupted
+    failures = harness.mellin_failures(traces)
+    assert failures == [(swap, theta) for theta in torus_characters(tower_f3, swap)]
