@@ -8,23 +8,32 @@ is 1, which makes representations canonical: a value is zero exactly when
 every numerator is zero.  Ring operations, equality and conjugation are
 exact; a complex embedding is provided for floating-point magnitude checks.
 
-Every reduction into the power basis takes one path, CyclotomicRing._reduce:
-a coefficient list indexed by powers of z is folded modulo x^N - 1, then
-divided from the top down by a chain of sparse monic multiples of Phi_N that
-ends at Phi_N, touching only their nonzero coefficients below the leading
-term.  For N = 3720 the chain is x^1860 + 1, x^1240 - x^620 + 1,
-Phi_30(x^124) and Phi_N (1, 2, 6 and 72 low terms), so most positions cost
-one or two updates.  Products, conjugates, powers of zeta (zeta_power reduces
-the one-term list x^k; there is no table of powers) and elements of the group
-ring Z[Z/N] (CyclotomicRing.from_coeffs) all take that path.
+A reduction into the power basis takes one of two paths, by its input.
 
-A product's unreduced coefficients come from _convolve.  When the count of
-nonzero pairs is small against the output length (a one-term operand, say),
-it multiplies term by term over the nonzero entries.  Otherwise it packs
-each vector into one integer, a coefficient per 8 * nbytes-bit digit offset
-to be nonnegative, makes one big-integer product and unpacks the digits
-(Kronecker substitution); the digit width is set from the largest
-coefficient the product can have, so the result is exact.
+Coefficient lists indexed by powers of z go through CyclotomicRing._reduce:
+the list is folded modulo x^N - 1, then divided from the top down by a chain
+of sparse monic multiples of Phi_N that ends at Phi_N, touching only their
+nonzero coefficients below the leading term.  For N = 3720 the chain is
+x^1860 + 1, x^1240 - x^620 + 1, Phi_30(x^124) and Phi_N (1, 2, 6 and 72 low
+terms), so most positions cost one or two updates.  Sums in the group ring
+Z[Z/N] (ZetaSum.value, CyclotomicRing.from_coeffs), conjugates, powers of
+zeta (zeta_power reduces the one-term list x^k; there is no table of powers)
+and sparse products take this path: a product whose count of nonzero pairs
+is at most 8 times its length multiplies term by term over the operands'
+cached supports.  These lists are mostly zero, and the list chain skips
+their zero entries, which is why they are not packed: the same chain run on
+a packed list was slower, 24 against 9 microseconds for a one-term list at
+N = 336 and 122 against 82 for a conjugate's 144 terms at N = 630.
+
+A product of two dense values goes packed (CyclotomicRing._dense_product),
+inside CPython's big-integer arithmetic: each operand becomes one integer, a
+coordinate per signed digit (Kronecker substitution), the two are multiplied
+once, the same chain of sparse moduli reduces the packed product with one
+shift per modulus for all its high digits and one shifted subtraction per
+low term, one Barrett step divides out Phi_N, and the phi(N) digits of the
+remainder are unpacked once.  The digit width comes from a bound on every
+coefficient of every step, proved once per ring by running the same steps on
+a majorant (CyclotomicRing._dense_plan), so no digit can overflow.
 
 A sum of roots of unity -- a character sum, a Gauss sum, a Mellin transform,
 a sum of values times character values -- is collected in a ZetaSum
@@ -42,6 +51,8 @@ runs on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
 from __future__ import annotations
 
 import cmath
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, zip_longest
@@ -73,44 +84,77 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return poly
 
 
-def _convolve(a, b):
-    """The coefficients of the product of the integer polynomials a and b.
+# array typecodes of the signed digit widths that pack and unpack at C speed;
+# other widths, and every width on a big-endian host, join bytes instead
+_TYPECODES = (
+    {8 * array(code).itemsize: code for code in "hiq"}
+    if sys.byteorder == "little"
+    else {}
+)
 
-    A sparse pair is multiplied term by term, over its nonzero entries.  A
-    denser pair is packed into one integer each, with 8 * nbytes bits per
-    coefficient, multiplied once and unpacked (Kronecker substitution).  No
-    coefficient of the product exceeds max|a| * max|b| * min(len(a), len(b))
-    in size, so it fits in its digit once offset by half the digit range.
+
+@lru_cache(maxsize=None)
+def _sign_bits(width: int, count: int) -> int:
+    """The top bit of each of count width-bit digits."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1) << width - 1
+
+
+def _pack(vec, width: int) -> int:
+    """sum(vec[i] * 2^(width * i)), for integers |vec[i]| < 2^(width - 1).
+
+    The digits are written in two's complement and read back as one
+    unsigned integer, in which a negative digit v stands as v + 2^width; its
+    top bit is set, so one mask and shift of the sign bits takes those
+    2^width back off.
     """
-    size = len(a) + len(b) - 1
-    nz_a = [(i, v) for i, v in enumerate(a) if v]
-    nz_b = [(j, v) for j, v in enumerate(b) if v]
-    # term by term is the faster path up to about this many pairs (measured
-    # at degrees 96 to 960)
-    if len(nz_a) * len(nz_b) <= 8 * size:
-        out = [0] * size
-        for i, x in nz_a:
-            for j, y in nz_b:
-                out[i + j] += x * y
-        return out
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nbytes = bound.bit_length() // 8 + 1
-    half = 1 << (8 * nbytes - 1)
-    offset = half.to_bytes(nbytes, "little")
+    code = _TYPECODES.get(width)
+    if code:
+        data = array(code, vec).tobytes()
+    else:
+        nbytes = width // 8
+        data = b"".join(v.to_bytes(nbytes, "little", signed=True) for v in vec)
+    raw = int.from_bytes(data, "little")
+    return raw - ((raw & _sign_bits(width, len(vec))) << 1)
 
-    def pack(vec):
-        # sum(v_i 2^(8 nbytes i)), from the digits v_i + half
-        digits = b"".join((v + half).to_bytes(nbytes, "little") for v in vec)
-        return int.from_bytes(digits, "little") - int.from_bytes(
-            offset * len(vec), "little"
-        )
 
-    packed = pack(a) * pack(b) + int.from_bytes(offset * size, "little")
-    data = packed.to_bytes(size * nbytes, "little")
+def _unpack(value: int, count: int, width: int) -> list:
+    """The count digits of value = sum(d_i * 2^(width * i)), |d_i| < 2^(width - 1).
+
+    Adding 2^(width - 1) to every digit makes each nonnegative with no carry
+    between them; flipping those top bits back leaves each digit's two's
+    complement.
+    """
+    signs = _sign_bits(width, count)
+    data = ((value + signs) ^ signs).to_bytes(width // 8 * count, "little")
+    code = _TYPECODES.get(width)
+    if code:
+        return array(code, data).tolist()
+    nbytes = width // 8
     return [
-        int.from_bytes(data[k : k + nbytes], "little") - half
-        for k in range(0, size * nbytes, nbytes)
+        int.from_bytes(data[k : k + nbytes], "little", signed=True)
+        for k in range(0, len(data), nbytes)
     ]
+
+
+def _digit_width(bound: int) -> int:
+    """The digit width for digits of size at most bound, with a sign bit: the
+    first of 16, 32 and 64 bits, or else of the multiples of 8 bits."""
+    bits = bound.bit_length() + 1
+    return next(w for w in (16, 32, 64, -(-bits // 8) * 8) if bits <= w)
+
+
+def _high(value: int, shift: int) -> int:
+    """value's digits from bit shift up, when those below it are balanced:
+    their sum lies in [-2^(shift - 1), 2^(shift - 1))."""
+    return (value + (1 << shift >> 1)) >> shift
+
+
+def _schoolbook(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 class CyclotomicRing:
@@ -139,6 +183,7 @@ class CyclotomicRing:
             self._moduli.append((spread * (len(phi) - 1), low))
         self.zero = CycNum(self, (0,) * self.degree, 1)
         self.one = self.from_int(1)
+        self._plan = None
 
     def zeta_power(self, k: int) -> "CycNum":
         """zeta^k, reduced from the one-term list x^(k mod N)."""
@@ -186,6 +231,90 @@ class CyclotomicRing:
             del acc[deg:]
         acc.extend([0] * (self.degree - len(acc)))
         return acc
+
+    def _dense_plan(self):
+        """The steps of _dense_product and the ring's digit bound, built once.
+
+        Returns (splits, k, height, mu, phi, packed).  splits are the
+        (degree, low terms) of the sparse steps in order, one entry per split:
+        x^N - 1, then every modulus but Phi_N, each as often as it takes to
+        bring the product of two power-basis vectors under its degree.  k is
+        the number of digits left above phi(N), which one Barrett step
+        removes.  height bounds, for unit inputs, every coefficient that a
+        split or the final unpacking reads: the same steps are run here on a
+        majorant, bound[i] >= |coefficient i| / (max|a| * max|b|), with every
+        coefficient of a modulus taken in absolute value.  mu and phi are the
+        Barrett constants, and packed maps a digit width to the two of them
+        packed.
+        """
+        d = self.degree
+        bound = [min(i + 1, 2 * d - 1 - i) for i in range(2 * d - 1)]
+        height, splits = d, []
+        for deg, low in [(self.conductor, ((0, -1),))] + self._moduli[:-1]:
+            while len(bound) > deg:
+                # low is in increasing order of index
+                high = bound[deg:]
+                bound = bound[:deg] + [0] * (len(high) + low[-1][0] - deg)
+                for i, c in low:
+                    for j, h in enumerate(high):
+                        bound[i + j] += abs(c) * h
+                height = max(height, *bound)
+                splits.append((deg, low))
+        k = len(bound) - d
+        phi = cyclotomic_polynomial(self.conductor)
+        # x^(d + k - 1) = mu * Phi_N + (degree < d).  Reversing both sides,
+        # mu reversed is 1 / Phi_N mod x^k, as Phi_N is palindromic
+        inverse = [1]
+        for j in range(1, k):
+            inverse.append(-sum(phi[i] * inverse[j - i] for i in range(1, min(j, d) + 1)))
+        mu = inverse[::-1]
+        if k > 0:
+            quotient = _schoolbook(bound[d:], [abs(c) for c in mu])
+            reduced = _schoolbook(quotient[k - 1 :], [abs(c) for c in phi])
+            height = max(
+                height, *quotient, *(x + y for x, y in zip(bound, reduced)),
+                *map(abs, mu), *map(abs, phi),
+            )
+        self._plan = (splits, k, height, mu, phi, {})
+        return self._plan
+
+    def _dense_product(self, a, b) -> list:
+        """Power-basis vector of the product of the power-basis vectors a, b.
+
+        Both are packed into one integer each, with width bits per signed
+        coordinate (Kronecker substitution); their integer product packs the
+        coefficients of the polynomial product.  The sparse steps of
+        _dense_plan reduce it in place: each takes the digits at and above a
+        modulus' degree D off in one balanced shift, high, and subtracts
+        c * high shifted by i digits for each low term c x^i.  The k digits
+        still above d = phi(N) are divided out in one Barrett step: the
+        quotient by Phi_N is the top k digits of high * mu, for those k digits
+        high and mu = x^(d + k - 1) div Phi_N, and subtracting the quotient
+        times Phi_N leaves the remainder, exact in the integers.  Its d digits
+        are unpacked once.
+
+        Digit width: a shift or the unpacking reads digits correctly as long
+        as each is below 2^(width - 1) in size.  Each coefficient at each step
+        is at most max|a| * max|b| times the ring's height (_dense_plan),
+        which bounds the same steps run on |coefficients|, so the digits are
+        as wide as _digit_width takes for that bound.
+        """
+        splits, k, height, mu, phi, packed = self._plan or self._dense_plan()
+        # an operand's size counts as at least 1, so that both operands fit
+        width = _digit_width(max(1, *map(abs, a)) * max(1, *map(abs, b)) * height)
+        value = _pack(a, width) * _pack(b, width)
+        for deg, low in splits:
+            high = _high(value, width * deg)
+            value -= high << width * deg
+            for i, c in low:
+                value -= c * high << width * i
+        if k > 0:
+            if width not in packed:
+                packed[width] = (_pack(mu, width), _pack(phi, width))
+            mu_w, phi_w = packed[width]
+            high = _high(value, width * self.degree)
+            value -= _high(high * mu_w, width * (k - 1)) * phi_w
+        return _unpack(value, self.degree, width)
 
     def __repr__(self):
         return f"CyclotomicRing({self.conductor})"
@@ -298,8 +427,20 @@ class CycNum:
             )
         if not isinstance(other, CycNum) or other.ring is not self.ring:
             return NotImplemented
-        conv = _convolve(self.num, other.num)
-        return CycNum(self.ring, self.ring._reduce(conv), self.den * other.den)
+        ring, d = self.ring, self.ring.degree
+        # term by term up to 8 nonzero pairs per product coefficient: the
+        # cutoff measured against a byte-packed dense product; the packed
+        # product of _dense_product is faster down to about 1 (degrees 96 to
+        # 960)
+        if (d - self.num.count(0)) * (d - other.num.count(0)) > 8 * (2 * d - 1):
+            num = ring._dense_product(self.num, other.num)
+        else:
+            num, theirs = [0] * (2 * d - 1), other._nonzero()
+            for i, x in self._nonzero():
+                for j, y in theirs:
+                    num[i + j] += x * y
+            num = ring._reduce(num)
+        return CycNum(ring, num, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -334,6 +334,17 @@ class FieldTower:
         return (n // (size - 1)) * (k % (size - 1))
 
 
+def tower_ring_degree(p, f, levels) -> int:
+    """phi(N) for N = lcm(p, q - 1, ..., q^levels - 1), q = p^f: the degree of
+    the ring of build_tower(p, f, levels), from the primes of p and of each
+    q^m - 1, without building it."""
+    sizes = [p ** (f * m) - 1 for m in range(1, levels + 1)]
+    degree = lcm(p, *sizes)
+    for ell in {p}.union(*map(prime_factors, sizes)):
+        degree = degree // ell * (ell - 1)
+    return degree
+
+
 def build_tower(p, f, levels, cap=DEFAULT_CAP) -> FieldTower:
     """Construct the tower F_{q^m}, m <= levels, for q = p^f."""
     return FieldTower(p, f, levels, cap=cap)

@@ -28,7 +28,14 @@ from .errors import (
     TowerTooShallow,
     VanishingFailed,
 )
-from .fields import all_characters, build_tower, gauss_sum, is_prime, kloosterman
+from .fields import (
+    all_characters,
+    build_tower,
+    gauss_sum,
+    is_prime,
+    kloosterman,
+    tower_ring_degree,
+)
 from .gl2 import (
     PAIRING,
     build_gl2_table,
@@ -242,6 +249,13 @@ SUITE_Q_CAPS = {"gl2-main": 9, "gl3-top": 3, "oracle": 9}
 # q=7, 3.6 s.
 MIRABOLIC_TRANSLATES_CAP = 343
 
+# Largest degree phi(N) of the tower's ring, N = lcm(p, q^m - 1 : m <= tower).
+# Building Phi_N grows with it: build_tower (2-vCPU x86-64, Python 3.11) took
+# 0.6 s at phi(N) = 4,320 (p=2, tower 6), 4.0 s at 23,040 (p=5, tower 4),
+# 53 s at 34,560 (p=11, tower 3), and did not finish in 240 s at 506,880
+# (p=3, tower 6).
+RING_DEGREE_CAP = 23040
+
 
 def validate_config(raw, suites=None) -> dict:
     """The checked config with defaults filled in; suites, when given,
@@ -340,6 +354,17 @@ def validate_config(raw, suites=None) -> dict:
             )
     if not is_prime(cfg["p"]):
         raise ConfigInvalid("p must be a prime integer")
+    # q^tower - 1 divides N, and phi(n) >= sqrt(n / 2), so a large top level
+    # is refused before any q^m - 1 is factored
+    tower = cfg["caps"]["tower"]
+    if (
+        q**tower - 1 > 2 * RING_DEGREE_CAP**2
+        or tower_ring_degree(cfg["p"], cfg["f"], tower) > RING_DEGREE_CAP
+    ):
+        raise ConfigInvalid(
+            f"the tower's ring, of conductor lcm(p, q^m - 1 : m <= {tower}), has "
+            f"degree above {RING_DEGREE_CAP}; lower caps.tower or q"
+        )
     try:
         weights = validate_weight_system(cfg["shape"], cfg["rep"])
     except (TypeError, ValueError, GammasumsError) as exc:

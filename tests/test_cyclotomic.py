@@ -8,10 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammasums import cyclotomic
 from gammasums.cyclotomic import (
     CycNum,
     CyclotomicRing,
-    _convolve,
+    _digit_width,
+    _pack,
+    _unpack,
     cyclotomic_polynomial,
     solve_linear_system,
 )
@@ -156,28 +159,119 @@ CONVOLVE_SHAPES = [
     for nz_a in (0, 1, 2, 8, 16, 48, 96)
     for nz_b in (0, 1, 8, 15, 16, 17, 90, 95, 96)
 ] + [((96, 96), (5, 5)), ((3, 3), (200, 150)), ((1, 1), (50, 50)), ((480, 480), (479, 7))]
+# rings whose degree is one of the shapes' lengths: 96 and 480
+SHAPE_RINGS = {96: CyclotomicRing(336), 480: CyclotomicRing(1860)}
+
+
+def packed_product(a, b):
+    """schoolbook(a, b) by one product of packed integers, with digits as wide
+    as max|a| * max|b| * min(len(a), len(b)), which bounds each coefficient,
+    an operand's size counted as at least 1 so that both operands fit."""
+    sizes = max(1, *map(abs, a)) * max(1, *map(abs, b))
+    width = _digit_width(sizes * min(len(a), len(b)))
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 @pytest.mark.parametrize("digits", [1, 30])
-def test_convolve_is_the_schoolbook_product(digits):
+def test_packed_product_is_the_schoolbook_product(digits):
+    """Pack, one integer product and unpack give the schoolbook product at
+    every shape; at a ring's degree, the CycNum product, which goes term by
+    term or through the fused dense product by the count of nonzero pairs,
+    is the schoolbook product reduced."""
     rng = random.Random(digits)
     for (len_a, nz_a), (len_b, nz_b) in CONVOLVE_SHAPES:
         a = sparse_vector(rng, len_a, nz_a, digits)
         b = sparse_vector(rng, len_b, nz_b, digits)
-        assert _convolve(a, b) == schoolbook(a, b), (len_a, nz_a, len_b, nz_b)
-        assert _convolve(tuple(b), tuple(a)) == schoolbook(b, a)
+        assert packed_product(a, b) == schoolbook(a, b), (len_a, nz_a, len_b, nz_b)
+        assert packed_product(tuple(b), tuple(a)) == schoolbook(b, a)
+        ring = SHAPE_RINGS.get(len_a)
+        if ring and len_b <= len_a:
+            b += [0] * (len_a - len_b)
+            want = ring._reduce(schoolbook(a, b))
+            assert (CycNum(ring, a) * CycNum(ring, b)).num == tuple(want)
+            assert (CycNum(ring, b) * CycNum(ring, a)).num == tuple(want)
 
 
-def test_convolve_reaches_its_coefficient_bound():
+def test_packed_product_reaches_its_coefficient_bound():
     """Constant vectors of +-(2^j - 1): the middle coefficient of the product
     is max|a| * max|b| * min(len(a), len(b)) itself, so a digit one bit too
-    narrow for the bound shows."""
+    narrow for the bound shows; j runs across the 16-, 32- and 64-bit widths
+    and the byte widths above them."""
     for length in (64, 96):
-        for j in range(1, 40):
+        for j in [*range(1, 40), *range(60, 71)]:
             m = (1 << j) - 1
             for sign in (1, -1):
                 a, b = [m] * length, [sign * m] * length
-                assert _convolve(a, b) == schoolbook(a, b), (length, j, sign)
+                assert packed_product(a, b) == schoolbook(a, b), (length, j, sign)
+
+
+# every conductor up to 120, and rings from the workloads and the oracle
+DENSE_CONDUCTORS = [*range(2, 121), 312, 336, 630, 1320, 3720]
+DENSE_RINGS = {}
+# coefficient sizes: small, at the 16-, 32- and 64-bit digit edges, above 64 bits
+COEFFICIENT_SIZES = ["small", 15, 31, 63, "wide"]
+
+
+def draw_dense_pair(data, ring):
+    """Two power-basis vectors with most coordinates nonzero, of either sign
+    and of a drawn size, built from a drawn seed."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    sizes = [data.draw(st.sampled_from(COEFFICIENT_SIZES)) for _ in range(2)]
+
+    def coefficient(size):
+        if rng.random() < 0.1:
+            return 0
+        if size == "small":
+            return rng.randint(-9, 9)
+        if size == "wide":
+            return rng.choice((-1, 1)) * rng.getrandbits(rng.randint(65, 200))
+        return rng.choice((-1, 1)) * ((1 << size) + rng.choice((-1, 0, 1)))
+
+    return [[coefficient(size) for _ in range(ring.degree)] for size in sizes]
+
+
+@pytest.mark.parametrize("n", DENSE_CONDUCTORS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_dense_product_is_the_reduced_schoolbook_product(n, data):
+    if n not in DENSE_RINGS:
+        DENSE_RINGS[n] = CyclotomicRing(n)
+    ring = DENSE_RINGS[n]
+    a, b = draw_dense_pair(data, ring)
+    want = ring._reduce(schoolbook(a, b))
+    assert ring._dense_product(a, b) == want
+    dens = [data.draw(st.one_of(st.just(1), st.integers(2, 12))) for _ in range(2)]
+    x, y = CycNum(ring, a, dens[0]), CycNum(ring, b, -dens[1])
+    assert x * y == CycNum(ring, want, -dens[0] * dens[1])
+
+
+@pytest.mark.parametrize("n", [30, 120, 336, 630])
+def test_dense_product_reaches_the_ring_bound(n, monkeypatch):
+    """Constant vectors of +-(2^j - 1).  The unreduced product's middle
+    coefficient is max|a| * max|b| * phi(N), where the ring's majorant
+    starts, and no coefficient before or after reduction is above
+    max|a| * max|b| * height; j runs across every digit width, so each width
+    holds the products that choose it."""
+    ring = CyclotomicRing(n)
+    d, height = ring.degree, ring._dense_plan()[2]
+    ones = [1] * d
+    unit = schoolbook(ones, ones)
+    reduced = ring._reduce(list(unit))
+    assert max(unit) == d and max(map(abs, reduced)) <= height
+    widths = set()
+    real_pack = cyclotomic._pack
+
+    def pack(vec, width):
+        widths.add(width)
+        return real_pack(vec, width)
+
+    monkeypatch.setattr(cyclotomic, "_pack", pack)
+    for j in [*range(1, 40), *range(60, 71)]:
+        m = (1 << j) - 1
+        for sign in (1, -1):
+            want = [sign * m * m * c for c in reduced]
+            assert ring._dense_product([m] * d, [sign * m] * d) == want, (j, sign)
+    assert {16, 32, 64} <= widths and max(widths) > 64
 
 
 # Conductors up to 120 whose degree keeps one Euclid run in Q short.

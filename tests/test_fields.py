@@ -1,7 +1,8 @@
 import itertools
+from math import lcm
 
 import pytest
-from sympy import ZZ, factorint
+from sympy import ZZ, factorint, totient
 from sympy.polys.galoistools import (
     gf_add,
     gf_gcdex,
@@ -21,6 +22,7 @@ from gammasums.fields import (
     build_tower,
     gauss_sum,
     kloosterman,
+    tower_ring_degree,
 )
 
 
@@ -153,6 +155,24 @@ def test_build_tower_errors():
     t = build_tower(3, 1, 1)
     with pytest.raises(LevelMissing):
         t.level(2)
+
+
+@pytest.mark.parametrize(
+    "p,f,levels", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 3), (7, 1, 2)]
+)
+def test_tower_ring_degree_is_the_built_ring_degree(p, f, levels):
+    assert tower_ring_degree(p, f, levels) == build_tower(p, f, levels).ring.degree
+
+
+@pytest.mark.parametrize(
+    "p,f,levels,degree",
+    # the measured points of harness.RING_DEGREE_CAP, and GL(7) mirabolic at q=2
+    [(2, 1, 6, 4320), (5, 1, 4, 23040), (11, 1, 3, 34560), (3, 1, 6, 506880),
+     (2, 1, 7, 544320)],
+)
+def test_tower_ring_degree_without_building(p, f, levels, degree):
+    sizes = [p ** (f * m) - 1 for m in range(1, levels + 1)]
+    assert tower_ring_degree(p, f, levels) == totient(lcm(p, *sizes)) == degree
 
 
 def test_character_multiplicativity(tower_f5):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gammasums import gl2, harness
 from gammasums.cli import main
+from gammasums.cyclotomic import CycNum, CyclotomicRing
 from gammasums.errors import ConfigInvalid, VanishingFailed
 from gammasums.fields import build_tower
 from gammasums.harness import (
@@ -111,6 +112,10 @@ def test_validate_config_rejections():
         {"p": 2, "shape": [60], "suites": ["mirabolic"], "caps": {"tower": 1}},
         {"p": 2, "shape": [10], "suites": ["mirabolic"], "caps": {"tower": 1}},
         {"p": 11, "shape": [4], "suites": ["mirabolic"], "caps": {"tower": 1}},
+        # no caps.tower, so the default tower 7 and a ring of degree 544,320
+        {"p": 2, "shape": [7], "suites": ["mirabolic"], "caps": {}},
+        # refused by its top level, before 2^99 - 1 is factored
+        {"p": 2, "caps": {"tower": 99, "enumeration": 1 << 100}},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
@@ -274,6 +279,41 @@ def test_gl3_top_vanishing_breaks_under_the_untwisted_descent(rep, monkeypatch):
     )
     (report,) = run_suite(cfg)
     assert not vanishing(report)
+
+
+def _ring_axioms_check():
+    # the ring of conductor 630, degree 144: 200 triples of dense values
+    cfg = {"p": 2, "f": 2, "shape": [3], "suites": ["arith"], "caps": {"tower": 3}}
+    (report,) = run_suite(cfg)
+    (check,) = [c for c in report.checks if c.name == "cyclotomic-ring-axioms"]
+    return check.passed
+
+
+def test_ring_axioms_break_under_a_wrong_dense_product(monkeypatch):
+    real = CyclotomicRing._dense_product
+
+    def off_by_one(self, a, b):
+        num = real(self, a, b)
+        num[0] += 1
+        return num
+
+    assert _ring_axioms_check()
+    monkeypatch.setattr(CyclotomicRing, "_dense_product", off_by_one)
+    assert not _ring_axioms_check()
+
+
+def test_ring_axioms_break_under_a_wrong_conjugate(monkeypatch):
+    real = CycNum.conjugate
+
+    def one_coordinate_negated(self):
+        value = real(self)
+        num = list(value.num)
+        num[0] = -num[0]
+        return CycNum(value.ring, num, value.den)
+
+    assert _ring_axioms_check()
+    monkeypatch.setattr(CycNum, "conjugate", one_coordinate_negated)
+    assert not _ring_axioms_check()
 
 
 @settings(max_examples=300, deadline=None)
