@@ -31,13 +31,7 @@ from .fields import (
     kloosterman,
 )
 from .gl2 import Gl2Irrep, build_gl2_table, oracle_phi
-from .induction import (
-    GammaTrace,
-    flag_fixed_points,
-    induced_trace,
-    is_regular,
-    steinberg_fibers,
-)
+from .induction import GammaTrace, flag_fixed_points, induced_trace, is_regular
 from .mirabolic import (
     GroupPoint,
     StratumData,

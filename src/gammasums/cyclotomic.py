@@ -40,7 +40,8 @@ a sum of values times character values -- is collected in a ZetaSum
 (CyclotomicRing.accumulator()): add_term(k, c) adds c * z^k, add_shifted(v,
 k, c) adds c * z^k * v by moving v's coordinates up k places mod N, and
 value() reduces modulo Phi_N once.  That replaces one product and one
-reduction per term.  add_shifted reads v's support, the nonzero (index,
+reduction per term.  A plain sum of values goes the same way, through
+CyclotomicRing.sum, one shifted add per value and one reduction.  add_shifted reads v's support, the nonzero (index,
 coordinate) pairs that a CycNum builds once with compress and caches, so a
 psi-value with a few nonzero coordinates costs a few list updates, not
 phi(N).  Conjugation likewise maps k to -k in the group ring.
@@ -194,6 +195,13 @@ class CyclotomicRing:
     def accumulator(self) -> "ZetaSum":
         """An empty sum of roots of unity, to be reduced once by its value()."""
         return ZetaSum(self)
+
+    def sum(self, values, den: int = 1) -> "CycNum":
+        """sum(values) / den, collected in one ZetaSum and reduced once."""
+        acc = ZetaSum(self)
+        for v in values:
+            acc.add_shifted(v)
+        return acc.value(den)
 
     def from_int(self, v: int) -> "CycNum":
         vec = [0] * self.degree

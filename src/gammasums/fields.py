@@ -75,21 +75,6 @@ def _pol_pow_mod(fp, a, e, mod):
     return out
 
 
-def _irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    fp = prime_field(p)
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    for e in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            if not any(pol_divmod(fp, poly, tail + (1,))[1]):
-                return False
-    return True
-
-
 class Level:
     """One extension F_{q^m} in a tower, with exp, dlog and Zech tables."""
 
@@ -212,22 +197,23 @@ class FieldTower:
     # -- construction -----------------------------------------------------
 
     def _find_poly(self, m):
+        """The first compatible h of degree f*m whose root x has order
+        size - 1: x^(size - 1) = 1 and x^((size - 1)/l) != 1 for every prime
+        l dividing size - 1.  A unit of order p^deg - 1 in F_p[x]/(h) leaves
+        no room for zero divisors, so h is irreducible and primitive."""
         p, deg, fp = self.p, self.f * m, self.prime_field
         size = self.q**m
         order_primes = prime_factors(size - 1)
+        x = (0, 1)
         for tail in itertools.product(range(p), repeat=deg):
             if tail[0] == 0:
                 continue
             poly = tail + (1,)
-            if not _irreducible(poly, p):
+            if _pol_pow_mod(fp, x, size - 1, poly) != [1] or any(
+                _pol_pow_mod(fp, x, (size - 1) // ell, poly) == [1]
+                for ell in order_primes
+            ):
                 continue
-            if size > 2:
-                x = (0, 1)
-                if any(
-                    _pol_pow_mod(fp, x, (size - 1) // ell, poly) == [1]
-                    for ell in order_primes
-                ):
-                    continue
             if not self._compatible(poly, m):
                 continue
             return poly

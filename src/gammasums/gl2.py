@@ -391,9 +391,9 @@ def _solve_and_substitute(rows, rhs, what):
     solution, rank, consistent = solve_linear_system(rows, rhs)
     if not consistent:
         raise SystemInconsistent(f"{what}: elimination inconsistent")
-    zero = rhs[0].ring.zero
+    ring = rhs[0].ring
     for row, b in zip(rows, rhs):
-        if sum((c * s for c, s in zip(row, solution)), zero) != b:
+        if ring.sum(c * s for c, s in zip(row, solution)) != b:
             raise SystemInconsistent(f"{what}: residual nonzero")
     return solution, rank
 
@@ -425,12 +425,11 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
     carries values on every class, including central ones.
     """
     tower = table.tower
-    zero = tower.ring.zero
     generic, unknown, rows, rhs = _regular_system(traces, gamma_calc, table)
     scales = [GENERIC_SIGNS[fam] * tower.q for fam in generic]
     k = len(scales)
     fixed = [
-        b - sum((c * u for c, u in zip(row, scales)), zero)
+        b - tower.ring.sum(c * u for c, u in zip(row, scales))
         for row, b in zip(rows, rhs)
     ]
     solution, rank = _solve_and_substitute(

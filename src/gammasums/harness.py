@@ -51,7 +51,6 @@ from .induction import (
     induced_trace,
     is_regular,
     levi_restriction_sum,
-    steinberg_fibers,
 )
 from .matrices import (
     all_matrices,
@@ -82,7 +81,6 @@ from .mirabolic import (
 from .torus import (
     TorusTraces,
     enumerate_twisted_points,
-    expand_twisted_point,
     largest_weyl_order,
     perm_compose,
     perm_identity,
@@ -544,7 +542,7 @@ def suite_arith(run) -> list:
     for _ in range(triples):
         a, b, c = (
             ring.from_coeffs(
-                [rng.randrange(-3, 4) for _ in range(ring.degree)],
+                rng.choices(range(-3, 4), k=ring.degree),
                 rng.randrange(1, 4),
             )
             for _ in range(3)
@@ -676,9 +674,9 @@ def suite_torus(run) -> list:
     checks.append(CheckResult("identity-twist-consistency", ok))
     # sign action of block permutations (content needs repeated weights)
     ok = True
-    for name, aux_ws in [("main", ws)] + _aux_multiplicity_systems(cfg):
-        aux_tr = traces if aux_ws is ws else TorusTraces(tower, aux_ws)
-        if sign_action_failures(aux_tr, _sample_torus_points(tower, aux_ws.d, rng)):
+    aux = [TorusTraces(tower, aux_ws) for _, aux_ws in _aux_multiplicity_systems(cfg)]
+    for aux_tr in [traces] + aux:
+        if sign_action_failures(aux_tr, _sample_torus_points(tower, aux_tr.ws.d, rng)):
             ok = False
     checks.append(
         CheckResult(
@@ -693,8 +691,8 @@ def suite_torus(run) -> list:
     # extensions), which still leaves at least two lifts per twist
     ok = True
     lift_counts = []
-    for name, aux_ws in _aux_multiplicity_systems(cfg):
-        aux_tr = TorusTraces(tower, aux_ws)
+    for aux_tr in aux:
+        aux_ws = aux_tr.ws
         sig = aux_ws.sigma_block_elements()
         for w in aux_ws.weyl():
             xi0 = weyl_lift(aux_ws, w)[0]
@@ -894,20 +892,19 @@ def suite_mirabolic(run) -> list:
 
 def flag_vs_ordering_failures(traces, points):
     """Regular semisimple points where the flag-sum trace differs from the sum
-    over the identity-twist eigenvalue orderings (no sign between them)."""
+    over the identity-twist eigenvalue orderings (no sign between them).
+
+    The flag route reads hyper_trace and the ordering route the identity
+    twist's fiber sums, which come from twisted_local_sum, so a wrong value
+    on either side shows."""
     tower = traces.tower
-    fibers = steinberg_fibers(tower, perm_identity(traces.ws.d))
+    fiber_sums = traces.fiber_sums(perm_identity(traces.ws.d))
     flags = full_flags(tower, traces.ws.d)
-    bad = []
-    for x in points:
-        fiber_route = tower.ring.zero
-        for pt in fibers.get(x.char, []):
-            fiber_route = fiber_route + traces.hyper_trace(
-                expand_twisted_point(tower, pt, 1)
-            )
-        if induced_trace(traces, x, flags) != fiber_route:
-            bad.append(x.rows)
-    return bad
+    return [
+        x.rows
+        for x in points
+        if induced_trace(traces, x, flags) != fiber_sums.get(x.char, tower.ring.zero)
+    ]
 
 
 def levi_restriction_failures(gamma):
@@ -1031,7 +1028,7 @@ def vanishing_sweep_gl2(run) -> list:
     """
     checks = []
     tower, gamma, oracle = run.tower, run.gamma, run.oracle
-    lv = tower.level(1)
+    lv, ring = tower.level(1), tower.ring
     # mutation control: the untwisted descent must break at least one coset
     gamma_mut = GammaTrace(run.traces, weyl_sign=False)
     mismatch = {}  # class key -> the geometric and oracle values differ
@@ -1056,11 +1053,9 @@ def vanishing_sweep_gl2(run) -> list:
                     )
             multiset = tuple(sorted(keys))
             if multiset not in coset_sums:
-                geo = orc = mut = tower.ring.zero
-                for key in multiset:
-                    geo = geo + gamma.value_for_charpoly(key[:2])
-                    orc = orc + oracle.values[key]
-                    mut = mut + gamma_mut.value_for_charpoly(key[:2])
+                geo = ring.sum(gamma.value_for_charpoly(k[:2]) for k in multiset)
+                orc = ring.sum(oracle.values[k] for k in multiset)
+                mut = ring.sum(gamma_mut.value_for_charpoly(k[:2]) for k in multiset)
                 coset_sums[multiset] = (
                     geo.is_zero() and orc.is_zero(), not mut.is_zero()
                 )

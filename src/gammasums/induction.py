@@ -3,20 +3,20 @@
 For a regular-semisimple element the induced trace can be computed two ways:
 summing the torus trace over stable full flags, or summing over orderings of
 the eigenvalue multiset that are fixed by a Weyl twist of Frobenius.  Those
-orderings form the Steinberg fiber in the twisted torus, found by grouping
-its points by twisted_charpoly in one pass.  The gamma trace averages the
-normalized twisted stalk traces over the Weyl group and the matching fibers;
-it depends on the element only through its characteristic polynomial, is
-defined exactly on the regular locus (cyclic elements, which includes
-everything with squarefree characteristic polynomial), and refuses to return
-values anywhere else.  An element is regular when I, x, ..., x^(n-1) are
+orderings form the Steinberg fiber in the twisted torus.  Each twist's
+points and normalized traces are collected once in TorusTraces, grouped by
+twisted_charpoly and summed per fiber (TorusTraces.fiber_sums), and the
+gamma trace is one table, built on first use, of the Weyl averages of those
+fiber sums.  It depends on the element only through its characteristic
+polynomial, is defined exactly on the regular locus (cyclic elements, which
+includes everything with squarefree characteristic polynomial), and refuses
+to return values anywhere else.  An element is regular when I, x, ..., x^(n-1) are
 linearly independent; that rank is found with the reduce_against kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import CapExceeded, NotComputableLocus, NotTopStratum
 from .matrices import (
@@ -29,7 +29,7 @@ from .matrices import (
     row_reduce,
 )
 from .mirabolic import GroupPoint, group_point, left_translate, stratum_index
-from .torus import enumerate_twisted_points, twisted_charpoly
+from .torus import perm_sign
 
 # Largest n whose full flags are enumerated; validate_config refuses above it.
 FLAG_N_MAX = 3
@@ -110,15 +110,15 @@ def induced_trace(traces, g: GroupPoint, flags):
     The degree shift is d = n^2 - n, which is even for every n, so the global
     sign is +1; it is written out anyway to keep the normalization visible.
     """
-    tower = g.tower
     sign = (-1) ** (g.n * g.n - g.n)
-    total = tower.ring.zero
-    for flag in flag_fixed_points(g, flags):
-        total = total + traces.hyper_trace(flag_grading(g, flag))
+    total = g.tower.ring.sum(
+        traces.hyper_trace(flag_grading(g, flag))
+        for flag in flag_fixed_points(g, flags)
+    )
     return total * sign
 
 
-# -- factoring and Steinberg fibers --------------------------------------------
+# -- factoring ----------------------------------------------------------------
 
 
 def factor_monic(tower, poly_low):
@@ -152,22 +152,6 @@ def factor_monic(tower, poly_low):
     return factors
 
 
-def steinberg_fibers(tower, w):
-    """The Steinberg fibers of the w-twisted torus, by characteristic vector.
-
-    A twisted point lies in the fiber of c when its coordinates are the roots
-    of c with multiplicity, that is when its twisted_charpoly is c, so one
-    pass over the twisted torus gives every fiber of w.  Each fiber is sorted
-    by values; a vector without a w-twisted point has no key.
-    """
-    fibers = {}
-    for pt in enumerate_twisted_points(tower, w):
-        fibers.setdefault(twisted_charpoly(tower, pt), []).append(pt)
-    for points in fibers.values():
-        points.sort(key=lambda p: p.values)
-    return fibers
-
-
 # -- the gamma trace on the regular locus -------------------------------------
 
 
@@ -195,12 +179,14 @@ class GammaTrace:
     """The gamma trace function on the regular locus of GL(n).
 
     Values are computed per characteristic vector as the Weyl average of the
-    normalized twisted traces over its Steinberg fibers, scaled by the
-    global constant kappa = (-1)^(n^2-n) = +1.  The fibers of every Weyl
-    element are built once, on the first value asked for; a vector in no
-    fiber (wrong length, or zero constant term) raises ValueError.
-    weyl_sign=False switches to the untwisted descent (the mutation
-    control); everything else is shared.
+    sums of the normalized twisted traces over its Steinberg fibers
+    (TorusTraces.fiber_sums), scaled by the global constant
+    kappa = (-1)^(n^2-n) = +1.  The whole table of values is built on the
+    first value asked for; a vector in no fiber (wrong length, or zero
+    constant term) raises ValueError.  weyl_sign=False switches to the
+    untwisted descent (the mutation control): each twist's sums are
+    multiplied by sign_W(w), which takes that sign back off the normalized
+    traces; everything else is shared.
     """
 
     def __init__(self, traces, weyl_sign=True):
@@ -208,30 +194,32 @@ class GammaTrace:
         self.tower = traces.tower
         self.ws = traces.ws
         self.weyl_sign = weyl_sign
-        self._by_char = {}
-        self._fibers = None
+        self._table = None
         if len(self.ws.shape) != 1:
             raise ValueError("the gamma trace needs a single-factor shape")
         self.n = self.ws.shape[0]
 
     def value_for_charpoly(self, char_coeffs) -> object:
+        if self._table is None:
+            self._table = self._build_table()
         key = tuple(char_coeffs)
-        if key in self._by_char:
-            return self._by_char[key]
-        if self._fibers is None:
-            self._fibers = [steinberg_fibers(self.tower, w) for w in self.ws.weyl()]
-        points = [pt for fibers in self._fibers for pt in fibers.get(key, ())]
-        if not points:
+        if key not in self._table:
             raise ValueError(f"no twisted torus point has characteristic vector {key}")
+        return self._table[key]
+
+    def _build_table(self):
+        """{characteristic vector: value}, one accumulator per vector."""
+        ring = self.tower.ring
+        weyl = self.ws.weyl()
         kappa = (-1) ** (self.n * self.n - self.n)
-        total = self.tower.ring.zero
-        for pt in points:
-            total = total + self.traces.twisted_stalk_trace(
-                pt, weyl_sign=self.weyl_sign
-            )
-        value = total * Fraction(kappa, len(self._fibers))
-        self._by_char[key] = value
-        return value
+        accs = {}
+        for w in weyl:
+            c = kappa if self.weyl_sign else kappa * perm_sign(w)
+            for char, total in self.traces.fiber_sums(w).items():
+                if char not in accs:
+                    accs[char] = ring.accumulator()
+                accs[char].add_shifted(total, 0, c)
+        return {char: acc.value(len(weyl)) for char, acc in accs.items()}
 
     def phi_regular(self, x: GroupPoint):
         if not is_regular(x):
@@ -253,19 +241,18 @@ class GammaTrace:
         n = self.n
         if stratum_index(x) != n:
             raise NotTopStratum("coset vanishing needs a top-stratum point")
-        coset = tower.ring.zero
-        seen_chars = set()
+        translates = []
         for v in itertools.product(lv.elements(), repeat=n - 1):
             ux = group_point(tower, left_translate(lv, x.rows, v))
             if stratum_index(ux) != n:
                 raise NotTopStratum("left translation left the top stratum")
-            coset = coset + self.phi_regular(ux)
-            seen_chars.add(ux.char)
-        det_fiber = tower.ring.zero
-        for lead in itertools.product(lv.elements(), repeat=n - 1):
-            char = tuple(lead) + (x.char[-1],)
-            det_fiber = det_fiber + self.value_for_charpoly(char)
-        if len(seen_chars) != tower.q ** (n - 1):
+            translates.append(ux)
+        coset = tower.ring.sum(self.phi_regular(ux) for ux in translates)
+        det_fiber = tower.ring.sum(
+            self.value_for_charpoly(tuple(lead) + (x.char[-1],))
+            for lead in itertools.product(lv.elements(), repeat=n - 1)
+        )
+        if len({ux.char for ux in translates}) != tower.q ** (n - 1):
             raise NotTopStratum("coset does not biject onto the det fiber")
         return coset, det_fiber
 
@@ -285,11 +272,10 @@ def levi_restriction_sum(gamma: GammaTrace, t_coords):
         tuple(t_coords[i] if i == j else 0 for j in range(n)) for i in range(n)
     )
     positions = [(i, j) for i in range(n) for j in range(n) if i < j]
-    total = tower.ring.zero
+    translates = []
     for vals in itertools.product(lv.elements(), repeat=len(positions)):
         u_mat = [[int(i == j) for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, vals):
             u_mat[i][j] = v
-        ut = mat_mul(lv, u_mat, diag)
-        total = total + gamma.phi_regular(group_point(tower, ut))
-    return total
+        translates.append(group_point(tower, mat_mul(lv, u_mat, diag)))
+    return tower.ring.sum(gamma.phi_regular(ut) for ut in translates)

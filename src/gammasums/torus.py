@@ -14,8 +14,10 @@ operations all reduce to exact character sums:
                       fixed-point sum; the fixed points of each xi o F are
                       walked once and bucketed by their image, and each
                       point reads its bucket
-  * twisted_charpoly  the characteristic vector of a twisted point, which
-                      sorts the points into Steinberg fibers
+  * fiber_sums        each twist's collected points and normalized traces,
+                      grouped by twisted_charpoly (the characteristic vector
+                      of a twisted point) into Steinberg fibers and summed
+                      per fiber; the gamma trace is read from these sums
   * mellin_gamma      character-sum transform over a twisted torus, which
                       factorizes into Gauss sums along permutation orbits;
                       each twist's points and their normalized traces are
@@ -30,6 +32,9 @@ operations all reduce to exact character sums:
   * sigma_fiber_sum   the sign-averaged determinant-fiber sum that must
                       vanish whenever a factor has rank at least two, read
                       from the same per-twist collection as mellin_gamma
+
+Every sum of values is formed in Z[Z/N] and reduced once
+(CyclotomicRing.sum or an accumulator).
 
 Coordinate convention: a Weyl element w acts by (w.t)_{w(i)} = t_i, and a
 twisted point satisfies t_{w(i)} = t_i^q, so each w-cycle is determined by
@@ -472,6 +477,7 @@ class TorusTraces:
         self._buckets = {}
         self._lifts = {}
         self._twists = {}
+        self._fiber_sums = {}
         self._gauss = {}
         self._quotients = None
         self._reference = {}
@@ -573,16 +579,12 @@ class TorusTraces:
             self._lifts[w] = weyl_lift(self.ws, w)
         return self._lifts[w]
 
-    def twisted_stalk_trace(
-        self, pt: TwistedTorusPoint, xi=None, weyl_sign=True
-    ) -> CycNum:
+    def twisted_stalk_trace(self, pt: TwistedTorusPoint, xi=None) -> CycNum:
         """Descent-normalized twisted trace at a twisted torus point.
 
         With the default canonical lift this depends only on pt.w; an explicit
         alternative lift must differ from the canonical one by a block-
-        preserving slot permutation, and the result is unchanged.  Setting
-        weyl_sign=False drops the sign_W factor from the normalization (the
-        deliberately wrong, untwisted descent used by mutation controls).
+        preserving slot permutation, and the result is unchanged.
         """
         if xi is None:
             xi, sr, sw = self._lift(pt.w)
@@ -593,9 +595,8 @@ class TorusTraces:
                     raise ValueError("xi is not a lift of the point's twist")
             sr = perm_sign(xi)
             sw = perm_sign(pt.w)
-        eps = sr * (sw if weyl_sign else 1)
         total = self.twisted_local_sum(xi, pt)
-        return total if eps == 1 else -total
+        return total if sr * sw == 1 else -total
 
     def _twist_traces(self, w):
         """The points of the w-twisted torus, each with its descent-normalized
@@ -607,6 +608,25 @@ class TorusTraces:
                 for pt in enumerate_twisted_points(self.tower, w)
             ]
         return self._twists[w]
+
+    def fiber_sums(self, w):
+        """{characteristic vector: sum of the normalized twisted traces over
+        its Steinberg fiber in the w-twisted torus}, once per twist.
+
+        A twisted point lies in the fiber of c when its coordinates are the
+        roots of c with multiplicity, that is when its twisted_charpoly is c,
+        so the twist's one collection of points and traces is grouped by
+        twisted_charpoly; a vector without a w-twisted point has no key.
+        """
+        w = tuple(w)
+        if w not in self._fiber_sums:
+            fibers = {}
+            for pt, trace in self._twist_traces(w):
+                fibers.setdefault(twisted_charpoly(self.tower, pt), []).append(trace)
+            self._fiber_sums[w] = {
+                char: self.tower.ring.sum(traces) for char, traces in fibers.items()
+            }
+        return self._fiber_sums[w]
 
     # -- Mellin transform --------------------------------------------------
 
@@ -742,9 +762,12 @@ class TorusTraces:
             raise ValueError("determinant value must be a unit")
         block = ws.factor_coords[j]
         elements = weyl_block_elements(ws.shape, j)
-        acc = tower.ring.accumulator()
-        for w in elements:
-            for pt, trace in self._twist_traces(w):
-                if point_block_norm(tower, pt, block) == z:
-                    acc.add_shifted(trace)
-        return acc.value(len(elements))
+        return tower.ring.sum(
+            (
+                trace
+                for w in elements
+                for pt, trace in self._twist_traces(w)
+                if point_block_norm(tower, pt, block) == z
+            ),
+            len(elements),
+        )

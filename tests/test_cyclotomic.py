@@ -316,6 +316,25 @@ def test_accumulator_is_the_dense_sum(n, data):
     assert acc.value(den) == want * Fraction(1, den)
 
 
+@pytest.mark.parametrize("n", sorted(ACC_RINGS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sum_is_the_fold_of_additions(n, data):
+    """ring.sum(values, den) against CycNum additions one at a time, for
+    values with denominators, no values at all, and a generator."""
+    ring = ACC_RINGS[n]
+    values = [
+        ring.from_coeffs(*draw_vector(data, n, nonzero=8))
+        for _ in range(data.draw(st.integers(0, 6)))
+    ]
+    den = data.draw(st.integers(1, 12))
+    want = ring.zero
+    for v in values:
+        want = want + v
+    assert ring.sum(values, den) == want * Fraction(1, den)
+    assert ring.sum(v for v in values) == want
+
+
 def add_shifted_by_scan(acc, value, k, c):
     """ZetaSum.add_shifted reading every coordinate of value with compress,
     as it did before the support was cached."""

@@ -1,4 +1,3 @@
-import itertools
 from math import lcm
 
 import pytest
@@ -17,7 +16,6 @@ from sympy.polys.galoistools import (
 from gammasums.errors import CapExceeded, LevelMissing, NotPrime
 from gammasums.fields import (
     MultCharacter,
-    _irreducible,
     all_characters,
     build_tower,
     gauss_sum,
@@ -200,16 +198,6 @@ def test_level_polynomials_irreducible_and_primitive_per_sympy(p, f, levels):
         assert gf_pow_mod(x, order, h, p, ZZ) == [1]
         for ell in factorint(order):
             assert gf_pow_mod(x, order // ell, h, p, ZZ) != [1]
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_irreducible_matches_sympy(p):
-    for deg in range(1, 5):
-        for tail in itertools.product(range(p), repeat=deg):
-            poly = tail + (1,)
-            assert _irreducible(poly, p) == gf_irreducible_p(
-                list(reversed(poly)), p, ZZ
-            ), poly
 
 
 # -- Level arithmetic against sympy's galoistools and the digit-wise sum ------

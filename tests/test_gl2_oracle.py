@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from gammasums import gl2, harness
-from gammasums.cyclotomic import CycNum
+from gammasums.cyclotomic import CyclotomicRing
 from gammasums.errors import (
     CapExceeded,
     SystemInconsistent,
@@ -338,23 +338,23 @@ def test_sweep_classifies_each_matrix_once_and_sums_each_coset_once(
         for g in harness.iter_invertible(run.tower, 2)
         if not harness.in_borel(g.rows)
     }
-    counts = {"class_of": 0, "add": 0}
-    real_class_of, real_add = harness.class_of, CycNum.__add__
+    counts = {"class_of": 0, "sum": 0}
+    real_class_of, real_sum = harness.class_of, CyclotomicRing.sum
 
     def counted_class_of(tower, rows):
         counts["class_of"] += 1
         return real_class_of(tower, rows)
 
-    def counted_add(self, other):
-        # only the additions the sweep makes itself, not those of the
-        # gamma values it builds on first use
+    def counted_sum(self, values, den=1):
+        # only the sums the sweep makes itself, not those of the gamma
+        # values it builds on first use
         if sys._getframe(1).f_code is harness.vanishing_sweep_gl2.__code__:
-            counts["add"] += 1
-        return real_add(self, other)
+            counts["sum"] += 1
+        return real_sum(self, values, den)
 
     monkeypatch.setattr(harness, "class_of", counted_class_of)
-    monkeypatch.setattr(CycNum, "__add__", counted_add)
+    monkeypatch.setattr(CyclotomicRing, "sum", counted_sum)
     harness.vanishing_sweep_gl2(run)
     borel = (q - 1) ** 2 * q
     assert counts["class_of"] == gl2_order(q) - borel
-    assert 0 < counts["add"] <= 3 * q * len(multisets)
+    assert 0 < counts["sum"] <= 3 * len(multisets)

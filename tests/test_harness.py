@@ -21,6 +21,7 @@ from gammasums.harness import (
 from gammasums.induction import GammaTrace, factor_monic
 from gammasums.matrices import char_coeffs_to_poly
 from gammasums.mirabolic import companion_matrix, group_point, stratum_index
+from gammasums.torus import TorusTraces, validate_weight_system
 
 
 BASE_CFG = {
@@ -314,6 +315,25 @@ def test_ring_axioms_break_under_a_wrong_conjugate(monkeypatch):
     assert _ring_axioms_check()
     monkeypatch.setattr(CycNum, "conjugate", one_coordinate_negated)
     assert not _ring_axioms_check()
+
+
+def test_flag_vs_ordering_breaks_under_a_wrong_hyper_trace(monkeypatch):
+    # the flag route reads hyper_trace, the ordering route the identity
+    # twist's fiber sums, so a wrong hyper_trace at (1, 2) breaks every rss
+    # point with eigenvalues {1, 2}: |GL(2, F_3)| / |T| = 12 of them
+    tower = build_tower(3, 1, 2)
+    ws = validate_weight_system([2], "std")
+    rss = [x for x in harness.iter_invertible(tower, 2) if harness._squarefree(tower, x.char)]
+    assert len(rss) == 30
+    assert not harness.flag_vs_ordering_failures(TorusTraces(tower, ws), rss)
+    real = TorusTraces.hyper_trace
+
+    def off_by_one(self, t):
+        value = real(self, t)
+        return value + 1 if tuple(t) == (1, 2) else value
+
+    monkeypatch.setattr(TorusTraces, "hyper_trace", off_by_one)
+    assert len(harness.flag_vs_ordering_failures(TorusTraces(tower, ws), rss)) == 12
 
 
 @settings(max_examples=300, deadline=None)

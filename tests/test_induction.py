@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -17,7 +18,6 @@ from gammasums.induction import (
     is_regular,
     levi_restriction_sum,
     minimal_polynomial_degree,
-    steinberg_fibers,
 )
 from gammasums.matrices import (
     all_matrices,
@@ -35,8 +35,10 @@ from gammasums.torus import (
     enumerate_twisted_points,
     expand_twisted_point,
     perm_cycles,
+    twisted_charpoly,
     validate_weight_system,
     weyl_elements,
+    weyl_lift,
 )
 
 
@@ -84,8 +86,22 @@ def test_factor_and_roots(tower_f3):
     assert fac == {(2, 1): 1, (1, 1): 1}
 
 
-def test_steinberg_fiber_examples(tower_f3):
+def steinberg_fibers(tower, w):
+    """Reference grouping: the w-twisted points by twisted_charpoly, each
+    fiber sorted by values."""
+    fibers = {}
+    for pt in enumerate_twisted_points(tower, w):
+        fibers.setdefault(twisted_charpoly(tower, pt), []).append(pt)
+    for points in fibers.values():
+        points.sort(key=lambda p: p.values)
+    return fibers
+
+
+def test_steinberg_fiber_examples(tower_f3, std2):
     ident, swap = steinberg_fibers(tower_f3, (0, 1)), steinberg_fibers(tower_f3, (1, 0))
+    # the fiber sums have the same keys
+    assert set(std2.fiber_sums((0, 1))) == set(ident)
+    assert set(std2.fiber_sums((1, 0))) == set(swap)
     # distinct rational roots: two orderings for the identity, none twisted
     assert len(ident.get((0, 2), [])) == 2
     assert swap.get((0, 2), []) == []
@@ -103,10 +119,19 @@ FIBER_CASES = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3)]
 @pytest.mark.parametrize("p,f,n", FIBER_CASES)
 def test_steinberg_fibers_partition_the_twisted_torus(p, f, n):
     # the key of each point is also the charpoly of its diagonal matrix at
-    # the level where every coordinate lives, brought down to F_q
+    # the level where every coordinate lives, brought down to F_q; fiber_sums
+    # adds up the normalized traces of exactly those points
     tower = build_tower(p, f, n)
+    traces = TorusTraces(tower, validate_weight_system([n], "std"))
     for w in weyl_elements([n]):
         fibers = steinberg_fibers(tower, w)
+        sums = traces.fiber_sums(w)
+        assert set(sums) == set(fibers)
+        for key, pts in fibers.items():
+            want = tower.ring.zero
+            for pt in pts:
+                want = want + traces.twisted_stalk_trace(pt)
+            assert sums[key] == want
         grouped = sorted(pt.values for pts in fibers.values() for pt in pts)
         assert grouped == sorted(pt.values for pt in enumerate_twisted_points(tower, w))
         work = lcm(*(len(c) for c in perm_cycles(w)))
@@ -140,6 +165,46 @@ def test_value_refuses_vectors_in_no_fiber(gamma_std2):
         gamma_std2.value_for_charpoly((1, 2, 1))
     with pytest.raises(ValueError):
         gamma_std2.value_for_charpoly((1, 0))
+
+
+def reference_phi(traces, weyl_sign):
+    """The gamma trace per characteristic vector, point by point: the fiber
+    points of every twist, each with one twisted local sum times its descent
+    sign and one addition, then the Weyl average."""
+    tower, ws = traces.tower, traces.ws
+    n, weyl = ws.shape[0], ws.weyl()
+    fibers = []
+    for w in weyl:
+        xi, sign_r, sign_w = weyl_lift(ws, w)
+        fibers.append((xi, sign_r * (sign_w if weyl_sign else 1), steinberg_fibers(tower, w)))
+
+    def phi(char):
+        total = tower.ring.zero
+        for xi, eps, fiber in fibers:
+            for pt in fiber.get(char, []):
+                total = total + traces.twisted_local_sum(xi, pt) * eps
+        return total * Fraction((-1) ** (n * n - n), len(weyl))
+
+    return phi
+
+
+PHI_TABLE_CASES = [
+    (3, 1, 2, "std"), (3, 1, 2, "sym2"), (3, 1, 2, "std*det^1"),
+    (2, 2, 2, "std"), (2, 2, 2, "std*det^1"),
+    (5, 1, 2, "std"), (5, 1, 2, "sym2"), (5, 1, 2, "std*det^1"),
+    (3, 1, 3, "std"), (3, 1, 3, "sym2"), (2, 1, 3, "std"), (2, 1, 4, "std"),
+]
+
+
+@pytest.mark.parametrize("p,f,n,rep", PHI_TABLE_CASES)
+def test_phi_table_matches_the_per_point_reference(p, f, n, rep):
+    tower = build_tower(p, f, n)
+    traces = TorusTraces(tower, validate_weight_system([n], rep))
+    chars = [c for c in itertools.product(tower.level(1).elements(), repeat=n) if c[-1]]
+    for weyl_sign in (True, False):
+        gamma, want = GammaTrace(traces, weyl_sign), reference_phi(traces, weyl_sign)
+        for char in chars:
+            assert gamma.value_for_charpoly(char) == want(char), char
 
 
 def _rref_lines(tower, n):
@@ -276,7 +341,8 @@ def test_phi_conjugation_invariance(tower_f3, gamma_std2):
 
 
 def ordering_route(traces, x):
-    """Sum of torus traces over the identity-twist orderings of x's roots."""
+    """Sum of torus traces over the identity-twist orderings of x's roots,
+    point by point."""
     tower = traces.tower
     total = tower.ring.zero
     for pt in steinberg_fibers(tower, tuple(range(x.n))).get(x.char, []):
