@@ -41,12 +41,19 @@ a sum of values times character values -- is collected in a ZetaSum
 k, c) adds c * z^k * v by moving v's coordinates up k places mod N, and
 value() reduces modulo Phi_N once.  That replaces one product and one
 reduction per term.  A plain sum of values goes the same way, through
-CyclotomicRing.sum, one shifted add per value and one reduction.  add_shifted reads v's support, the nonzero (index,
-coordinate) pairs that a CycNum builds once with compress and caches, so a
-psi-value with a few nonzero coordinates costs a few list updates, not
-phi(N).  Conjugation likewise maps k to -k in the group ring.
-Other polynomial arithmetic (building Phi_N, the Euclid steps of an inverse)
-runs on the field-generic kernel matrices.pol_mul/pol_divmod over EXACT.
+CyclotomicRing.sum, one shifted add per value and one reduction.
+add_shifted reads v's support, the nonzero (index, coordinate) pairs that a
+CycNum builds once with compress and caches, so a psi-value with a few
+nonzero coordinates costs a few list updates, not phi(N).  Conjugation
+likewise maps k to -k in the group ring.  Other polynomial arithmetic
+(building Phi_N, the Euclid steps of an inverse) runs on the field-generic
+kernel matrices.pol_mul/pol_divmod over EXACT.
+
+Values of different rings meet by embedding: for M dividing N, zeta_M is
+zeta_N^(N/M), so add_shifted moves a Q(zeta_M) value's coordinate i to
+i * N/M, and CyclotomicRing.embed is the sum of that one value.  Arithmetic
+and comparison between two rings embed the value of the smaller one; between
+rings with neither conductor dividing the other they raise TypeError.
 """
 
 from __future__ import annotations
@@ -197,11 +204,16 @@ class CyclotomicRing:
         return ZetaSum(self)
 
     def sum(self, values, den: int = 1) -> "CycNum":
-        """sum(values) / den, collected in one ZetaSum and reduced once."""
+        """sum(values) / den, collected in one ZetaSum and reduced once; the
+        values may come from any ring whose conductor divides N."""
         acc = ZetaSum(self)
         for v in values:
             acc.add_shifted(v)
         return acc.value(den)
+
+    def embed(self, value: "CycNum") -> "CycNum":
+        """value, from Q(zeta_M) with M dividing N, as an element of this ring."""
+        return self.sum((value,))
 
     def from_int(self, v: int) -> "CycNum":
         vec = [0] * self.degree
@@ -351,20 +363,27 @@ class ZetaSum:
     def add_shifted(self, value: "CycNum", k: int = 0, c: int = 1):
         """Add c * zeta^k * value by shifting value's nonzero coordinates by k.
 
-        The coordinates are read from value's cached support, so a value with
-        few nonzero coordinates costs that many list updates, not phi(N).
+        value may lie in Q(zeta_M) for any M dividing N: zeta_M is zeta_N^(N/M),
+        so its coordinate i moves to i * N/M + k.  A value whose conductor
+        does not divide N raises TypeError.  The coordinates are read from
+        value's cached support, so a value with few nonzero coordinates costs
+        that many list updates, not phi(N).
         """
+        n, m = self.ring.conductor, value.ring.conductor
+        if n % m:
+            raise TypeError(f"Q(zeta_{m}) does not embed in Q(zeta_{n})")
+        spread = n // m
         if self.den % value.den:
             scale = value.den // gcd(self.den, value.den)
             self.coeffs = [v * scale for v in self.coeffs]
             self.den *= scale
         c *= self.den // value.den
         coeffs = self.coeffs
-        # coordinate i goes to i + k - N, in [-N, N): a negative index is
-        # read from the end of the list, which folds it mod N
-        shift = k % self.ring.conductor - self.ring.conductor
+        # coordinate i goes to i * spread + k - N, in [-N, N): a negative
+        # index is read from the end of the list, which folds it mod N
+        shift = k % n - n
         for i, v in value._nonzero():
-            coeffs[i + shift] += c * v
+            coeffs[i * spread + shift] += c * v
 
     def value(self, den: int = 1) -> "CycNum":
         """The sum divided by den, reduced into the power basis."""
@@ -398,10 +417,10 @@ class CycNum:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is NotImplemented:
             return NotImplemented
-        a, b = self, other
+        a, b = pair
         if a.den == b.den:
             return CycNum(a.ring, [x + y for x, y in zip(a.num, b.num)], a.den)
         return CycNum(
@@ -416,39 +435,33 @@ class CycNum:
         return CycNum(self.ring, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CycNum(self.ring, [v * other for v in self.num], self.den)
-        if isinstance(other, Fraction):
-            return CycNum(
-                self.ring,
-                [v * other.numerator for v in self.num],
-                self.den * other.denominator,
-            )
-        if not isinstance(other, CycNum) or other.ring is not self.ring:
+        # an int, like a Fraction, has a numerator and a denominator
+        if isinstance(other, (int, Fraction)):
+            top, bottom = other.numerator, other.denominator
+            return CycNum(self.ring, [v * top for v in self.num], self.den * bottom)
+        if not isinstance(other, CycNum):
             return NotImplemented
-        ring, d = self.ring, self.ring.degree
+        a, b = self._coerce(other)
+        ring, d = a.ring, a.ring.degree
         # term by term up to 8 nonzero pairs per product coefficient: the
         # cutoff measured against a byte-packed dense product; the packed
         # product of _dense_product is faster down to about 1 (degrees 96 to
         # 960)
-        if (d - self.num.count(0)) * (d - other.num.count(0)) > 8 * (2 * d - 1):
-            num = ring._dense_product(self.num, other.num)
+        if (d - a.num.count(0)) * (d - b.num.count(0)) > 8 * (2 * d - 1):
+            num = ring._dense_product(a.num, b.num)
         else:
-            num, theirs = [0] * (2 * d - 1), other._nonzero()
-            for i, x in self._nonzero():
+            num, theirs = [0] * (2 * d - 1), b._nonzero()
+            for i, x in a._nonzero():
                 for j, y in theirs:
                     num[i + j] += x * y
             num = ring._reduce(num)
-        return CycNum(ring, num, self.den * other.den)
+        return CycNum(ring, num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -465,14 +478,21 @@ class CycNum:
         return out
 
     def _coerce(self, other):
+        """(self, other) in one ring, or NotImplemented for an operand that is
+        not a number.  An int or Fraction joins self's ring; of two values in
+        Q(zeta_M) inside Q(zeta_N), the one in Q(zeta_M) is embedded, and two
+        rings with neither conductor dividing the other raise TypeError."""
         if isinstance(other, CycNum):
-            if other.ring is not self.ring:
-                return NotImplemented
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, Fraction):
-            return self.ring.from_fraction(other)
+            mine, theirs = self.ring, other.ring
+            if mine is theirs:
+                return self, other
+            if mine.conductor % theirs.conductor == 0:
+                return self, mine.embed(other)
+            if theirs.conductor % mine.conductor:
+                raise TypeError(f"no embedding between {mine} and {theirs}")
+            return theirs.embed(self), other
+        if isinstance(other, (int, Fraction)):
+            return self, self.ring.from_fraction(other)
         return NotImplemented
 
     def _nonzero(self) -> tuple:
@@ -493,13 +513,16 @@ class CycNum:
         return any(self.num)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return pair[0].num == pair[1].num and pair[0].den == pair[1].den
 
     def __hash__(self):
-        return hash((self.ring.conductor, self.num, self.den))
+        # equal values in rings of different conductors have different
+        # coordinates but the same denominator, and a rational value is
+        # (c, 0, ..., 0) / den in every ring, so its hash is the Fraction's
+        return hash(self.den if any(self.num[1:]) else Fraction(self.num[0], self.den))
 
     def conjugate(self) -> "CycNum":
         """Image under zeta -> zeta^(-1) (complex conjugation)."""
@@ -542,10 +565,8 @@ class CycNum:
         )
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        inverse = other.inverse() if isinstance(other, CycNum) else Fraction(1, other)
+        return self * inverse
 
     def __rtruediv__(self, other):
         return self.inverse() * other

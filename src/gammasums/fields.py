@@ -15,15 +15,20 @@ table lookup on discrete logs: a product adds logs, and a sum uses the Zech
 logarithm Z(k) = dlog(1 + x^k), since x^i + x^j = x^(i + Z(j - i)).  Negation
 adds the log of -1, which is 0 when p = 2, so one code path serves every p.
 
-Character values live in Q(zeta_N) where N = lcm(p, q-1, ..., q^M-1), so one
-ring holds the additive character and every multiplicative character of every
-level of the tower.
+The additive character psi = zeta_p^(absolute trace) takes its values in
+Q(zeta_p), and so does every sum built from it alone (psi_sum, kloosterman):
+the tower's psi_ring, of conductor p, holds them.  A multiplicative character
+of level m takes values in Q(zeta_(q^m - 1)), and the tower's ring, of
+conductor N = lcm(p, q-1, ..., q^M-1), holds every character of every level
+together with psi; it is built on first use, since Phi_N grows with the
+tower, and a psi-value enters it by CyclotomicRing.embed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .cyclotomic import CycNum, CyclotomicRing
@@ -191,8 +196,12 @@ class FieldTower:
         for m in range(1, levels + 1):
             poly = self._find_poly(m)
             self.levels[m] = Level(self, m, poly)
-        conductor = lcm(p, *(self.q**m - 1 for m in range(1, levels + 1)))
-        self.ring = CyclotomicRing(conductor)
+        self.psi_ring = CyclotomicRing(p)
+
+    @cached_property
+    def ring(self) -> CyclotomicRing:
+        """Q(zeta_N), N = lcm(p, q - 1, ..., q^M - 1), built on first use."""
+        return CyclotomicRing(lcm(self.p, *(self.q**m - 1 for m in self.levels)))
 
     # -- construction -----------------------------------------------------
 
@@ -310,8 +319,8 @@ class FieldTower:
         return (self.ring.conductor // self.p) * self.abs_trace(x, m)
 
     def psi(self, x, m=1) -> CycNum:
-        """Additive character zeta_p^(absolute trace of x)."""
-        return self.ring.zeta_power(self.psi_exponent(x, m))
+        """Additive character zeta_p^(absolute trace of x), in psi_ring."""
+        return self.psi_ring.zeta_power(self.abs_trace(x, m))
 
     def zeta_unit_exponent(self, m, k) -> int:
         """Exponent of zeta_N representing zeta_{q^m-1}^k."""
@@ -395,11 +404,12 @@ def gauss_sum(chi: MultCharacter) -> CycNum:
 
 
 def psi_sum(tower, counts, arity) -> CycNum:
-    """(-1)^arity * sum of c * psi(s) over the F_q points s with counts c."""
+    """(-1)^arity * sum of c * psi(s) over the F_q points s with counts c,
+    in Q(zeta_p)."""
     sign = -1 if arity % 2 else 1
-    acc = tower.ring.accumulator()
+    acc = tower.psi_ring.accumulator()
     for s, c in counts.items():
-        acc.add_term(tower.psi_exponent(s), sign * c)
+        acc.add_term(tower.abs_trace(s, 1), sign * c)
     return acc.value()
 
 

@@ -382,7 +382,8 @@ def _regular_system(traces, gamma_calc, table):
             continue
         row = [_expand(table, raw, cls.key) for raw in generic.values()]
         rows.append(row + [table.value(r, cls.key) * r.dim for r in unknown])
-        rhs.append(gamma_calc.value_for_charpoly(cls.key[:2]) * order)
+        phi = gamma_calc.value_for_charpoly(cls.key[:2])
+        rhs.append(table.tower.ring.embed(phi) * order)
     return generic, unknown, rows, rhs
 
 

@@ -524,13 +524,10 @@ def suite_arith(run) -> list:
                     if via != tower.embed(x, a, c):
                         ok = False
     checks.append(CheckResult("embedding-compatibility", ok))
-    ok = True
-    for m in tower.levels:
-        acc = ring.accumulator()
-        for x in tower.level(m).elements():
-            acc.add_term(tower.psi_exponent(x, m))
-        if not acc.value().is_zero():
-            ok = False
+    ok = all(
+        tower.psi_ring.sum(tower.psi(x, m) for x in tower.level(m).elements()).is_zero()
+        for m in tower.levels
+    )
     checks.append(CheckResult("psi-orthogonality", ok))
     product_bad, magnitude_bad = gauss_failures(tower)
     checks.append(CheckResult("gauss-product-identity", not product_bad))
@@ -900,10 +897,11 @@ def flag_vs_ordering_failures(traces, points):
     tower = traces.tower
     fiber_sums = traces.fiber_sums(perm_identity(traces.ws.d))
     flags = full_flags(tower, traces.ws.d)
+    zero = tower.psi_ring.zero
     return [
         x.rows
         for x in points
-        if induced_trace(traces, x, flags) != fiber_sums.get(x.char, tower.ring.zero)
+        if induced_trace(traces, x, flags) != fiber_sums.get(x.char, zero)
     ]
 
 
@@ -958,7 +956,7 @@ def suite_induction(run) -> list:
     # standard weights: gamma trace is a frozen unit times psi(trace)
     if cfg["rep"] == "std":
         ok = True
-        unit = tower.ring.from_int((-1) ** n)
+        sign = (-1) ** n
         seen = 0
         for x in pool:
             if not is_regular(x):
@@ -967,13 +965,13 @@ def suite_induction(run) -> list:
             tr_x = 0
             for i in range(n):
                 tr_x = lv.add(tr_x, x.rows[i][i])
-            if gamma.phi_regular(x) != unit * tower.psi(tr_x):
+            if gamma.phi_regular(x) != sign * tower.psi(tr_x):
                 ok = False
         checks.append(
             CheckResult(
                 "gamma-trace-kernel-shape",
                 ok,
-                value=unit,
+                value=tower.ring.from_int(sign),
                 detail=f"unit (-1)^n over {seen} regular points",
             )
         )
@@ -1048,9 +1046,8 @@ def vanishing_sweep_gl2(run) -> list:
             keys = [class_of(tower, left_translate(lv, h, (w,))) for w in lv.elements()]
             for key in keys:
                 if key not in mismatch:
-                    mismatch[key] = (
-                        gamma.value_for_charpoly(key[:2]) != oracle.values[key]
-                    )
+                    phi = gamma.value_for_charpoly(key[:2])
+                    mismatch[key] = ring.embed(phi) != oracle.values[key]
             multiset = tuple(sorted(keys))
             if multiset not in coset_sums:
                 geo = ring.sum(gamma.value_for_charpoly(k[:2]) for k in multiset)
@@ -1167,9 +1164,8 @@ def suite_oracle(run) -> list:
     for cls in table.classes:
         if cls.kind == "central":
             continue
-        if result.values[cls.key] != gamma.value_for_charpoly(
-            (cls.key[0], cls.key[1])
-        ):
+        phi = gamma.value_for_charpoly(cls.key[:2])
+        if result.values[cls.key] != tower.ring.embed(phi):
             ok = False
     checks.append(
         CheckResult(

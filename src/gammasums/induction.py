@@ -7,11 +7,14 @@ orderings form the Steinberg fiber in the twisted torus.  Each twist's
 points and normalized traces are collected once in TorusTraces, grouped by
 twisted_charpoly and summed per fiber (TorusTraces.fiber_sums), and the
 gamma trace is one table, built on first use, of the Weyl averages of those
-fiber sums.  It depends on the element only through its characteristic
-polynomial, is defined exactly on the regular locus (cyclic elements, which
-includes everything with squarefree characteristic polynomial), and refuses
-to return values anywhere else.  An element is regular when I, x, ..., x^(n-1) are
-linearly independent; that rank is found with the reduce_against kernel.
+fiber sums.  Like the torus traces it is built from, every value lies in
+Q(zeta_p), the tower's psi_ring, and so do the flag, coset, det-fiber and
+Levi sums formed from it.  It depends on the element only through its
+characteristic polynomial, is defined exactly on the regular locus (cyclic
+elements, which includes everything with squarefree characteristic
+polynomial), and refuses to return values anywhere else.  An element is
+regular when I, x, ..., x^(n-1) are linearly independent; that rank is found
+with the reduce_against kernel.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def induced_trace(traces, g: GroupPoint, flags):
     sign is +1; it is written out anyway to keep the normalization visible.
     """
     sign = (-1) ** (g.n * g.n - g.n)
-    total = g.tower.ring.sum(
+    total = g.tower.psi_ring.sum(
         traces.hyper_trace(flag_grading(g, flag))
         for flag in flag_fixed_points(g, flags)
     )
@@ -209,7 +212,7 @@ class GammaTrace:
 
     def _build_table(self):
         """{characteristic vector: value}, one accumulator per vector."""
-        ring = self.tower.ring
+        ring = self.tower.psi_ring
         weyl = self.ws.weyl()
         kappa = (-1) ** (self.n * self.n - self.n)
         accs = {}
@@ -247,8 +250,8 @@ class GammaTrace:
             if stratum_index(ux) != n:
                 raise NotTopStratum("left translation left the top stratum")
             translates.append(ux)
-        coset = tower.ring.sum(self.phi_regular(ux) for ux in translates)
-        det_fiber = tower.ring.sum(
+        coset = tower.psi_ring.sum(self.phi_regular(ux) for ux in translates)
+        det_fiber = tower.psi_ring.sum(
             self.value_for_charpoly(tuple(lead) + (x.char[-1],))
             for lead in itertools.product(lv.elements(), repeat=n - 1)
         )
@@ -278,4 +281,4 @@ def levi_restriction_sum(gamma: GammaTrace, t_coords):
         for (i, j), v in zip(positions, vals):
             u_mat[i][j] = v
         translates.append(group_point(tower, mat_mul(lv, u_mat, diag)))
-    return tower.ring.sum(gamma.phi_regular(ut) for ut in translates)
+    return tower.psi_ring.sum(gamma.phi_regular(ut) for ut in translates)

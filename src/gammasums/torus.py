@@ -33,8 +33,12 @@ operations all reduce to exact character sums:
                       vanish whenever a factor has rank at least two, read
                       from the same per-twist collection as mellin_gamma
 
-Every sum of values is formed in Z[Z/N] and reduced once
-(CyclotomicRing.sum or an accumulator).
+The psi-side values (hyper_trace, the twisted sums, fiber_sums and
+sigma_fiber_sum) are sums of psi alone and live in the tower's psi_ring,
+Q(zeta_p); mellin_gamma and kummer meet characters, so they collect those
+values in the tower's ring, Q(zeta_N), each coordinate moved to its place
+there by ZetaSum.add_shifted.  Every sum of values is formed in the group
+ring and reduced once (CyclotomicRing.sum or an accumulator).
 
 Coordinate convention: a Weyl element w acts by (w.t)_{w(i)} = t_i, and a
 twisted point satisfies t_{w(i)} = t_i^q, so each w-cycle is determined by
@@ -430,12 +434,6 @@ class TorusCharacter:
             )
         return total
 
-    def value(self, tower, pt: TwistedTorusPoint) -> CycNum:
-        return tower.ring.zeta_power(self.exponent(tower, pt))
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for _, e in self.exponents)
-
 
 def trivial_character(tower, w) -> TorusCharacter:
     return TorusCharacter(tuple(w), tuple((c[0], 0) for c in perm_cycles(w)))
@@ -624,7 +622,8 @@ class TorusTraces:
             for pt, trace in self._twist_traces(w):
                 fibers.setdefault(twisted_charpoly(self.tower, pt), []).append(trace)
             self._fiber_sums[w] = {
-                char: self.tower.ring.sum(traces) for char, traces in fibers.items()
+                char: self.tower.psi_ring.sum(traces)
+                for char, traces in fibers.items()
             }
         return self._fiber_sums[w]
 
@@ -762,7 +761,7 @@ class TorusTraces:
             raise ValueError("determinant value must be a unit")
         block = ws.factor_coords[j]
         elements = weyl_block_elements(ws.shape, j)
-        return tower.ring.sum(
+        return tower.psi_ring.sum(
             (
                 trace
                 for w in elements

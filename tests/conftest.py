@@ -1,6 +1,22 @@
 import pytest
 
+from gammasums.cyclotomic import CyclotomicRing
 from gammasums.fields import build_tower
+
+
+@pytest.fixture
+def ring_conductors(monkeypatch):
+    """The conductors of the CyclotomicRings built while the test runs, in
+    order."""
+    built = []
+    real = CyclotomicRing.__init__
+
+    def record(self, conductor):
+        built.append(conductor)
+        real(self, conductor)
+
+    monkeypatch.setattr(CyclotomicRing, "__init__", record)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import compress
@@ -367,6 +368,110 @@ def test_add_shifted_is_the_coordinate_scan(n, data):
         support = value._nonzero()
         assert support == tuple((i, v) for i, v in enumerate(value.num) if v)
         assert value._nonzero() is support
+
+
+# (M, N) with M dividing N: Q(zeta_M) inside Q(zeta_N)
+EMBEDDINGS = [(2, 12), (3, 12), (5, 30), (15, 30), (8, 120), (5, 120), (7, 336),
+              (12, 336), (5, 3720)]
+
+
+def embedding_failures(big, a, b):
+    """The ring laws that big.embed breaks at a and b, values of one smaller
+    ring: sums, products, conjugates and the zero test."""
+    e = big.embed
+    laws = {
+        "sum": e(a + b) == e(a) + e(b),
+        "product": e(a * b) == e(a) * e(b),
+        "conjugate": e(a.conjugate()) == e(a).conjugate(),
+        "is_zero": e(a).is_zero() == a.is_zero() and e(a - a).is_zero(),
+    }
+    return [law for law, held in laws.items() if not held]
+
+
+@pytest.mark.parametrize("m,n", EMBEDDINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_embedding_is_a_ring_map(m, n, data):
+    small, big = CyclotomicRing(m), ACC_RINGS.get(n) or CyclotomicRing(n)
+    a, b = (small.from_coeffs(*draw_vector(data, m)) for _ in range(2))
+    assert not embedding_failures(big, a, b)
+    # values meet across the two rings in either order, with equal hashes
+    e = big.embed(a)
+    assert e.ring is big and a == e and e == a and hash(a) == hash(e)
+    assert a + big.one == big.one + a == e + 1 and a * b == e * big.embed(b)
+
+
+def embedding_mismatches(m, n):
+    """k with big.embed(zeta_M^k) != x^(k N/M) mod the sympy Phi_N."""
+    small, big = CyclotomicRing(m), ACC_RINGS.get(n) or CyclotomicRing(n)
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X)
+    bad = []
+    for k in range(m):
+        want = sympy.Poly(X ** (k * n // m), X).rem(phi).all_coeffs()[::-1]
+        got = big.embed(small.zeta_power(k)).num
+        if got != tuple(want) + (0,) * (big.degree - len(want)):
+            bad.append(k)
+    return bad
+
+
+@pytest.mark.parametrize("m,n", EMBEDDINGS)
+def test_embedding_sends_zeta_m_to_the_sympy_power(m, n):
+    assert not embedding_mismatches(m, n)
+
+
+def test_embedding_with_scale_one_breaks_the_checks(monkeypatch):
+    """Mutation control: coordinate i of a Q(zeta_M) value sent to i, not to
+    i * N/M."""
+    monkeypatch.setattr(
+        CyclotomicRing, "embed", lambda self, v: self.from_coeffs(v.num, v.den)
+    )
+    small, big = CyclotomicRing(5), CyclotomicRing(30)
+    a, b = small.zeta_power(3), small.zeta_power(2)
+    assert embedding_failures(big, a, b) == ["product", "conjugate"]
+    assert embedding_mismatches(5, 30) == [1, 2, 3, 4]
+
+
+BINARY_OPS = (operator.eq, operator.ne, operator.add, operator.sub, operator.mul,
+              operator.truediv)
+
+
+def test_rings_without_an_embedding_refuse_to_meet():
+    """Neither of Q(zeta_3) and Q(zeta_4) holds the other: every comparison
+    and operation between their values raises, in either order."""
+    a, b = CyclotomicRing(3).zeta_power(1), CyclotomicRing(4).zeta_power(1)
+    for op in BINARY_OPS:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError, match="no embedding"):
+                op(x, y)
+
+
+def test_add_shifted_refuses_a_conductor_that_does_not_divide():
+    ring = CyclotomicRing(12)
+    for value in (CyclotomicRing(8).one, CyclotomicRing(24).zeta_power(1)):
+        with pytest.raises(TypeError, match="does not embed"):
+            ring.accumulator().add_shifted(value)
+        with pytest.raises(TypeError, match="does not embed"):
+            ring.sum([ring.one, value])
+    acc = ring.accumulator()
+    acc.add_shifted(CyclotomicRing(4).zeta_power(1), 1)  # zeta_12^3 * zeta_12
+    assert acc.value() == ring.zeta_power(4)
+
+
+@pytest.mark.parametrize("n", [2, 12, 630])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equal_values_hash_equal(n, data):
+    """a == b implies hash(a) == hash(b): within a ring, against ints and
+    Fractions, and (test_embedding_is_a_ring_map) across rings."""
+    ring = ACC_RINGS.get(n) or CyclotomicRing(n)
+    coeffs, den = draw_vector(data, n)
+    a, b = ring.from_coeffs(coeffs, den), ring.from_coeffs(coeffs + [0, 0], den)
+    assert a == b and hash(a) == hash(b)
+    fr = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 12)))
+    c = ring.from_fraction(fr)
+    assert c == fr and hash(c) == hash(fr)
+    assert ring.from_int(fr.numerator) == fr.numerator
+    assert hash(ring.from_int(fr.numerator)) == hash(fr.numerator)
 
 
 @pytest.mark.parametrize("n", [630, 3720])

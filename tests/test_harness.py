@@ -259,6 +259,8 @@ def test_gl3_top_failure_carries_every_failing_point():
         harness.vanishing_sweep_gl3_top(run)
     exc = caught.value
     assert want and exc.failures == want[: harness.WITNESS_CAP]
+    # the witnesses are values of Q(zeta_p)
+    assert {w[1]["conductor"] for w in want} == {2}
     assert str(exc) == f"gl3 coset vanishing failed at {[w[0] for w in want[:3]]}"
     assert [c.passed for c in exc.checks] == [False, True]
 
@@ -280,6 +282,21 @@ def test_gl3_top_vanishing_breaks_under_the_untwisted_descent(rep, monkeypatch):
     )
     (report,) = run_suite(cfg)
     assert not vanishing(report)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"p": 2, "shape": [3], "suites": ["mirabolic"]},
+        {"p": 3, "shape": [3], "rep": "sym2", "suites": ["gl3-top"]},
+    ],
+)
+def test_suites_without_characters_build_no_tower_ring(cfg, ring_conductors):
+    """mirabolic evaluates no value and gl3-top only psi-values, so neither
+    builds the tower's ring: the one ring built is psi's, of conductor p."""
+    (report,) = run_suite(cfg)
+    assert report.passed
+    assert ring_conductors == [cfg["p"]]
 
 
 def _ring_axioms_check():

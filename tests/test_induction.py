@@ -170,7 +170,8 @@ def test_value_refuses_vectors_in_no_fiber(gamma_std2):
 def reference_phi(traces, weyl_sign):
     """The gamma trace per characteristic vector, point by point: the fiber
     points of every twist, each with one twisted local sum times its descent
-    sign and one addition, then the Weyl average."""
+    sign and one addition in the tower's ring Q(zeta_N), then the Weyl
+    average."""
     tower, ws = traces.tower, traces.ws
     n, weyl = ws.shape[0], ws.weyl()
     fibers = []
@@ -182,7 +183,8 @@ def reference_phi(traces, weyl_sign):
         total = tower.ring.zero
         for xi, eps, fiber in fibers:
             for pt in fiber.get(char, []):
-                total = total + traces.twisted_local_sum(xi, pt) * eps
+                local = tower.ring.embed(traces.twisted_local_sum(xi, pt))
+                total = total + local * eps
         return total * Fraction((-1) ** (n * n - n), len(weyl))
 
     return phi
@@ -204,7 +206,31 @@ def test_phi_table_matches_the_per_point_reference(p, f, n, rep):
     for weyl_sign in (True, False):
         gamma, want = GammaTrace(traces, weyl_sign), reference_phi(traces, weyl_sign)
         for char in chars:
-            assert gamma.value_for_charpoly(char) == want(char), char
+            value = gamma.value_for_charpoly(char)
+            assert value.ring is tower.psi_ring
+            assert tower.ring.embed(value) == want(char), char
+
+
+def test_gl5_std_table_needs_no_tower_ring(ring_conductors):
+    """GL(5) std at q=3 needs tower level 6, whose ring Q(zeta_N), N =
+    2,642,640, has degree 506,880; the gamma table lives in Q(zeta_3).  Every
+    det-fiber sum vanishes, and under the untwisted descent both are nonzero."""
+    tower = build_tower(3, 1, 6)
+    traces = TorusTraces(tower, validate_weight_system([5], "std"))
+    lv = tower.level(1)
+    leads = list(itertools.product(lv.elements(), repeat=4))
+    nonzero = {}
+    for weyl_sign in (True, False):
+        gamma = GammaTrace(traces, weyl_sign)
+        nonzero[weyl_sign] = [
+            det
+            for det in lv.units()
+            if not tower.psi_ring.sum(
+                gamma.value_for_charpoly(lead + (det,)) for lead in leads
+            ).is_zero()
+        ]
+    assert nonzero == {True: [], False: [1, 2]}
+    assert ring_conductors == [3]
 
 
 def _rref_lines(tower, n):
