@@ -172,7 +172,6 @@ class CyclotomicRing:
         if conductor < 2:
             raise ValueError("conductor must be at least 2")
         self.conductor = conductor
-        self.degree = len(cyclotomic_polynomial(conductor)) - 1
         # The moduli _reduce divides by in turn, as (degree, nonzero (i, c)
         # below the leading term): for the primes p_1 < ... < p_k of N and
         # M = p_1 ... p_j, Phi_M(x^(N/M)).  Each divides the one before, the
@@ -189,6 +188,7 @@ class CyclotomicRing:
             spread, phi = conductor // m, cyclotomic_polynomial(m)
             low = tuple((spread * i, c) for i, c in enumerate(phi[:-1]) if c)
             self._moduli.append((spread * (len(phi) - 1), low))
+        self.degree = self._moduli[-1][0]  # phi(N), the degree of Phi_N
         self.zero = CycNum(self, (0,) * self.degree, 1)
         self.one = self.from_int(1)
         self._plan = None

@@ -8,8 +8,8 @@ roots of unity; the orthogonality sums are collected in Z[Z/N], where
 conjugation negates an exponent, and each is reduced modulo Phi_N once.  The
 oracle reads the terms as well: a generic column or a phi value, a sum of
 gamma values times character values, is one ZetaSum of gamma values shifted
-by the terms' exponents.  The CycNum values, built once from the same terms,
-fill the non-generic columns.  The verified table is an input to the oracle,
+by the terms' exponents, and so is a non-generic column, the expansion of
+one character with gamma 1.  The verified table is an input to the oracle,
 so a caller builds it once.  The oracle expands the gamma trace over
 irreducible characters, read at g itself (the pairing chi_r(g)): the generic
 coefficients come from the torus Mellin transform (identity twist for
@@ -39,7 +39,6 @@ class Gl2Class:
     key: tuple  # (a1, a2, is_central)
     kind: str  # "central" | "nonss" | "split" | "nonsplit"
     size: int
-    rep_rows: tuple
     params: tuple  # family-specific class parameters
 
 
@@ -60,7 +59,6 @@ def gl2_classes(tower):
                 key=(ch[0], ch[1], True),
                 kind="central",
                 size=1,
-                rep_rows=((a, 0), (0, a)),
                 params=(a,),
             )
         )
@@ -69,7 +67,6 @@ def gl2_classes(tower):
                 key=(ch[0], ch[1], False),
                 kind="nonss",
                 size=q * q - 1,
-                rep_rows=((a, 1), (0, a)),
                 params=(a,),
             )
         )
@@ -82,7 +79,6 @@ def gl2_classes(tower):
                     key=(ch[0], ch[1], False),
                     kind="split",
                     size=q * q + q,
-                    rep_rows=((a, 0), (0, b)),
                     params=(a, b),
                 )
             )
@@ -98,14 +94,11 @@ def gl2_classes(tower):
         tr = tower.trace(alpha, 2)
         nm = tower.norm(alpha, 2)
         ch = (lv.neg(tr), nm)
-        # companion matrix of the irreducible quadratic
-        rep = ((0, lv.neg(nm)), (1, tr))
         out.append(
             Gl2Class(
                 key=(ch[0], ch[1], False),
                 kind="nonsplit",
                 size=q * q - q,
-                rep_rows=rep,
                 params=pair,
             )
         )
@@ -235,8 +228,7 @@ def character_value(tower, irrep: Gl2Irrep, cls: Gl2Class):
 class Gl2Table:
     """Full character table with exact orthogonality verification.
 
-    terms maps (irrep, class key) to the group-ring terms of character_value;
-    values holds the same entries as CycNum, built once from terms.
+    terms maps (irrep, class key) to the group-ring terms of character_value.
     """
 
     def __init__(self, tower):
@@ -252,17 +244,6 @@ class Gl2Table:
             for irrep in self.irreps
             for cls in self.classes
         }
-        reduced = {}  # equal terms share one CycNum
-        for terms in self.terms.values():
-            if terms not in reduced:
-                acc = tower.ring.accumulator()
-                for e, m in terms:
-                    acc.add_term(e, m)
-                reduced[terms] = acc.value()
-        self.values = {key: reduced[terms] for key, terms in self.terms.items()}
-
-    def value(self, irrep, class_key):
-        return self.values[(irrep, class_key)]
 
     def verify_orthogonality(self):
         """Exact row and column orthogonality, read from the terms.
@@ -346,11 +327,8 @@ GENERIC_SIGNS = {"principal": 1, "cuspidal": -1}
 
 def _raw_mellin(traces, irrep: Gl2Irrep):
     """Torus Mellin transform at the character parametrizing a generic irrep."""
-    if irrep.family == "principal":
-        w, exponents = (0, 1), tuple(enumerate(irrep.params))
-    else:
-        w, exponents = (1, 0), ((0, irrep.params[0]),)
-    return traces.mellin_gamma(w, TorusCharacter(w, exponents))
+    w = (0, 1) if irrep.family == "principal" else (1, 0)
+    return traces.mellin_gamma(w, TorusCharacter(w, irrep.params))
 
 
 def _expand(table, gammas, key, den=1):
@@ -370,6 +348,7 @@ def _regular_system(traces, gamma_calc, table):
     column per family in generic, the coefficient of the family scale, then
     one column per non-generic irrep in unknown.
     """
+    ring = table.tower.ring
     order = gl2_order(table.tower.q)
     generic = {}
     for r in table.irreps:
@@ -381,9 +360,9 @@ def _regular_system(traces, gamma_calc, table):
         if cls.kind == "central":
             continue
         row = [_expand(table, raw, cls.key) for raw in generic.values()]
-        rows.append(row + [table.value(r, cls.key) * r.dim for r in unknown])
+        rows.append(row + [_expand(table, {r: ring.one}, cls.key) for r in unknown])
         phi = gamma_calc.value_for_charpoly(cls.key[:2])
-        rhs.append(table.tower.ring.embed(phi) * order)
+        rhs.append(ring.embed(phi) * order)
     return generic, unknown, rows, rhs
 
 

@@ -25,6 +25,7 @@ from .errors import (
     ConfigInvalid,
     GammasumsError,
     NotComputableLocus,
+    SolverSingular,
     TowerTooShallow,
     VanishingFailed,
 )
@@ -80,6 +81,7 @@ from .mirabolic import (
 )
 from .torus import (
     TorusTraces,
+    TwistedTorusPoint,
     enumerate_twisted_points,
     largest_weyl_order,
     perm_compose,
@@ -87,7 +89,6 @@ from .torus import (
     perm_sign,
     rational_character,
     torus_characters,
-    twisted_point,
     validate_weight_system,
     weyl_lift,
 )
@@ -580,10 +581,10 @@ def _sample_torus_points(tower, d, rng):
 
 def sign_action_failures(traces, points):
     """(t, xi) where xi does not act on the local sum at t by its sign."""
-    tower, ws = traces.tower, traces.ws
+    ws = traces.ws
     bad = []
     for t in points:
-        pt = twisted_point(tower, perm_identity(ws.d), dict(enumerate(t)))
+        pt = TwistedTorusPoint(perm_identity(ws.d), t)
         base = traces.hyper_trace(t)
         for xi in ws.sigma_block_elements():
             want = base if perm_sign(xi) == 1 else -base
@@ -665,7 +666,7 @@ def suite_torus(run) -> list:
     # untwisted consistency
     ok = True
     for t in itertools.product(units, repeat=d):
-        pt = twisted_point(tower, perm_identity(d), dict(enumerate(t)))
+        pt = TwistedTorusPoint(perm_identity(d), t)
         if traces.twisted_stalk_trace(pt) != traces.hyper_trace(t):
             ok = False
     checks.append(CheckResult("identity-twist-consistency", ok))
@@ -743,8 +744,13 @@ def suite_torus(run) -> list:
 
 
 def roundtrip_failures(y, m):
-    """[y] unless the block coordinates of normalized y reassemble to y."""
-    return [] if bernstein_coords(y, m).reassemble(y.tower) == y.rows else [y.rows]
+    """[y] unless the block coordinates of normalized y reassemble to y, which
+    bernstein_coords checks, raising SolverSingular on a mismatch."""
+    try:
+        bernstein_coords(y, m)
+    except SolverSingular:
+        return [y.rows]
+    return []
 
 
 def coset_failures(x, y, m):

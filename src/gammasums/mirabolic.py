@@ -195,43 +195,36 @@ def bernstein_coords(x: GroupPoint, m=None) -> StratumData:
     Solves y = v_1 + v_{m-1} x_E - x_F v_{m-1} row by row from the bottom:
     row m gives -v[m-1], each higher row i gives v[i-1] = v[i] x_E - y[i],
     and row 1 then determines v_1.  The filtration structure makes every step
-    forced, so the solution exists and is unique for every x_E.
+    forced, so the solution exists and is unique for every x_E.  The
+    coordinates are reassembled and must reproduce x, else SolverSingular.
     """
     if m is None:
         m = stratum_index(x)
     lv = x.level()
     x_f, y, x_e = normalized_blocks(x, m)
-    n = x.n
-    k = n - m
+    k = x.n - m
     if k == 0:
+        data = StratumData(m=m, a=charpoly(lv, x_f), x_e=(), v1=((),), vm1=())
+    else:
+        vm1 = [[0] * k for _ in range(m)]
+        if m >= 2:
+            vm1[m - 2] = [lv.neg(c) for c in y[m - 1]]
+            for i in range(m - 1, 1, -1):
+                vm1[i - 2] = [
+                    lv.sub(acc, yc)
+                    for acc, yc in zip(mat_mul(lv, (vm1[i - 1],), x_e)[0], y[i - 1])
+                ]
+        # the block product puts v1 to the left of diag(x_F, x_E), so the first
+        # row reads y[0] = (v1 + vm1[0]) x_E and v1 = y[0] x_E^(-1) - vm1[0]
+        xe_inv = mat_inv(lv, x_e)
+        v1 = [lv.sub(c, v) for c, v in zip(mat_mul(lv, (y[0],), xe_inv)[0], vm1[0])]
         data = StratumData(
             m=m,
             a=charpoly(lv, x_f),
-            x_e=(),
-            v1=((),),
-            vm1=(),
+            x_e=x_e,
+            v1=(tuple(v1),),
+            vm1=tuple(tuple(r) for r in vm1),
         )
-        return data
-    vm1 = [[0] * k for _ in range(m)]
-    if m >= 2:
-        vm1[m - 2] = [lv.neg(c) for c in y[m - 1]]
-        for i in range(m - 1, 1, -1):
-            row_above = [
-                lv.sub(acc, yc)
-                for acc, yc in zip(mat_mul(lv, (vm1[i - 1],), x_e)[0], y[i - 1])
-            ]
-            vm1[i - 2] = row_above
-    # the block product puts v1 to the left of diag(x_F, x_E), so the first
-    # row reads y[0] = (v1 + vm1[0]) x_E and v1 = y[0] x_E^(-1) - vm1[0]
-    xe_inv = mat_inv(lv, x_e)
-    v1 = [lv.sub(c, v) for c, v in zip(mat_mul(lv, (y[0],), xe_inv)[0], vm1[0])]
-    data = StratumData(
-        m=m,
-        a=charpoly(lv, x_f),
-        x_e=x_e,
-        v1=(tuple(v1),),
-        vm1=tuple(tuple(r) for r in vm1),
-    )
     if data.reassemble(x.tower) != x.rows:
         raise SolverSingular("coordinate solve failed to reproduce the point")
     return data

@@ -309,25 +309,19 @@ def weyl_lift(ws: WeightSystem, w):
 
 @dataclass(frozen=True)
 class TwistedTorusPoint:
-    """A point of the w-twisted torus, one unit per w-cycle.
-
-    values holds (cycle representative, unit in F_{q^len}) pairs, sorted by
-    representative; the full coordinate tuple is recovered by going around
-    each cycle with Frobenius.
-    """
+    """A point of the w-twisted torus: values holds one unit per w-cycle, in
+    perm_cycles(w) order, the unit of a cycle of length l in F_{q^l}; the
+    full coordinate tuple is recovered by going around each cycle with
+    Frobenius."""
 
     w: tuple
     values: tuple
 
-    def cycle_map(self):
-        return dict(self.values)
-
 
 def twisted_point(tower: FieldTower, w, assignments) -> TwistedTorusPoint:
     """Build and validate a twisted point from a {cycle rep: unit} mapping."""
-    cycles = perm_cycles(w)
     values = []
-    for cyc in cycles:
+    for cyc in perm_cycles(w):
         rep = cyc[0]
         if rep not in assignments:
             raise InvalidTwistedPoint(f"missing value for cycle at {rep}")
@@ -338,8 +332,8 @@ def twisted_point(tower: FieldTower, w, assignments) -> TwistedTorusPoint:
             )
         if val == 0:
             raise InvalidTwistedPoint("twisted point coordinates must be units")
-        values.append((rep, val))
-    return TwistedTorusPoint(tuple(w), tuple(sorted(values)))
+        values.append(val)
+    return TwistedTorusPoint(tuple(w), tuple(values))
 
 
 def enumerate_twisted_points(tower, w):
@@ -350,26 +344,22 @@ def enumerate_twisted_points(tower, w):
             raise TowerTooShallow(
                 f"cycle of length {len(cyc)} exceeds the tower bound"
             )
-    unit_sets = [tower.level(len(c)).units() for c in cycles]
-    for combo in itertools.product(*unit_sets):
-        yield TwistedTorusPoint(
-            tuple(w), tuple(sorted((c[0], v) for c, v in zip(cycles, combo)))
-        )
+    w = tuple(w)
+    for combo in itertools.product(*(tower.level(len(c)).units() for c in cycles)):
+        yield TwistedTorusPoint(w, combo)
 
 
 def expand_twisted_point(tower, pt: TwistedTorusPoint, to_level):
     """Coordinates of the twisted point inside F_{q^to_level}."""
-    w = pt.w
-    coords = [0] * len(w)
+    coords = [0] * len(pt.w)
     lv = tower.level(to_level)
-    for cyc in perm_cycles(w):
+    for cyc, unit in zip(perm_cycles(pt.w), pt.values):
         ell = len(cyc)
         if to_level % ell:
             raise TowerTooShallow(
                 f"cycle length {ell} does not divide working level {to_level}"
             )
-        val = tower.embed(pt.cycle_map()[cyc[0]], ell, to_level)
-        cur = val
+        cur = tower.embed(unit, ell, to_level)
         for idx in cyc:
             coords[idx] = cur
             cur = lv.frobenius(cur)
@@ -385,12 +375,10 @@ def twisted_charpoly(tower, pt: TwistedTorusPoint):
     product at its own level rather than at the lcm of the cycle lengths.
     """
     lv1 = tower.level(1)
-    cmap = pt.cycle_map()
     poly = (1,)
-    for cyc in perm_cycles(pt.w):
+    for cyc, b in zip(perm_cycles(pt.w), pt.values):
         ell = len(cyc)
         lv = tower.level(ell)
-        b = cmap[cyc[0]]
         factor = (1,)
         for _ in range(ell):
             factor = pol_mul(lv, factor, (lv.neg(b), 1))
@@ -404,9 +392,9 @@ def point_block_norm(tower, pt: TwistedTorusPoint, coords):
     lv1 = tower.level(1)
     out = 1
     coord_set = set(coords)
-    for cyc in perm_cycles(pt.w):
+    for cyc, unit in zip(perm_cycles(pt.w), pt.values):
         if cyc[0] in coord_set:
-            out = lv1.mul(out, tower.norm(pt.cycle_map()[cyc[0]], len(cyc)))
+            out = lv1.mul(out, tower.norm(unit, len(cyc)))
     return out
 
 
@@ -415,46 +403,40 @@ def point_block_norm(tower, pt: TwistedTorusPoint, coords):
 
 @dataclass(frozen=True)
 class TorusCharacter:
-    """Character of a twisted torus: one exponent per w-cycle."""
+    """Character of a twisted torus: exponents holds one exponent e per
+    w-cycle, in perm_cycles(w) order, and the factor of a cycle of length l
+    is u -> zeta_{q^l-1}^(e * dlog u) on its unit u in F_{q^l}."""
 
     w: tuple
-    exponents: tuple  # ((cycle rep, exponent), ...) sorted by rep
+    exponents: tuple
 
     def exponent(self, tower, pt: TwistedTorusPoint) -> int:
         """Exponent k of zeta_N with value(tower, pt) = zeta_N^k."""
         if pt.w != self.w:
             raise ValueError("character and point live on different twists")
-        cmap = pt.cycle_map()
-        exps = dict(self.exponents)
         total = 0
-        for cyc in perm_cycles(self.w):
-            rep, ell = cyc[0], len(cyc)
-            total += tower.zeta_unit_exponent(
-                ell, exps[rep] * tower.level(ell).dlog[cmap[rep]]
-            )
+        for cyc, e, unit in zip(perm_cycles(self.w), self.exponents, pt.values):
+            ell = len(cyc)
+            total += tower.zeta_unit_exponent(ell, e * tower.level(ell).dlog[unit])
         return total
 
 
 def trivial_character(tower, w) -> TorusCharacter:
-    return TorusCharacter(tuple(w), tuple((c[0], 0) for c in perm_cycles(w)))
+    return TorusCharacter(tuple(w), (0,) * len(perm_cycles(w)))
 
 
 def torus_characters(tower, w):
     """All characters of the w-twisted torus."""
-    cycles = perm_cycles(w)
-    ranges = [range(tower.q ** len(c) - 1) for c in cycles]
+    w = tuple(w)
+    ranges = [range(tower.q ** len(c) - 1) for c in perm_cycles(w)]
     for combo in itertools.product(*ranges):
-        yield TorusCharacter(
-            tuple(w), tuple((c[0], e) for c, e in zip(cycles, combo))
-        )
+        yield TorusCharacter(w, combo)
 
 
 def rational_character(tower, exponents) -> TorusCharacter:
     """Character of the untwisted torus from one exponent per coordinate."""
-    d = len(exponents)
     return TorusCharacter(
-        perm_identity(d),
-        tuple((i, e % (tower.q - 1)) for i, e in enumerate(exponents)),
+        perm_identity(len(exponents)), tuple(e % (tower.q - 1) for e in exponents)
     )
 
 
@@ -649,20 +631,18 @@ class TorusTraces:
         tower, ws = self.tower, self.ws
         q = tower.q
         xi = self._lift(w)[0]
-        theta_exp = dict(theta.exponents)
         out = []
         for cyc in perm_cycles(xi):
             ell = len(cyc)
             size = q**ell
             e_total = 0
-            for wc in perm_cycles(w):
-                rep = wc[0]
+            for wc, e in zip(perm_cycles(w), theta.exponents):
                 m_c = 0
                 for k, slot in enumerate(cyc):
-                    c = ws.slots[slot][rep]
+                    c = ws.slots[slot][wc[0]]
                     if c:
                         m_c += c * pow(q, k, size - 1)
-                e_total += theta_exp[rep] * m_c
+                e_total += e * m_c
             out.append(MultCharacter(tower, ell, e_total))
         return out
 
@@ -729,11 +709,8 @@ class TorusTraces:
         if self._quotients is None:
             tower, d = self.tower, self.ws.d
             lv = tower.level(1)
-            points = [
-                twisted_point(tower, perm_identity(d), dict(enumerate(t)))
-                for t in itertools.product(lv.units(), repeat=d)
-            ]
-            coords = [expand_twisted_point(tower, pt, 1) for pt in points]
+            coords = list(itertools.product(lv.units(), repeat=d))
+            points = [TwistedTorusPoint(perm_identity(d), t) for t in coords]
             index = {c: i for i, c in enumerate(coords)}
             quotient = [
                 [

@@ -47,6 +47,13 @@ def test_cyclotomic_polynomial_matches_sympy(n):
     assert cyclotomic_polynomial(n) == tuple(int(c) for c in want)
 
 
+def test_ring_degree_is_the_totient():
+    # the degree is read off the last sparse modulus, Phi_rad(N)(x^(N/rad N))
+    prime_powers = [2**10, 3**5, 5**4, 7**3, 11**2, 13**2]
+    for n in list(range(2, 121)) + prime_powers + [162, 336, 630, 3720, 19530]:
+        assert CyclotomicRing(n).degree == sympy.totient(n), n
+
+
 RINGS = {n: CyclotomicRing(n) for n in (12, 30, 120, 336, 630, 1860)}
 
 

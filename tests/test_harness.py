@@ -20,7 +20,12 @@ from gammasums.harness import (
 )
 from gammasums.induction import GammaTrace, factor_monic
 from gammasums.matrices import char_coeffs_to_poly
-from gammasums.mirabolic import companion_matrix, group_point, stratum_index
+from gammasums.mirabolic import (
+    StratumData,
+    companion_matrix,
+    group_point,
+    stratum_index,
+)
 from gammasums.torus import TorusTraces, validate_weight_system
 
 
@@ -351,6 +356,28 @@ def test_flag_vs_ordering_breaks_under_a_wrong_hyper_trace(monkeypatch):
 
     monkeypatch.setattr(TorusTraces, "hyper_trace", off_by_one)
     assert len(harness.flag_vs_ordering_failures(TorusTraces(tower, ws), rss)) == 12
+
+
+def test_normalization_roundtrip_breaks_under_a_wrong_reassembly(monkeypatch):
+    # bernstein_coords checks its own reassembly, so a wrong one fails the
+    # round-trip check while every other mirabolic check is still reported
+    cfg = {"p": 2, "shape": [3], "suites": ["mirabolic"], "caps": {"tower": 1}}
+
+    def verdicts():
+        (report,) = run_suite(cfg)
+        return {c.name: c.passed for c in report.checks}
+
+    clean = verdicts()
+    assert clean["normalization-roundtrip"] and all(clean.values())
+    real = StratumData.reassemble
+
+    def off_by_one(self, tower):
+        rows = [list(row) for row in real(self, tower)]
+        rows[0][0] = tower.level(1).add(rows[0][0], 1)
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(StratumData, "reassemble", off_by_one)
+    assert verdicts() == dict(clean, **{"normalization-roundtrip": False})
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,6 @@
 import itertools
 from collections import Counter
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -13,7 +13,7 @@ from gammasums.errors import (
     NotWStable,
     TowerTooShallow,
 )
-from gammasums.fields import build_tower, kloosterman, psi_sum
+from gammasums.fields import MultCharacter, build_tower, kloosterman, psi_sum
 from gammasums.torus import (
     TorusCharacter,
     TorusTraces,
@@ -234,6 +234,44 @@ def test_twisted_point_enumeration_count(tower_f3):
         coords = expand_twisted_point(tower_f3, pt, 2)
         l2 = tower_f3.level(2)
         assert coords[1] == l2.frobenius(coords[0])
+
+
+TWISTS = [(0,), (0, 1), (1, 0), (0, 2, 1), (2, 0, 1), (1, 2, 0)]
+
+
+@pytest.mark.parametrize("w", TWISTS)
+def test_twisted_points_hold_one_unit_per_cycle(tower_f3_deep, w):
+    tower = tower_f3_deep
+    cycles = perm_cycles(w)
+    work = lcm(*map(len, cycles))
+    lv = tower.level(work)
+    pts = list(enumerate_twisted_points(tower, w))
+    assert len(set(pts)) == len(pts) == prod(tower.q ** len(c) - 1 for c in cycles)
+    for pt in pts:
+        assert len(pt.values) == len(cycles)
+        for cyc, unit in zip(cycles, pt.values):
+            assert unit in set(tower.level(len(cyc)).units())
+        by_rep = {c[0]: u for c, u in zip(cycles, pt.values)}
+        assert twisted_point(tower, w, by_rep) == pt
+        # t_{w(i)} = t_i^q at the working level
+        coords = expand_twisted_point(tower, pt, work)
+        assert all(coords[w[i]] == lv.frobenius(coords[i]) for i in range(len(w)))
+
+
+@pytest.mark.parametrize("w", TWISTS)
+def test_character_exponent_is_the_product_over_cycles(tower_f3_deep, w):
+    # theta(pt) is the product over the w-cycles c, with unit u and exponent e,
+    # of the level-len(c) character of exponent e at u
+    tower = tower_f3_deep
+    cycles = perm_cycles(w)
+    pts = list(enumerate_twisted_points(tower, w))
+    for theta in torus_characters(tower, w):
+        assert len(theta.exponents) == len(cycles)
+        for pt in pts:
+            want = tower.ring.one
+            for cyc, e, u in zip(cycles, theta.exponents, pt.values):
+                want = want * MultCharacter(tower, len(cyc), e).value(u)
+            assert tower.ring.zeta_power(theta.exponent(tower, pt)) == want
 
 
 def test_invalid_twisted_point(tower_f3):
