@@ -9,7 +9,6 @@ from .errors import (
     InvalidTwistedPoint,
     LevelMissing,
     NotConstant,
-    NotCyclic,
     NotComputableLocus,
     NotNormalized,
     NotPrime,

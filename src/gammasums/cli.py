@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import ConfigInvalid
-from .harness import SUITE_NAMES, SUITE_STATEMENTS, emit, run_suite
+from .harness import SUITE_NAMES, SUITES, emit, run_suite
 
 
 def _build_parser():
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
             print(name)
         return 0
     if args.command == "explain":
-        print(SUITE_STATEMENTS[args.suite])
+        print(SUITES[args.suite].statement)
         return 0
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -41,10 +41,6 @@ class NotConstant(GammasumsError):
     """A convolution that must be a character multiple is not one."""
 
 
-class NotCyclic(GammasumsError):
-    """The first basis vector is not cyclic for the given matrix."""
-
-
 class NotNormalized(GammasumsError):
     """A matrix was expected in companion-normalized block form."""
 

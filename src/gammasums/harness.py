@@ -19,6 +19,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .cyclotomic import CycNum
 from .errors import (
@@ -94,71 +95,7 @@ from .torus import (
 )
 
 DEFAULT_SEED = 1789
-SUITE_NAMES = (
-    "arith",
-    "torus",
-    "mirabolic",
-    "induction",
-    "gl2-main",
-    "gl3-top",
-    "oracle",
-)
-
-SUITE_STATEMENTS = {
-    "arith": (
-        "Gauss sums satisfy g(chi) g(conj chi) = chi(-1) q^m exactly and have "
-        "complex magnitude q^(m/2); the Hasse-Davenport relation lifts them "
-        "along norm maps; tower embeddings and generators are compatible."
-    ),
-    "torus": (
-        "Hypergeometric traces agree with Kloosterman sums on one-dimensional "
-        "tori; block permutations of repeated weights act on twisted local "
-        "sums by the sign character and normalized twisted traces are "
-        "lift-independent; Mellin transforms factor into Gauss sums along "
-        "twist orbits after one unit calibration; convolution with any torus "
-        "character is a scalar multiple of it; the sign-averaged determinant-"
-        "fiber sum vanishes for every determinant value."
-    ),
-    "mirabolic": (
-        "Left translation by the first-row unipotent group preserves the "
-        "cyclic-span stratification; companion normalization and the "
-        "triangular coordinate solve are exact bijections; the coset "
-        "characteristic-polynomial shift formula matches direct computation, "
-        "is linear, and has rank m-1 on the stratum of index m; orbit counts "
-        "per characteristic polynomial match the stratification recursion; "
-        "maximal-parabolic orbits are classified by the rank of the "
-        "lower-left block."
-    ),
-    "induction": (
-        "The flag-sum trace of the induced object equals the sum over "
-        "twist-fixed orderings of the eigenvalue multiset; the gamma trace is "
-        "conjugation invariant and, for the standard weights, a frozen unit "
-        "times the additive character of the trace on the whole regular "
-        "locus; restriction to the diagonal Levi is a frozen unit times the "
-        "torus trace."
-    ),
-    "gl2-main": (
-        "For every g outside the Borel of GL(2, F_q) the sum of the gamma "
-        "trace over the unipotent coset vanishes exactly, computed both "
-        "geometrically and through the character-table expansion, with "
-        "pointwise agreement of the two routes on regular classes; replacing "
-        "the sign-twisted Weyl descent by the untwisted one breaks the "
-        "vanishing."
-    ),
-    "gl3-top": (
-        "For top-stratum points of GL(3, F_q) outside the mirabolic subgroup "
-        "the unipotent coset sum of the gamma trace vanishes exactly and "
-        "agrees with its determinant-fiber recomputation; the sign-averaged "
-        "determinant-fiber sums on the torus vanish for every determinant "
-        "value."
-    ),
-    "oracle": (
-        "The GL(2, F_q) character table is exactly orthogonal; the gamma "
-        "trace expands over irreducible characters with generic coefficients "
-        "given by torus Mellin transforms scaled by q times the twist sign, "
-        "and the overdetermined regular-class system closes exactly."
-    ),
-}
+DEFAULT_SUITES = ("arith",)
 
 
 @dataclass
@@ -234,32 +171,32 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# Largest q each suite runs at.  gl2-main and gl3-top sweep every coset, and
-# gl2-main, which builds the GL(2) table and oracle, keeps to the oracle's q.
-# The oracle's exact solve in Q(zeta_N) is the limit there: q = 9 finishes in
-# a few seconds, q = 11 takes about 330 s, 320 s of it in the dense solve of
-# the family-scale calibration (2-vCPU machine).
-SUITE_Q_CAPS = {"gl2-main": 9, "gl3-top": 3, "oracle": 9}
-
-# Largest q^(n-1) the mirabolic suite runs at: it translates each of up to 300
-# pool points and 60 samples by all q^(n-1) vectors v.  Single runs at
-# caps.tower 1 (2-vCPU x86-64, Python 3.11): q^(n-1) = 64 at GL(7), q=2,
-# 1.8 s; 128 at GL(8), q=2, 4.5 s; 256 at GL(9), q=2, 11.8 s; 343 at GL(4),
-# q=7, 3.6 s.
-MIRABOLIC_TRANSLATES_CAP = 343
-
 # Largest degree phi(N) of the tower's ring, N = lcm(p, q^m - 1 : m <= tower).
-# Building Phi_N grows with it: build_tower (2-vCPU x86-64, Python 3.11) took
-# 0.6 s at phi(N) = 4,320 (p=2, tower 6), 4.0 s at 23,040 (p=5, tower 4),
-# 53 s at 34,560 (p=11, tower 3), and did not finish in 240 s at 506,880
-# (p=3, tower 6).
+# Building Phi_N grows with it: building the ring (2-vCPU x86-64, Python
+# 3.11, two runs each) took 0.6 and 1.0 s at phi(N) = 23,040 (p=5, tower 4)
+# and 16.8 and 18.1 s at 34,560 (p=11, tower 3); at 506,880 (p=3, tower 6)
+# build_tower did not finish in 240 s.
 RING_DEGREE_CAP = 23040
+
+
+def _power_exceeds(base, exponent, cap):
+    """base^exponent > cap.  For base >= 2 the product passes the cap within
+    log2(cap) + 1 factors, so a huge exponent costs no more than that."""
+    value = 1
+    for _ in range(exponent):
+        value *= base
+        if value > cap:
+            return True
+    return False
 
 
 def validate_config(raw, suites=None) -> dict:
     """The checked config with defaults filled in; suites, when given,
     replaces the config's suite list.  Also returns the validated weight
-    system under "weights", so the suites do not validate it again."""
+    system under "weights", so the suites do not validate it again.
+
+    Each rule below reads the facts of every configured suite from SUITES
+    in turn, so a config breaking several rules is refused for the first."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
     if suites:
@@ -279,7 +216,7 @@ def validate_config(raw, suites=None) -> dict:
         "f": raw.get("f", 1),
         "shape": list(raw.get("shape", [2])),
         "rep": raw.get("rep", "std"),
-        "suites": list(raw.get("suites", ["arith"])),
+        "suites": list(raw.get("suites", DEFAULT_SUITES)),
         "caps": dict(raw.get("caps", {})),
         "seed": raw.get("seed", DEFAULT_SEED),
     }
@@ -302,60 +239,45 @@ def validate_config(raw, suites=None) -> dict:
     for cap, value in cfg["caps"].items():
         if not (_is_int(value) and value >= 1):
             raise ConfigInvalid(f"caps.{cap} must be a positive integer")
+    enumeration = cfg["caps"]["enumeration"]
+    suites = [(s, SUITES[s]) for s in cfg["suites"]]
     # level 1 alone holds q elements; q is bounded before the trial division
-    # of p, and passes the cap after at most log2(cap) + 1 factors of p
-    q = 1
-    for _ in range(cfg["f"]):
-        q *= cfg["p"]
-        if q > cfg["caps"]["enumeration"]:
+    # of p
+    if _power_exceeds(cfg["p"], cfg["f"], enumeration):
+        raise ConfigInvalid(f"q = p^f is above caps.enumeration = {enumeration}")
+    q = cfg["p"] ** cfg["f"]
+    n = max(cfg["shape"])
+    # checked before the tower and every enumeration
+    for s, suite in suites:
+        if suite.translates_max and _power_exceeds(q, n - 1, suite.translates_max):
             raise ConfigInvalid(
-                f"q = p^f is above caps.enumeration = {cfg['caps']['enumeration']}"
+                f"{s} runs at q^(n-1) <= {suite.translates_max}, "
+                f"and n = {n} is above it at q = {q}"
             )
-    # checked before the tower and every enumeration: q^(n-1) passes the cap
-    # within log2(cap) + 1 factors of q
-    if "mirabolic" in cfg["suites"]:
-        translates = 1
-        for _ in range(max(cfg["shape"]) - 1):
-            translates *= q
-            if translates > MIRABOLIC_TRANSLATES_CAP:
-                raise ConfigInvalid(
-                    f"mirabolic runs at q^(n-1) <= {MIRABOLIC_TRANSLATES_CAP}, "
-                    f"and n = {max(cfg['shape'])} is above it at q = {q}"
-                )
     # a twisted point of w lives at the level of w's order, the lcm of its
     # cycle lengths, so the twisted suites need the largest Weyl order (read
     # off the shape only for them); the mirabolic suite needs level 1.  That
     # order is at least n = max(shape), so level n, with q^n elements, is
     # held to the cap first: the order's search grows with the shape
-    twisted = [s for s in ("torus", "induction", "gl3-top") if s in cfg["suites"]]
-    if twisted:
-        size = 1
-        for _ in range(max(cfg["shape"])):
-            size *= q
-            if size > cfg["caps"]["enumeration"]:
-                raise ConfigInvalid(
-                    f"{twisted[0]} needs tower level n = {max(cfg['shape'])}, whose "
-                    f"q^n elements are above caps.enumeration = "
-                    f"{cfg['caps']['enumeration']}"
-                )
-    level = largest_weyl_order(cfg["shape"]) if twisted else max(cfg["shape"])
-    cfg["caps"].setdefault("tower", max(2, level))
-    # the tower holds q + q^2 + ... + q^tower elements; each term at least
-    # doubles, so the sum passes the cap within log2(cap) + 1 terms
-    total, term = 0, 1
-    for _ in range(cfg["caps"]["tower"]):
-        term *= q
-        total += term
-        if total > cfg["caps"]["enumeration"]:
-            raise ConfigInvalid(
-                "the tower, q + q^2 + ... + q^tower, is above caps.enumeration = "
-                f"{cfg['caps']['enumeration']}"
-            )
+    twisted = [s for s, suite in suites if suite.twisted]
+    if twisted and _power_exceeds(q, n, enumeration):
+        raise ConfigInvalid(
+            f"{twisted[0]} needs tower level n = {n}, whose q^n elements are "
+            f"above caps.enumeration = {enumeration}"
+        )
+    level = largest_weyl_order(cfg["shape"]) if twisted else n
+    tower = cfg["caps"].setdefault("tower", max(2, level))
+    # the tower holds q + q^2 + ... + q^tower elements, and q - 1 times that
+    # is q^(tower + 1) - q
+    if _power_exceeds(q, tower + 1, enumeration * (q - 1) + q):
+        raise ConfigInvalid(
+            "the tower, q + q^2 + ... + q^tower, is above caps.enumeration = "
+            f"{enumeration}"
+        )
     if not is_prime(cfg["p"]):
         raise ConfigInvalid("p must be a prime integer")
     # q^tower - 1 divides N, and phi(n) >= sqrt(n / 2), so a large top level
     # is refused before any q^m - 1 is factored
-    tower = cfg["caps"]["tower"]
     if (
         q**tower - 1 > 2 * RING_DEGREE_CAP**2
         or tower_ring_degree(cfg["p"], cfg["f"], tower) > RING_DEGREE_CAP
@@ -368,23 +290,25 @@ def validate_config(raw, suites=None) -> dict:
         weights = validate_weight_system(cfg["shape"], cfg["rep"])
     except (TypeError, ValueError, GammasumsError) as exc:
         raise ConfigInvalid(f"invalid rep {cfg['rep']!r}: {exc}") from exc
-    gl2_suites = [s for s in ("gl2-main", "oracle") if s in cfg["suites"]]
-    if gl2_suites and cfg["shape"] != [2]:
-        raise ConfigInvalid("gl2 suites need shape [2]")
-    if gl2_suites and cfg["caps"]["tower"] < 2:
-        raise ConfigInvalid(f"{gl2_suites[0]} needs caps.tower >= 2")
-    if "gl3-top" in cfg["suites"] and cfg["shape"] != [3]:
-        raise ConfigInvalid("gl3-top needs shape [3]")
-    for s in ("mirabolic", "induction"):
-        if s in cfg["suites"] and len(cfg["shape"]) != 1:
+    shape = tuple(cfg["shape"])
+    # a suite's smallest tower is held at its own shape only: at another
+    # shape it is refused for the shape
+    for s, suite in suites:
+        if suite.shape in (None, shape) and tower < suite.min_tower:
+            raise ConfigInvalid(f"{s} needs caps.tower >= {suite.min_tower}")
+    for s, suite in suites:
+        if suite.shape not in (None, shape):
+            raise ConfigInvalid(f"{s} needs shape {list(suite.shape)}")
+    for s, suite in suites:
+        if suite.single_factor and len(shape) != 1:
             raise ConfigInvalid(f"{s} suite needs a single-factor shape")
-    if "induction" in cfg["suites"] and max(cfg["shape"]) > FLAG_N_MAX:
-        raise ConfigInvalid(f"induction runs at n <= {FLAG_N_MAX}")
-    if twisted and cfg["caps"]["tower"] < level:
-        raise ConfigInvalid(f"{twisted[0]} needs caps.tower >= {level}")
-    for s in cfg["suites"]:
-        if q > SUITE_Q_CAPS.get(s, q):
-            raise ConfigInvalid(f"{s} runs at q <= {SUITE_Q_CAPS[s]}")
+        if suite.n_max and n > suite.n_max:
+            raise ConfigInvalid(f"{s} runs at n <= {suite.n_max}")
+    for s, suite in suites:
+        if suite.twisted and tower < level:
+            raise ConfigInvalid(f"{s} needs caps.tower >= {level}")
+        if suite.q_max and q > suite.q_max:
+            raise ConfigInvalid(f"{s} runs at q <= {suite.q_max}")
     if cfg["rep"] == "sym2" and q % 2 == 0:
         raise ConfigInvalid("sym2 suites run at odd q")
     cfg["weights"] = weights
@@ -1114,16 +1038,17 @@ def vanishing_sweep_gl3_top(run) -> list:
     checks = []
     tower, traces, gamma = run.tower, run.traces, run.gamma
     lv = tower.level(1)
+    n = run.cfg["shape"][0]
     rng = random.Random(run.cfg["seed"])
     points = [
-        group_point(tower, companion_matrix(lv, tuple(lead) + (const,), 3))
-        for lead in itertools.product(lv.elements(), repeat=2)
+        group_point(tower, companion_matrix(lv, tuple(lead) + (const,), n))
+        for lead in itertools.product(lv.elements(), repeat=n - 1)
         for const in lv.units()
     ]
     extras = 0
     while extras < 100:
-        x = _random_group_point(tower, 3, rng)
-        if stratum_index(x) == 3:
+        x = _random_group_point(tower, n, rng)
+        if stratum_index(x) == n:
             points.append(x)
             extras += 1
     bad = []  # (rows, coset sum, det-fiber sum) of each failing point
@@ -1210,15 +1135,96 @@ def suite_oracle(run) -> list:
 # -- driver -------------------------------------------------------------------------
 
 
-SUITE_FUNCTIONS = {
-    "arith": suite_arith,
-    "torus": suite_torus,
-    "mirabolic": suite_mirabolic,
-    "induction": suite_induction,
-    "gl2-main": vanishing_sweep_gl2,
-    "gl3-top": vanishing_sweep_gl3_top,
-    "oracle": suite_oracle,
+class Suite(NamedTuple):
+    """A suite's `verify explain` statement, its checks, and the facts
+    validate_config reads to refuse a config the suite cannot run."""
+
+    statement: str
+    checks: object  # run -> list of CheckResult
+    shape: tuple = None  # the one shape it runs at
+    q_max: int = None
+    min_tower: int = 1  # smallest caps.tower
+    twisted: bool = False  # reads twisted levels, up to the largest Weyl order
+    single_factor: bool = False
+    n_max: int = None  # largest n = max(shape)
+    translates_max: int = None  # largest q^(n-1)
+
+
+# q_max: gl2-main and gl3-top sweep every coset, and gl2-main, which builds
+# the GL(2) table and oracle, keeps to the oracle's q.  The oracle's exact
+# solve in Q(zeta_N) is the limit there: q = 9 finishes in a few seconds,
+# q = 11 takes about 330 s, 320 s of it in the dense solve of the
+# family-scale calibration (2-vCPU machine).
+#
+# translates_max: the mirabolic suite translates each of up to 300 pool
+# points and 60 samples by all q^(n-1) vectors v.  Single runs at caps.tower 1
+# (2-vCPU x86-64, Python 3.11): q^(n-1) = 64 at GL(7), q=2, 1.8 s; 128 at
+# GL(8), q=2, 4.5 s; 256 at GL(9), q=2, 11.8 s; 343 at GL(4), q=7, 3.6 s.
+#
+# n_max: the induction suite enumerates full flags.
+SUITES = {
+    "arith": Suite(
+        "Gauss sums satisfy g(chi) g(conj chi) = chi(-1) q^m exactly and have "
+        "complex magnitude q^(m/2); the Hasse-Davenport relation lifts them "
+        "along norm maps; tower embeddings and generators are compatible.",
+        suite_arith,
+    ),
+    "torus": Suite(
+        "Hypergeometric traces agree with Kloosterman sums on one-dimensional "
+        "tori; block permutations of repeated weights act on twisted local "
+        "sums by the sign character and normalized twisted traces are "
+        "lift-independent; Mellin transforms factor into Gauss sums along "
+        "twist orbits after one unit calibration; convolution with any torus "
+        "character is a scalar multiple of it; the sign-averaged determinant-"
+        "fiber sum vanishes for every determinant value.",
+        suite_torus, twisted=True,
+    ),
+    "mirabolic": Suite(
+        "Left translation by the first-row unipotent group preserves the "
+        "cyclic-span stratification; companion normalization and the "
+        "triangular coordinate solve are exact bijections; the coset "
+        "characteristic-polynomial shift formula matches direct computation, "
+        "is linear, and has rank m-1 on the stratum of index m; orbit counts "
+        "per characteristic polynomial match the stratification recursion; "
+        "maximal-parabolic orbits are classified by the rank of the "
+        "lower-left block.",
+        suite_mirabolic, single_factor=True, translates_max=343,
+    ),
+    "induction": Suite(
+        "The flag-sum trace of the induced object equals the sum over "
+        "twist-fixed orderings of the eigenvalue multiset; the gamma trace is "
+        "conjugation invariant and, for the standard weights, a frozen unit "
+        "times the additive character of the trace on the whole regular "
+        "locus; restriction to the diagonal Levi is a frozen unit times the "
+        "torus trace.",
+        suite_induction, twisted=True, single_factor=True, n_max=FLAG_N_MAX,
+    ),
+    "gl2-main": Suite(
+        "For every g outside the Borel of GL(2, F_q) the sum of the gamma "
+        "trace over the unipotent coset vanishes exactly, computed both "
+        "geometrically and through the character-table expansion, with "
+        "pointwise agreement of the two routes on regular classes; replacing "
+        "the sign-twisted Weyl descent by the untwisted one breaks the "
+        "vanishing.",
+        vanishing_sweep_gl2, shape=(2,), q_max=9, min_tower=2,
+    ),
+    "gl3-top": Suite(
+        "For top-stratum points of GL(3, F_q) outside the mirabolic subgroup "
+        "the unipotent coset sum of the gamma trace vanishes exactly and "
+        "agrees with its determinant-fiber recomputation; the sign-averaged "
+        "determinant-fiber sums on the torus vanish for every determinant "
+        "value.",
+        vanishing_sweep_gl3_top, shape=(3,), q_max=3, twisted=True,
+    ),
+    "oracle": Suite(
+        "The GL(2, F_q) character table is exactly orthogonal; the gamma "
+        "trace expands over irreducible characters with generic coefficients "
+        "given by torus Mellin transforms scaled by q times the twist sign, "
+        "and the overdetermined regular-class system closes exactly.",
+        suite_oracle, shape=(2,), q_max=9, min_tower=2,
+    ),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(cfg_raw, suites=None, include_timings=False):
@@ -1237,7 +1243,7 @@ def run_suite(cfg_raw, suites=None, include_timings=False):
         report = SuiteReport(suite=name, params=params, seed=cfg["seed"])
         started = time.perf_counter()
         try:
-            report.checks = SUITE_FUNCTIONS[name](run)
+            report.checks = SUITES[name].checks(run)
         except GammasumsError as exc:
             report.checks = list(getattr(exc, "checks", []))
             report.checks.append(

@@ -330,8 +330,10 @@ def twisted_point(tower: FieldTower, w, assignments) -> TwistedTorusPoint:
             raise TowerTooShallow(
                 f"cycle of length {len(cyc)} exceeds the tower bound"
             )
-        if val == 0:
-            raise InvalidTwistedPoint("twisted point coordinates must be units")
+        if not (isinstance(val, int) and 0 < val < tower.level(len(cyc)).size):
+            raise InvalidTwistedPoint(
+                f"the value {val!r} at cycle {rep} is not a unit of F_(q^{len(cyc)})"
+            )
         values.append(val)
     return TwistedTorusPoint(tuple(w), tuple(values))
 

@@ -13,7 +13,7 @@ from gammasums.errors import ConfigInvalid, VanishingFailed
 from gammasums.fields import build_tower
 from gammasums.harness import (
     SUITE_NAMES,
-    SUITE_STATEMENTS,
+    SUITES,
     emit,
     run_suite,
     validate_config,
@@ -76,6 +76,33 @@ def test_validate_config_rejections():
         run_suite(BASE_CFG, suites=["nope"])
 
 
+def _std(d):
+    return [[[int(i == j) for j in range(d)], 1] for i in range(d)]
+
+
+# One config for each rule that a suite's record in harness.SUITES sets; the
+# message names the suite that refused it.
+PER_SUITE_REFUSALS = [
+    # translates_max
+    {"p": 3, "shape": [7], "suites": ["mirabolic"], "caps": {"tower": 1}},
+    # twisted: level n must fit caps.enumeration
+    {"p": 3, "shape": [16], "suites": ["induction"], "caps": {}},
+    # min_tower
+    {"p": 5, "suites": ["oracle"], "caps": {"tower": 1}},
+    # shape
+    {"shape": [3], "suites": ["gl2-main"], "caps": {}},
+    {"shape": [2], "suites": ["gl3-top"], "caps": {}},
+    # single_factor
+    {"shape": [2, 1], "rep": _std(3), "suites": ["induction"], "caps": {}},
+    # n_max
+    {"shape": [4], "suites": ["induction"], "caps": {}},
+    # twisted: caps.tower at least the largest Weyl order
+    {"p": 2, "shape": [2, 3], "rep": _std(5), "suites": ["torus"], "caps": {"tower": 5}},
+    # q_max
+    {"f": 2, "shape": [3], "suites": ["gl3-top"], "caps": {}},
+]
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -122,7 +149,8 @@ def test_validate_config_rejections():
         {"p": 2, "shape": [7], "suites": ["mirabolic"], "caps": {}},
         # refused by its top level, before 2^99 - 1 is factored
         {"p": 2, "caps": {"tower": 99, "enumeration": 1 << 100}},
-    ],
+    ]
+    + PER_SUITE_REFUSALS,
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.json"
@@ -130,6 +158,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, override):
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if override in PER_SUITE_REFUSALS:
+        (suite,) = override["suites"]
+        assert err.startswith(f"config error: {suite} ")
 
 
 @pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
@@ -268,6 +299,21 @@ def test_gl3_top_failure_carries_every_failing_point():
     assert {w[1]["conductor"] for w in want} == {2}
     assert str(exc) == f"gl3 coset vanishing failed at {[w[0] for w in want[:3]]}"
     assert [c.passed for c in exc.checks] == [False, True]
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (3, 4)])
+def test_top_stratum_sweep_reads_n_from_the_shape(p, n):
+    """The gl3-top sweep at GL(n): q^(n-1)(q-1) companion points and 100
+    random ones, all vanishing, and each broken by the untwisted descent."""
+    run = harness.Run(validate_config({"p": p, "shape": [n], "suites": ["torus"]}))
+    checks = harness.vanishing_sweep_gl3_top(run)
+    assert [c.passed for c in checks] == [True, True]
+    points = p ** (n - 1) * (p - 1) + 100
+    assert checks[0].detail == f"{points} points tested (100 random), both routes"
+    run.__dict__["gamma"] = GammaTrace(run.traces, weyl_sign=False)
+    with pytest.raises(VanishingFailed) as caught:
+        harness.vanishing_sweep_gl3_top(run)
+    assert len(caught.value.failures) == points
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2"])
@@ -447,7 +493,9 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     def broken(cfg):
         raise ArithmeticError("nonzero remainder in exact polynomial division")
 
-    monkeypatch.setitem(harness.SUITE_FUNCTIONS, "arith", broken)
+    monkeypatch.setitem(
+        harness.SUITES, "arith", harness.SUITES["arith"]._replace(checks=broken)
+    )
     reports = run_suite(dict(BASE_CFG, suites=["arith", "torus"]))
     (check,) = reports[0].checks
     assert (check.name, check.passed) == ("internal-error", False)
@@ -495,8 +543,12 @@ def test_emit_csv():
     assert all(line.startswith("arith,") for line in lines[1:])
 
 
-def test_suite_statements_cover_all():
-    assert set(SUITE_STATEMENTS) == set(SUITE_NAMES)
+def test_cli_lists_suites_and_explains_each(capsys):
+    assert main(["list-suites"]) == 0
+    assert capsys.readouterr().out == "".join(f"{s}\n" for s in SUITE_NAMES)
+    for name in SUITE_NAMES:
+        assert main(["explain", name]) == 0
+        assert capsys.readouterr().out == SUITES[name].statement + "\n"
 
 
 def test_cli_run(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from gammasums import harness, mirabolic
 from gammasums.harness import run_suite
-from gammasums.errors import CapExceeded, NotCyclic, NotNormalized
+from gammasums.errors import CapExceeded, NotNormalized
 from gammasums.fields import build_tower
 from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul
 from gammasums.mirabolic import (
@@ -40,6 +40,10 @@ def u_q_matrix(n, v):
     for j, c in enumerate(v):
         rows[0][j + 1] = c
     return tuple(tuple(r) for r in rows)
+
+
+class NotCyclic(Exception):
+    """e_1 is not a cyclic vector for the block."""
 
 
 def companion_normalize(level, x_f):

@@ -281,6 +281,8 @@ def test_invalid_twisted_point(tower_f3):
         twisted_point(tower_f3, (1, 0), {0: 0})
     with pytest.raises(InvalidTwistedPoint):
         twisted_point(tower_f3, (0, 1), {0: 1})  # missing second cycle
+    with pytest.raises(InvalidTwistedPoint):
+        twisted_point(tower_f3, (0, 1), {0: 5, 1: 1})  # 5 is not in F_3
 
 
 def test_stalk_trace_rejects_non_lift(tower_f3):
