@@ -41,13 +41,15 @@ a sum of values times character values -- is collected in a ZetaSum
 k, c) adds c * z^k * v by moving v's coordinates up k places mod N, and
 value() reduces modulo Phi_N once.  That replaces one product and one
 reduction per term.  A plain sum of values goes the same way, through
-CyclotomicRing.sum, one shifted add per value and one reduction.
-add_shifted reads v's support, the nonzero (index, coordinate) pairs that a
-CycNum builds once with compress and caches, so a psi-value with a few
-nonzero coordinates costs a few list updates, not phi(N).  Conjugation
-likewise maps k to -k in the group ring.  Other polynomial arithmetic
-(building Phi_N, the Euclid steps of an inverse) runs on the field-generic
-kernel matrices.pol_mul/pol_divmod over EXACT.
+CyclotomicRing.sum, one shifted add per value and one reduction, and so does
+a sum of products with sparse factors, through CyclotomicRing.dot, one
+shifted add per nonzero coordinate of such a factor.  add_shifted reads v's
+support, the nonzero (index, coordinate) pairs that a CycNum builds once
+with compress and caches, so a psi-value with a few nonzero coordinates
+costs a few list updates, not phi(N).  Conjugation likewise maps k to -k in
+the group ring.  Other polynomial arithmetic (building Phi_N, the Euclid
+steps of an inverse) runs on the field-generic kernel
+matrices.pol_mul/pol_divmod over EXACT.
 
 Values of different rings meet by embedding: for M dividing N, zeta_M is
 zeta_N^(N/M), so add_shifted moves a Q(zeta_M) value's coordinate i to
@@ -66,7 +68,7 @@ from functools import lru_cache
 from itertools import compress, zip_longest
 from math import gcd, lcm
 
-from .matrices import EXACT, pol_divmod, pol_mul, row_reduce
+from .matrices import EXACT, pol_divmod, pol_mul
 
 
 @lru_cache(maxsize=None)
@@ -210,6 +212,28 @@ class CyclotomicRing:
         for v in values:
             acc.add_shifted(v)
         return acc.value(den)
+
+    def dot(self, xs, ys) -> "CycNum":
+        """sum(x * y for x, y in zip(xs, ys)) in one ZetaSum, the values from
+        rings whose conductors divide N.  A pair no denser than a sparse
+        product (CycNum.__mul__) is not multiplied: the value with more
+        nonzero coordinates is shifted by each coordinate i of the other, of
+        Q(zeta_M), to i * N/M."""
+        acc = ZetaSum(self)
+        for x, y in zip(xs, ys):
+            if len(x._nonzero()) > len(y._nonzero()):
+                x, y = y, x
+            if len(x._nonzero()) * len(y._nonzero()) > 8 * (2 * self.degree - 1):
+                acc.add_shifted(x * y)
+                continue
+            if self.conductor % x.ring.conductor:
+                raise TypeError(f"{x.ring} does not embed in {self}")
+            if x.den > 1:
+                y = y * Fraction(1, x.den)
+            spread = self.conductor // x.ring.conductor
+            for i, c in x._nonzero():
+                acc.add_shifted(y, i * spread, c)
+        return acc.value()
 
     def embed(self, value: "CycNum") -> "CycNum":
         """value, from Q(zeta_M) with M dividing N, as an element of this ring."""
@@ -568,9 +592,6 @@ class CycNum:
         inverse = other.inverse() if isinstance(other, CycNum) else Fraction(1, other)
         return self * inverse
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.num):
@@ -583,21 +604,38 @@ class CycNum:
 
 
 def solve_linear_system(rows, rhs):
-    """Exact Gaussian elimination over a cyclotomic field.
+    """Exact elimination over a cyclotomic field, one equation at a time.
 
-    rows is a list of equal-length CycNum lists, rhs a CycNum list.  Returns
-    (solution, rank, consistent) where free variables are set to zero.  The
-    caller is expected to re-substitute the solution into every equation when
-    the system is overdetermined.
+    rows is a list of equal-length CycNum lists and rhs a CycNum list, every
+    entry in a subfield of the ring of rhs[0].  Each equation is reduced
+    against the pivot rows found so far, and one that stays nonzero becomes
+    a pivot row, until the rank equals the number of unknowns.  The pivot
+    columns are the ones independent of the columns before them, and free
+    variables are set to zero.  Returns (solution, rank, consistent), where
+    consistent means the solution satisfies every equation by substitution.
     """
     if not rows:
         return [], 0, True
     ncols = len(rows[0])
-    reduced, pivots = row_reduce(
-        EXACT, [list(r) + [b] for r, b in zip(rows, rhs)], ncols
-    )
-    solution = [rhs[0].ring.zero] * ncols
-    for row, col in zip(reduced, pivots):
-        solution[col] = row[-1]
-    consistent = not any(row[-1] for row in reduced[len(pivots):])
+    # (column, row) in the order found; a pivot row is 1 at its column, its
+    # first nonzero, and 0 at the columns of the pivots found before it
+    pivots = []
+    for row, b in zip(rows, rhs):
+        if len(pivots) == ncols:
+            break
+        row = list(row) + [b]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [a - f * c if c else a for a, c in zip(row, prow)]
+        col = next((j for j in range(ncols) if row[j]), None)
+        if col is not None:
+            lead = row[col].inverse()
+            pivots.append((col, [lead * c if c else c for c in row]))
+    ring = rhs[0].ring
+    solution = [ring.zero] * ncols
+    # latest pivot first: a pivot row is 0 at the columns of earlier pivots
+    for col, prow in reversed(pivots):
+        solution[col] = prow[-1] - ring.dot(prow[:ncols], solution)
+    consistent = all(ring.dot(row, solution) == b for row, b in zip(rows, rhs))
     return solution, len(pivots), consistent

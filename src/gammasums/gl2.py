@@ -2,29 +2,28 @@
 
 The table is built from the classical four families (one-dimensional twists
 of det, their Steinberg companions, principal series, cuspidal) and verified
-by exact row and column orthogonality in build_gl2_table.  Each value is held
-as group-ring terms ((exponent mod N, integer), ...) standing for a sum of
-roots of unity; the orthogonality sums are collected in Z[Z/N], where
-conjugation negates an exponent, and each is reduced modulo Phi_N once.  The
-oracle reads the terms as well: a generic column or a phi value, a sum of
-gamma values times character values, is one ZetaSum of gamma values shifted
-by the terms' exponents, and so is a non-generic column, the expansion of
-one character with gamma 1.  The verified table is an input to the oracle,
-so a caller builds it once.  The oracle expands the gamma trace over
-irreducible characters, read at g itself (the pairing chi_r(g)): the generic
-coefficients come from the torus Mellin transform (identity twist for
-principal-series parameters, the long twist for cuspidal parameters), the
-finitely many non-generic ones are solved for exactly, and the
-overdetermined system must close on every regular class.  The oracle keeps
-the regular-class system it solved; the family-scale calibration solves
-that same system with the scales free.
+by exact row and column orthogonality in build_gl2_table.  Every value lies
+in the table's ring Q(zeta_M), M = q^2 - 1, and is held as group-ring terms
+((exponent mod M, integer), ...), read off the eigenvalues' discrete logs;
+the orthogonality sums are collected in Z[Z/M], where conjugation negates an
+exponent, and each is reduced modulo Phi_M once.  The oracle reads the terms
+as well: a non-generic column, the expansion of one character with gamma 1,
+is a value of the table's ring, and a generic column or a phi value, a sum
+of gamma values times character values, is one ZetaSum of the tower's
+Q(zeta_N), its gamma values shifted by the terms' exponents times N/M.  The
+oracle expands the gamma trace over irreducible characters, read at g itself
+(the pairing chi_r(g)): the generic coefficients come from the torus Mellin
+transform (identity twist for principal-series parameters, the long twist
+for cuspidal parameters), the non-generic ones are solved for exactly, and
+the overdetermined system must close on every regular class.  It keeps the
+system it solved; the family-scale calibration solves it with the scales free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import solve_linear_system
+from .cyclotomic import CyclotomicRing, solve_linear_system
 from .errors import CapExceeded, SystemInconsistent, TableNotOrthogonal
 from .mirabolic import group_point
 from .torus import TorusCharacter
@@ -39,7 +38,7 @@ class Gl2Class:
     key: tuple  # (a1, a2, is_central)
     kind: str  # "central" | "nonss" | "split" | "nonsplit"
     size: int
-    params: tuple  # family-specific class parameters
+    logs: tuple  # discrete logs (e1, e2) of the eigenvalues in F_(q^2)^x
 
 
 def gl2_order(q):
@@ -52,56 +51,28 @@ def gl2_classes(tower):
     l2 = tower.level(2)
     out = []
     for a in lv.units():
-        a2 = lv.mul(a, a)
-        ch = (lv.neg(lv.add(a, a)), a2)
-        out.append(
-            Gl2Class(
-                key=(ch[0], ch[1], True),
-                kind="central",
-                size=1,
-                params=(a,),
-            )
-        )
-        out.append(
-            Gl2Class(
-                key=(ch[0], ch[1], False),
-                kind="nonss",
-                size=q * q - 1,
-                params=(a,),
-            )
-        )
+        # a unit of F_q embeds in F_(q^2) with its log times q + 1
+        e = (q + 1) * lv.dlog[a]
+        ch = (lv.neg(lv.add(a, a)), lv.mul(a, a))
+        out.append(Gl2Class((*ch, True), "central", 1, (e, e)))
+        out.append(Gl2Class((*ch, False), "nonss", q * q - 1, (e, e)))
     units = list(lv.units())
     for i, a in enumerate(units):
         for b in units[i + 1 :]:
             ch = (lv.neg(lv.add(a, b)), lv.mul(a, b))
-            out.append(
-                Gl2Class(
-                    key=(ch[0], ch[1], False),
-                    kind="split",
-                    size=q * q + q,
-                    params=(a, b),
-                )
-            )
+            logs = ((q + 1) * lv.dlog[a], (q + 1) * lv.dlog[b])
+            out.append(Gl2Class((*ch, False), "split", q * q + q, logs))
     seen = set()
     for alpha in l2.units():
         if l2.dlog[alpha] % ((l2.size - 1) // (q - 1)) == 0:
             continue  # alpha rational
-        conj = l2.frobenius(alpha)
-        pair = tuple(sorted((alpha, conj)))
+        pair = tuple(sorted((alpha, l2.frobenius(alpha))))
         if pair in seen:
             continue
         seen.add(pair)
-        tr = tower.trace(alpha, 2)
-        nm = tower.norm(alpha, 2)
-        ch = (lv.neg(tr), nm)
-        out.append(
-            Gl2Class(
-                key=(ch[0], ch[1], False),
-                kind="nonsplit",
-                size=q * q - q,
-                params=pair,
-            )
-        )
+        ch = (lv.neg(tower.trace(alpha, 2)), tower.norm(alpha, 2))
+        logs = tuple(l2.dlog[x] for x in pair)
+        out.append(Gl2Class((*ch, False), "nonsplit", q * q - q, logs))
     assert sum(c.size for c in out) == gl2_order(q)
     return out
 
@@ -157,77 +128,42 @@ def gl2_irreps(tower):
     return out
 
 
-def _chi1(tower, j, x):
-    """Exponent e with zeta_N^e the level-1 character of exponent j at the unit x."""
-    return tower.zeta_unit_exponent(1, j * tower.level(1).dlog[x])
-
-
-def _chi2(tower, k, x):
-    """Exponent e with zeta_N^e the level-2 character of exponent k at the unit x."""
-    return tower.zeta_unit_exponent(2, k * tower.level(2).dlog[x])
-
-
 def character_value(tower, irrep: Gl2Irrep, cls: Gl2Class):
-    """The character value as group-ring terms ((e, m), ...): sum of m * zeta_N^e.
+    """The character value as group-ring terms ((e, m), ...): sum of m * zeta_M^e.
 
-    Exponents lie in range(N); the empty tuple is zero.
+    Exponents lie in range(M), M = q^2 - 1; the empty tuple is zero.  A
+    character of exponent j, of F_q^x or F_(q^2)^x, takes zeta_M^(j e) at an
+    eigenvalue of log e, so a twist of det takes zeta_M^(j (e1 + e2)).
     """
-    n = tower.ring.conductor
-    lv = tower.level(1)
-    q = tower.q
-    fam = irrep.family
-    if fam == "onedim":
+    q, n = tower.q, tower.q * tower.q - 1
+    e1, e2 = cls.logs
+    kind, fam = cls.kind, irrep.family
+    if fam in ("onedim", "steinberg"):
         (j,) = irrep.params
-        if cls.kind in ("central", "nonss"):
-            (a,) = cls.params
-            return ((_chi1(tower, j, lv.mul(a, a)), 1),)
-        if cls.kind == "split":
-            a, b = cls.params
-            return ((_chi1(tower, j, lv.mul(a, b)), 1),)
-        alpha = cls.params[0]
-        return ((_chi1(tower, j, tower.norm(alpha, 2)), 1),)
-    if fam == "steinberg":
-        (j,) = irrep.params
-        if cls.kind == "central":
-            (a,) = cls.params
-            return ((_chi1(tower, j, lv.mul(a, a)), q),)
-        if cls.kind == "nonss":
-            return ()
-        if cls.kind == "split":
-            a, b = cls.params
-            return ((_chi1(tower, j, lv.mul(a, b)), 1),)
-        alpha = cls.params[0]
-        return ((_chi1(tower, j, tower.norm(alpha, 2)), -1),)
+        det = j * (e1 + e2) % n
+        if fam == "onedim":
+            return ((det, 1),)
+        m = {"central": q, "nonss": 0, "split": 1, "nonsplit": -1}[kind]
+        return ((det, m),) if m else ()
     if fam == "principal":
         j1, j2 = irrep.params
-        if cls.kind in ("central", "nonss"):
-            (a,) = cls.params
-            e = (_chi1(tower, j1, a) + _chi1(tower, j2, a)) % n
-            return ((e, q + 1 if cls.kind == "central" else 1),)
-        if cls.kind == "split":
-            a, b = cls.params
-            return (
-                ((_chi1(tower, j1, a) + _chi1(tower, j2, b)) % n, 1),
-                ((_chi1(tower, j1, b) + _chi1(tower, j2, a)) % n, 1),
-            )
-        return ()
+        if kind == "split":
+            return (((j1 * e1 + j2 * e2) % n, 1), ((j1 * e2 + j2 * e1) % n, 1))
+        m = {"central": q + 1, "nonss": 1, "nonsplit": 0}[kind]
+        return (((j1 + j2) * e1 % n, m),) if m else ()
     if fam == "cuspidal":
         (k,) = irrep.params
-        if cls.kind == "central":
-            (a,) = cls.params
-            return ((_chi2(tower, k, tower.embed(a, 1, 2)), q - 1),)
-        if cls.kind == "nonss":
-            (a,) = cls.params
-            return ((_chi2(tower, k, tower.embed(a, 1, 2)), -1),)
-        if cls.kind == "split":
-            return ()
-        return tuple((_chi2(tower, k, x), -1) for x in cls.params)
+        if kind == "nonsplit":
+            return ((k * e1 % n, -1), (k * e2 % n, -1))
+        m = {"central": q - 1, "nonss": -1, "split": 0}[kind]
+        return ((k * e1 % n, m),) if m else ()
     raise ValueError(f"unknown family {fam}")
 
 
 class Gl2Table:
     """Full character table with exact orthogonality verification.
 
+    ring is Q(zeta_M), M = q^2 - 1, which holds every character value, and
     terms maps (irrep, class key) to the group-ring terms of character_value.
     """
 
@@ -237,6 +173,7 @@ class Gl2Table:
         if tower.max_level < 2:
             raise ValueError("the table needs level 2 in the tower")
         self.tower = tower
+        self.ring = CyclotomicRing(tower.q * tower.q - 1)
         self.classes = gl2_classes(tower)
         self.irreps = gl2_irreps(tower)
         self.terms = {
@@ -248,21 +185,23 @@ class Gl2Table:
     def verify_orthogonality(self):
         """Exact row and column orthogonality, read from the terms.
 
-        Each sum of chi(c) * conj(chi'(c)) (times |c| for rows) is collected
-        in Z[Z/N]: the terms (e1, m1) and (e2, m2) contribute m1 * m2 at
-        exponent e1 - e2.  The sum is reduced to Q(zeta_N) once and compared
-        with its integer target.
+        Each sum of chi(c) * conj(chi'(c)) (times |c| for rows), less its
+        integer target, is collected in Z[Z/M]: the terms (e1, m1) and
+        (e2, m2) contribute m1 * m2 at exponent e1 - e2.  The sum is reduced
+        to Q(zeta_M) once and must be zero.
         """
-        ring = self.tower.ring
+        ring = self.ring
         order = gl2_order(self.tower.q)
 
         def differs(terms1, terms2, weights, want):
-            acc = ring.accumulator()
+            coeffs = [-want] + [0] * (ring.conductor - 1)
             for t1, t2, weight in zip(terms1, terms2, weights):
                 for e1, m1 in t1:
                     for e2, m2 in t2:
-                        acc.add_term(e1 - e2, weight * m1 * m2)
-            return acc.value() != ring.from_int(want)
+                        # e1 - e2 lies in (-M, M), and a negative index
+                        # counts from the end of the list, so it folds mod M
+                        coeffs[e1 - e2] += weight * m1 * m2
+            return bool(ring.from_coeffs(coeffs))
 
         rows = [[self.terms[(r, c.key)] for c in self.classes] for r in self.irreps]
         sizes = [c.size for c in self.classes]
@@ -331,12 +270,14 @@ def _raw_mellin(traces, irrep: Gl2Irrep):
     return traces.mellin_gamma(w, TorusCharacter(w, irrep.params))
 
 
-def _expand(table, gammas, key, den=1):
-    """sum_r dim(r) gammas[r] chi_r(key) / den, summed in Z[Z/N] from the terms."""
-    acc = table.tower.ring.accumulator()
+def _expand(ring, table, gammas, key, den=1):
+    """sum_r dim(r) gammas[r] chi_r(key) / den in ring, a Q(zeta_N) with M
+    dividing N, summed in Z[Z/N]: zeta_M^e is zeta_N^(e N/M)."""
+    spread = ring.conductor // table.ring.conductor
+    acc = ring.accumulator()
     for r, g in gammas.items():
         for e, m in table.terms[(r, key)]:
-            acc.add_shifted(g, e, m * r.dim)
+            acc.add_shifted(g, e * spread, m * r.dim)
     return acc.value(den)
 
 
@@ -345,10 +286,11 @@ def _regular_system(traces, gamma_calc, table):
 
     Returns (generic, unknown, rows, rhs).  generic maps each generic family
     present (principal first) to {irrep: raw Mellin value}.  A row has one
-    column per family in generic, the coefficient of the family scale, then
-    one column per non-generic irrep in unknown.
+    column per family in generic, the coefficient of the family scale, in
+    the tower's ring, then one column per non-generic irrep in unknown, in
+    the table's ring; rhs is in the tower's ring.
     """
-    ring = table.tower.ring
+    ring, small = table.tower.ring, table.ring
     order = gl2_order(table.tower.q)
     generic = {}
     for r in table.irreps:
@@ -359,22 +301,19 @@ def _regular_system(traces, gamma_calc, table):
     for cls in table.classes:
         if cls.kind == "central":
             continue
-        row = [_expand(table, raw, cls.key) for raw in generic.values()]
-        rows.append(row + [_expand(table, {r: ring.one}, cls.key) for r in unknown])
+        row = [_expand(ring, table, raw, cls.key) for raw in generic.values()]
+        row += [_expand(small, table, {r: small.one}, cls.key) for r in unknown]
+        rows.append(row)
         phi = gamma_calc.value_for_charpoly(cls.key[:2])
         rhs.append(ring.embed(phi) * order)
     return generic, unknown, rows, rhs
 
 
-def _solve_and_substitute(rows, rhs, what):
-    """Exact solution of the system, substituted back into every equation."""
+def _solve(rows, rhs, what):
+    """Exact solution of the system, which must satisfy every equation."""
     solution, rank, consistent = solve_linear_system(rows, rhs)
     if not consistent:
-        raise SystemInconsistent(f"{what}: elimination inconsistent")
-    ring = rhs[0].ring
-    for row, b in zip(rows, rhs):
-        if ring.sum(c * s for c, s in zip(row, solution)) != b:
-            raise SystemInconsistent(f"{what}: residual nonzero")
+        raise SystemInconsistent(f"{what}: residual nonzero")
     return solution, rank
 
 
@@ -387,9 +326,7 @@ def calibrate_generic_units(oracle: OracleResult):
     scales are forced and must equal (q, -q).  q = 2 has no principal series
     and the scale slot is returned as None.
     """
-    solution, rank = _solve_and_substitute(
-        oracle.rows, oracle.rhs, "family-scale calibration"
-    )
+    solution, rank = _solve(oracle.rows, oracle.rhs, "family-scale calibration")
     scales = dict(zip(oracle.generic, solution))
     return scales.get("principal"), scales["cuspidal"], rank, len(oracle.rows[0])
 
@@ -412,15 +349,15 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
         b - tower.ring.sum(c * u for c, u in zip(row, scales))
         for row, b in zip(rows, rhs)
     ]
-    solution, rank = _solve_and_substitute(
-        [row[k:] for row in rows], fixed, "oracle system"
-    )
+    solution, rank = _solve([row[k:] for row in rows], fixed, "oracle system")
     gammas = {}
     for raw, scale in zip(generic.values(), scales):
         gammas.update((r, g * scale) for r, g in raw.items())
     gammas.update(zip(unknown, solution))
     order = gl2_order(tower.q)
-    values = {cls.key: _expand(table, gammas, cls.key, order) for cls in table.classes}
+    values = {
+        c.key: _expand(tower.ring, table, gammas, c.key, order) for c in table.classes
+    }
     return OracleResult(
         values=values,
         gammas=gammas,

@@ -27,6 +27,8 @@ from .errors import (
     GammasumsError,
     NotComputableLocus,
     SolverSingular,
+    SystemInconsistent,
+    TableNotOrthogonal,
     TowerTooShallow,
     VanishingFailed,
 )
@@ -955,7 +957,14 @@ def vanishing_sweep_gl2(run) -> list:
     formed once per multiset of keys.
     """
     checks = []
-    tower, gamma, oracle = run.tower, run.gamma, run.oracle
+    tower, gamma = run.tower, run.gamma
+    try:
+        oracle = run.oracle
+    except SystemInconsistent as exc:
+        exc.checks = [
+            CheckResult("oracle-solve", False, value=PAIRING, detail=str(exc))
+        ]
+        raise
     lv, ring = tower.level(1), tower.ring
     # mutation control: the untwisted descent must break at least one coset
     gamma_mut = GammaTrace(run.traces, weyl_sign=False)
@@ -1081,7 +1090,14 @@ def vanishing_sweep_gl3_top(run) -> list:
 
 def suite_oracle(run) -> list:
     checks = []
-    tower, gamma, table = run.tower, run.gamma, run.table
+    tower, gamma = run.tower, run.gamma
+    try:
+        table = run.table
+    except TableNotOrthogonal as exc:
+        exc.checks = [
+            CheckResult("character-table-orthogonality", False, detail=str(exc))
+        ]
+        raise
     checks.append(
         CheckResult(
             "character-table-orthogonality",
@@ -1153,8 +1169,9 @@ class Suite(NamedTuple):
 # q_max: gl2-main and gl3-top sweep every coset, and gl2-main, which builds
 # the GL(2) table and oracle, keeps to the oracle's q.  The oracle's exact
 # solve in Q(zeta_N) is the limit there: q = 9 finishes in a few seconds,
-# q = 11 takes about 330 s, 320 s of it in the dense solve of the
-# family-scale calibration (2-vCPU machine).
+# q = 11 takes about 250 s, all but 1.2 s of it in the family-scale
+# calibration, whose generic-scale columns pivot in Q(zeta_1320) (2-vCPU
+# machine, one run).
 #
 # translates_max: the mirabolic suite translates each of up to 300 pool
 # points and 60 samples by all q^(n-1) vectors v.  Single runs at caps.tower 1

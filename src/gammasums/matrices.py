@@ -1,12 +1,13 @@
-"""Dense linear algebra over a tower level, Q or Q(zeta_N).
+"""Dense linear algebra over a tower level, F_p or Q.
 
 Matrices are tuples of row tuples of field elements.  Two kinds of kernel:
 
 - Field-generic: row_reduce (Gaussian elimination), pol_mul and pol_divmod
   take any field with add, sub, mul and inv: a tower level (encoded
   elements), prime_field(p) (residues mod p, for building a tower's levels)
-  or EXACT (int, Fraction and CycNum values, for cyclotomic polynomials and
-  inverses in Q(zeta_N)).  mat_inv and mat_rank go through row_reduce.
+  or EXACT (int and Fraction values, for cyclotomic polynomials, inverses in
+  Q(zeta_N) and weight-system ranks).  mat_inv and mat_rank go through
+  row_reduce.
 - Level-only and table-driven: mat_vec, mat_mul, charpoly and
   reduce_against (spans built one vector at a time) run over a tower Level
   alone.  They read its dlog, exp and Zech tables inline, with no Level
@@ -77,7 +78,7 @@ def row_reduce(field, rows, ncols):
     """Reduced row echelon form of rows over field, and its pivot columns.
 
     field supplies sub, mul and inv on its elements, whose zero is falsy: a
-    tower Level, or EXACT for int, Fraction and CycNum values.  Pivots are
+    tower Level, or EXACT for int and Fraction values.  Pivots are
     sought in the first ncols columns only; columns beyond them (an augmented
     block) are carried along.  Returns (rows, pivots) with the rows as lists, the
     pivot rows first in pivot order.
@@ -145,7 +146,7 @@ def reduce_against(level, basis, v):
     return True
 
 
-# Q and Q(zeta_N) for the kernels, on int, Fraction and CycNum values.
+# Q for the kernels, on int and Fraction values.
 EXACT = SimpleNamespace(
     add=operator.add, sub=operator.sub, mul=operator.mul,
     inv=lambda x: Fraction(1) / x,

@@ -596,3 +596,15 @@ def test_linear_solver_exact():
     rhs_bad = [ring.from_int(2), ring.zero, ring.from_int(3)]
     _, _, consistent = solve_linear_system(rows, rhs_bad)
     assert not consistent
+    # columns in Q(zeta_12), right-hand side in Q(zeta_60): the rank is full
+    # at the second equation, so the third is checked by substitution alone
+    big = CyclotomicRing(60)
+    w = big.zeta_power(7)
+    embedded = [[big.embed(c) for c in row] for row in rows]
+    for b3, want in ((w + 3, True), (w + 4, False)):
+        rhs = [w, big.from_int(3), b3]
+        mixed = solve_linear_system(rows, rhs)
+        assert mixed == solve_linear_system(embedded, rhs)
+        sol, rank, consistent = mixed
+        assert (rank, consistent) == (2, want)
+        assert all(x.ring is big for x in sol)

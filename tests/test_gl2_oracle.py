@@ -48,9 +48,10 @@ def test_irrep_census_q3(tower_f3):
 
 
 def entry(table, irrep, key):
-    """A table entry as a CycNum, its group-ring terms reduced here through a
-    coefficient list of Z[Z/N], without the table's accumulators."""
-    ring = table.tower.ring
+    """A table entry as a CycNum of the table's ring Q(zeta_M), its group-ring
+    terms reduced here through a coefficient list of Z[Z/M], without the
+    table's accumulators."""
+    ring = table.ring
     coeffs = [0] * ring.conductor
     for e, m in table.terms[(irrep, key)]:
         coeffs[e % ring.conductor] += m
@@ -63,7 +64,7 @@ def test_trivial_character_row(tower_f3):
         r for r in table.irreps if r.family == "onedim" and r.params == (0,)
     )
     for cls in table.classes:
-        assert entry(table, triv, cls.key) == tower_f3.ring.one
+        assert entry(table, triv, cls.key) == table.ring.one
     steinberg = next(
         r for r in table.irreps if r.family == "steinberg" and r.params == (0,)
     )
@@ -77,9 +78,17 @@ def test_orthogonality(p, f):
     assert table.verify_orthogonality()
 
 
+def test_table_never_builds_the_tower_ring():
+    tower = build_tower(7, 1, 2)
+    table = Gl2Table(tower)
+    assert table.verify_orthogonality()
+    assert table.ring.conductor == 48
+    assert "ring" not in tower.__dict__
+
+
 def dense_orthogonal(table):
     """Reference verdict: the sums taken on CycNum values, conjugated in the field."""
-    ring = table.tower.ring
+    ring = table.ring
     order = gl2_order(table.tower.q)
     for i, r1 in enumerate(table.irreps):
         for r2 in table.irreps[i:]:

@@ -484,9 +484,27 @@ def test_corrupted_table_is_a_failed_check(monkeypatch):
 
     monkeypatch.setattr(gl2, "character_value", corrupted)
     reports = run_suite(dict(BASE_CFG, suites=["oracle"]))
-    (check,) = reports[0].checks
-    assert (check.name, check.passed) == ("suite-error", False)
-    assert check.detail.startswith("TableNotOrthogonal: ")
+    check, error = reports[0].checks
+    assert (check.name, check.passed) == ("character-table-orthogonality", False)
+    assert check.detail.startswith("row orthogonality fails for ")
+    assert (error.name, error.passed) == ("suite-error", False)
+    assert error.detail == f"TableNotOrthogonal: {check.detail}"
+
+
+def test_inconsistent_oracle_system_is_a_failed_check(monkeypatch):
+    real = gl2._regular_system
+
+    def perturbed(traces, gamma_calc, table):
+        generic, unknown, rows, rhs = real(traces, gamma_calc, table)
+        return generic, unknown, rows, [rhs[0] + 1] + rhs[1:]
+
+    monkeypatch.setattr(gl2, "_regular_system", perturbed)
+    reports = run_suite(dict(BASE_CFG, suites=["gl2-main"]))
+    check, error = reports[0].checks
+    assert (check.name, check.passed) == ("oracle-solve", False)
+    assert check.detail == "oracle system: residual nonzero"
+    assert (error.name, error.passed) == ("suite-error", False)
+    assert error.detail == f"SystemInconsistent: {check.detail}"
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):

@@ -112,6 +112,14 @@ def test_solve_rank_deficient_sets_free_variables_to_zero():
     assert (rank, consistent) == (2, True)
     # the column-1 part of x moves into the pivot variable: 3 + 2 * 5
     assert solution == [ring.from_int(13), zero, z * z]
+    # the same columns with a right-hand side in Q(zeta_60)
+    big = CyclotomicRing(60)
+    x = [big.zeta_power(7), ring.from_int(5), z * z]
+    rhs = [big.sum(c * v for c, v in zip(row, x)) for row in (r1, r2, r3)]
+    embedded = [[big.embed(c) for c in row] for row in (r1, r2, r3)]
+    mixed = solve_linear_system([r1, r2, r3], rhs)
+    assert mixed == solve_linear_system(embedded, rhs)
+    assert mixed == ([x[0] + 10, big.zero, z * z], 2, True)
 
 
 # level 1 of a tower over F_q, for q = 2, 3, 5, 7 (residues) and 4, 9
