@@ -53,7 +53,6 @@ from .induction import (
     FLAG_N_MAX,
     full_flags,
     induced_trace,
-    is_regular,
     levi_restriction_sum,
 )
 from .matrices import (
@@ -71,9 +70,11 @@ from .mirabolic import (
     census_prediction,
     companion_matrix,
     coset_charpoly,
+    coset_charpolys,
     coset_rank,
+    coset_rows0,
+    coset_strata,
     group_point,
-    krylov,
     left_translate,
     lemma_translation_map,
     normalize_stratum,
@@ -688,13 +689,14 @@ def coset_failures(x, y, m):
     x_f, _, x_e = normalized_blocks(y, m)
     a = charpoly(lv, x_f)
     c_e = char_coeffs_to_poly(charpoly(lv, x_e))
+    vs = list(itertools.product(lv.elements(), repeat=y.n - 1))
+    neg_vs = [tuple(map(lv.neg, v)) for v in vs]
+    blocks = coset_charpolys(lv, x_f, [neg_v[: m - 1] for neg_v in neg_vs])
+    # at m = n, x_F is all of y and the two translates are one matrix
+    wholes = blocks if m == y.n else coset_charpolys(lv, y.rows, neg_vs)
     formula = []
-    for v in itertools.product(lv.elements(), repeat=y.n - 1):
-        neg_v = tuple(map(lv.neg, v))
+    for v, block, whole in zip(vs, blocks, wholes):
         b = coset_charpoly(lv, a, v)
-        block = charpoly(lv, left_translate(lv, x_f, neg_v[: m - 1]))
-        # at m = n, x_F is all of y and the two translates are one matrix
-        whole = block if m == y.n else charpoly(lv, left_translate(lv, y.rows, neg_v))
         whole = char_coeffs_to_poly(whole)
         if b != block or whole != pol_mul(lv, char_coeffs_to_poly(b), c_e):
             formula.append(v)
@@ -750,9 +752,9 @@ def suite_mirabolic(run) -> list:
     vs = list(itertools.product(lv.elements(), repeat=n - 1))
     for x in pool:
         m = stratum_index(x)
-        for v in vs:
-            if len(krylov(lv, left_translate(lv, x.rows, v), [])) != m:
-                ok = False
+        rows0 = coset_rows0(lv, x.rows, vs)
+        if any(s != m for s in coset_strata(lv, x.rows, rows0)):
+            ok = False
     checks.append(
         CheckResult(
             "left-translation-stability", ok, detail=f"{len(pool)} points"
@@ -876,13 +878,15 @@ def suite_induction(run) -> list:
     ok = True
     for _ in range(50):
         x = _random_group_point(tower, n, rng)
-        if not is_regular(x):
+        try:
+            phi_x = gamma.phi_regular(x)
+        except NotComputableLocus:
             continue
         g = _random_group_point(tower, n, rng)
         conj = group_point(
             tower, mat_mul(lv, g.rows, mat_mul(lv, x.rows, mat_inv(lv, g.rows)))
         )
-        if gamma.phi_regular(conj) != gamma.phi_regular(x):
+        if gamma.phi_regular(conj) != phi_x:
             ok = False
     checks.append(CheckResult("conjugation-invariance", ok))
     # standard weights: gamma trace is a frozen unit times psi(trace)
@@ -891,13 +895,15 @@ def suite_induction(run) -> list:
         sign = (-1) ** n
         seen = 0
         for x in pool:
-            if not is_regular(x):
+            try:
+                phi = gamma.phi_regular(x)
+            except NotComputableLocus:
                 continue
             seen += 1
             tr_x = 0
             for i in range(n):
                 tr_x = lv.add(tr_x, x.rows[i][i])
-            if gamma.phi_regular(x) != sign * tower.psi(tr_x):
+            if phi != sign * tower.psi(tr_x):
                 ok = False
         checks.append(
             CheckResult(
@@ -1106,7 +1112,11 @@ def suite_oracle(run) -> list:
             f"{gl2_order(tower.q)}",
         )
     )
-    result = run.oracle
+    try:
+        result = run.oracle
+    except SystemInconsistent as exc:
+        exc.checks = checks
+        raise
     ok = True
     for cls in table.classes:
         if cls.kind == "central":

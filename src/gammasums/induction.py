@@ -31,7 +31,14 @@ from .matrices import (
     reduce_against,
     row_reduce,
 )
-from .mirabolic import GroupPoint, group_point, left_translate, stratum_index
+from .mirabolic import (
+    GroupPoint,
+    coset_points,
+    coset_rows0,
+    coset_strata,
+    group_point,
+    stratum_index,
+)
 from .torus import perm_sign
 
 # Largest n whose full flags are enumerated; validate_config refuses above it.
@@ -73,18 +80,24 @@ def full_flags(tower, n):
     return flags
 
 
-def flag_is_stable(lv, g_rows, flag):
-    for basis in flag:
-        span = list(basis)
-        if any(reduce_against(lv, span, mat_vec(lv, g_rows, b)) for b in basis):
-            return False
-    return True
-
-
 def flag_fixed_points(g: GroupPoint, flags):
-    """The g-stable flags among flags, the full flags of F_q^n."""
+    """The g-stable flags among flags, the full flags of F_q^n.
+
+    A flag is stable when each of its subspaces is; each subspace is tested
+    once, however many flags hold it.
+    """
     lv = g.level()
-    return [f for f in flags if flag_is_stable(lv, g.rows, f)]
+    stable = {}
+
+    def is_stable(basis):
+        if basis not in stable:
+            span = list(basis)
+            stable[basis] = not any(
+                reduce_against(lv, span, mat_vec(lv, g.rows, b)) for b in basis
+            )
+        return stable[basis]
+
+    return [f for f in flags if all(map(is_stable, f))]
 
 
 def flag_grading(g: GroupPoint, flag):
@@ -244,12 +257,11 @@ class GammaTrace:
         n = self.n
         if stratum_index(x) != n:
             raise NotTopStratum("coset vanishing needs a top-stratum point")
-        translates = []
-        for v in itertools.product(lv.elements(), repeat=n - 1):
-            ux = group_point(tower, left_translate(lv, x.rows, v))
-            if stratum_index(ux) != n:
-                raise NotTopStratum("left translation left the top stratum")
-            translates.append(ux)
+        vs = itertools.product(lv.elements(), repeat=n - 1)
+        rows0 = coset_rows0(lv, x.rows, vs)
+        translates = coset_points(x, rows0)
+        if any(m != n for m in coset_strata(lv, x.rows, rows0)):
+            raise NotTopStratum("left translation left the top stratum")
         coset = tower.psi_ring.sum(self.phi_regular(ux) for ux in translates)
         det_fiber = tower.psi_ring.sum(
             self.value_for_charpoly(tuple(lead) + (x.char[-1],))

@@ -15,11 +15,20 @@ Matrices are tuples of row tuples of field elements.  Two kinds of kernel:
   and mat_mul and charpoly do their products through mat_vec.
 
 all_matrices enumerates every n x k matrix over a level, for the exhaustive
-sweeps.  charpoly runs Berkowitz's division-free recursion on the leading
-blocks in O(n^4) field operations.  Characteristic polynomials are returned
-as the coefficient vector (a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n,
-matching the companion-matrix convention used throughout the mirabolic
-module.
+sweeps.  charpoly runs Berkowitz's division-free recursion in O(n^4) field
+operations, one step per block, and in two block orders:
+
+- charpoly: the leading blocks, a[:k][:k] for k = 1..n, so row k is read
+  first by step k;
+- row0_charpolys: the same steps on the index-reversed matrix, whose leading
+  blocks are a's trailing blocks, so row 0 is read by the last step alone.
+  Matrices that differ in row 0 only, such as the left U_Q translates of
+  the mirabolic module, share the prefix (every step but the last, and the
+  last step's Krylov list) and cost one step each.
+
+Characteristic polynomials are returned as the coefficient vector
+(a_1, ..., a_n) of t^n + a_1 t^(n-1) + ... + a_n, matching the
+companion-matrix convention used throughout the mirabolic module.
 """
 
 from __future__ import annotations
@@ -181,32 +190,74 @@ def mat_rank(level, a):
 def charpoly(level, a):
     """(a_1, ..., a_n) with det(tI - a) = t^n + a_1 t^(n-1) + ... + a_n.
 
-    Berkowitz's division-free recursion (S. J. Berkowitz, IPL 18, 1984).
-    Write the leading (k+1) x (k+1) block as [[A, C], [R, a_kk]] with A the
-    leading k x k block.  The characteristic vector of the larger block,
-    leading 1 included, is T times that of A, where T is the (k+2) x (k+1)
-    lower-triangular Toeplitz matrix with first column
-    (1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C).  That product is one
-    mat_vec, on rows of T sliced from the reversed column.
+    Berkowitz's division-free recursion (S. J. Berkowitz, IPL 18, 1984) on
+    the leading blocks of a, one _berkowitz_step per block.
+    """
+    return _berkowitz(level, a)[1:]
+
+
+def row0_charpolys(level, a, rows0):
+    """charpoly of a with its row 0 replaced by each row of rows0.
+
+    charpoly's steps run on the index-reversed matrix b[i][j] =
+    a[n-1-i][n-1-j], a conjugate of a.  Its leading blocks are a's trailing
+    blocks, so every step but the last, and the last step's Krylov list,
+    read rows 1..n-1 of a alone: they run once, and each row of rows0 costs
+    the last step.
+    """
+    rev = tuple(row[::-1] for row in a[:0:-1])
+    poly = _berkowitz(level, rev)
+    krylov = _block_krylov(level, rev)
+    return [_berkowitz_step(level, poly, krylov, row[::-1])[1:] for row in rows0]
+
+
+def _berkowitz(level, rows):
+    """The characteristic vector, leading 1 included, of the leading
+    len(rows) x len(rows) block of rows."""
+    if not rows:
+        return (1,)
+    # the 1 x 1 block (r) has the vector (1, -r)
+    r = rows[0][0]
+    poly = (1, level.exp2[level.dlog[r] + level.log_neg_one] if r else 0)
+    for k in range(1, len(rows)):
+        poly = _berkowitz_step(level, poly, _block_krylov(level, rows[:k]), rows[k])
+    return poly
+
+
+def _block_krylov(level, rows):
+    """C, A C, ..., A^(k-1) C for k = len(rows), with A the leading k x k
+    block of rows and C their column k.
+
+    The rows run past column k, but mat_vec reads only the first len(v) = k
+    entries of each.
+    """
+    k = len(rows)
+    krylov = [tuple(r[k] for r in rows)] if k else []
+    while len(krylov) < k:
+        krylov.append(mat_vec(level, rows, krylov[-1]))
+    return krylov
+
+
+def _berkowitz_step(level, poly, krylov, row):
+    """The characteristic vector of a (k+1) x (k+1) block from poly, that of
+    its leading k x k block A, with k = len(krylov).
+
+    Write the block as [[A, C], [R, r_k]] with R = row[:k] and r_k = row[k],
+    and krylov = C, A C, ..., A^(k-1) C.  The larger vector is T poly, where
+    T is the (k+2) x (k+1) lower-triangular Toeplitz matrix with first column
+    (1, -r_k, -R C, -R A C, ..., -R A^(k-1) C).  That product is one mat_vec,
+    on rows of T sliced from the reversed column.
     """
     dlog, exp2, log_neg_one = level.dlog, level.exp2, level.log_neg_one
-    poly = (1,)
-    for k, row in enumerate(a):
-        # the block's rows run past column k, but mat_vec reads only the
-        # first len(v) = k entries of each
-        block = a[:k]
-        krylov = [tuple(r[k] for r in block)] if k else []
-        while len(krylov) < k:
-            krylov.append(mat_vec(level, block, krylov[-1]))
-        col = (1,) + tuple(
-            exp2[dlog[c] + log_neg_one] if c else 0
-            for c in (row[k],) + mat_vec(level, krylov, row[:k])
-        )
-        # row j of T is (col_j, col_(j-1), ..., col_(j-k)), zero past col_0
-        rev = col[::-1] + (0,) * k
-        toeplitz = [rev[k + 1 - j:2 * k + 2 - j] for j in range(k + 2)]
-        poly = mat_vec(level, toeplitz, poly)
-    return poly[1:]
+    k = len(krylov)
+    col = (1,) + tuple(
+        exp2[dlog[c] + log_neg_one] if c else 0
+        for c in (row[k],) + mat_vec(level, krylov, row[:k])
+    )
+    # row j of T is (col_j, col_(j-1), ..., col_(j-k)), zero past col_0
+    rev = col[::-1] + (0,) * k
+    toeplitz = [rev[k + 1 - j:2 * k + 2 - j] for j in range(k + 2)]
+    return mat_vec(level, toeplitz, poly)
 
 
 def char_coeffs_to_poly(coeffs):

@@ -10,9 +10,14 @@ sum v_1 + v_{m-1} x_E - x_F v_{m-1} with v_1 concentrated in the first row
 and v_{m-1} vanishing in the last row; the solver below walks that triangular
 structure from the bottom row upward.
 
-The one coset map is left_translate, the rows of u x for u in U_Q; on a
-normalized stratum-m point the characteristic polynomials of the translates
-follow a closed formula in (a, v) alone, coset_charpoly.
+The one coset map is left_translate, the rows of u x for u in U_Q; a
+translate differs from x in row 0 alone.  The coset kernels take a whole
+coset at once: coset_rows0 forms every row 0 from one transposition of x,
+coset_charpolys and coset_points read the translates' characteristic
+polynomials off one Berkowitz prefix of rows 1..n-1 (row0_charpolys), and
+coset_strata runs each translate's own Krylov span from e_1.  On a
+normalized stratum-m point those polynomials follow a closed formula in
+(a, v) alone, coset_charpoly.
 
 An orbit census is one pass per n: orbit_census takes one charpoly of each
 n x n matrix and splits every fiber into Q_1-orbits, and census_prediction
@@ -38,6 +43,7 @@ from .matrices import (
     pol_mul,
     poly_to_char_coeffs,
     reduce_against,
+    row0_charpolys,
     row_reduce,
 )
 
@@ -61,7 +67,11 @@ class GroupPoint:
 
 def group_point(tower, rows) -> GroupPoint:
     rows = tuple(tuple(r) for r in rows)
-    point = GroupPoint(tower, len(rows), rows, charpoly(tower.level(1), rows))
+    char = charpoly(tower.level(1), rows)
+    return _invertible(GroupPoint(tower, len(rows), rows, char))
+
+
+def _invertible(point):
     if point.det() == 0:
         raise ValueError("matrix is singular")
     return point
@@ -78,9 +88,12 @@ def krylov(level, rows, basis):
 
     basis, an echelon basis as reduce_against keeps it, is extended by them.
     """
+    return _krylov_run(level, rows, basis, [], (1,) + (0,) * (len(rows) - 1))
+
+
+def _krylov_run(level, rows, basis, out, v):
+    """out extended by v, x v, ... while each extends basis; stops at n."""
     n = len(rows)
-    out = []
-    v = (1,) + (0,) * (n - 1)
     while reduce_against(level, basis, v):
         out.append(v)
         if len(out) == n:
@@ -260,6 +273,46 @@ def left_translate(level, rows, v):
     return (mat_vec(level, tuple(zip(*rows)), (1,) + tuple(v)),) + tuple(rows[1:])
 
 
+def coset_rows0(level, rows, vs):
+    """Row 0 of left_translate(level, rows, v) for each v in vs, from one
+    transposition of x."""
+    cols = tuple(zip(*rows))
+    return [mat_vec(level, cols, (1,) + tuple(v)) for v in vs]
+
+
+def coset_charpolys(level, rows, vs):
+    """charpoly(level, left_translate(level, rows, v)) for each v in vs; the
+    translates share every Berkowitz step but the last (row0_charpolys)."""
+    return row0_charpolys(level, rows, coset_rows0(level, rows, vs))
+
+
+def coset_points(x: GroupPoint, rows0):
+    """group_point of each translate (r,) + x.rows[1:], r in rows0, with the
+    charpolys of row0_charpolys."""
+    tail = x.rows[1:]
+    return [
+        _invertible(GroupPoint(x.tower, x.n, (r,) + tail, char))
+        for r, char in zip(rows0, row0_charpolys(x.level(), x.rows, rows0))
+    ]
+
+
+def coset_strata(level, rows, rows0):
+    """The stratum of each translate (r,) + rows[1:], r in rows0.
+
+    Each is its own Krylov run from e_1 on the translate's rows, as krylov
+    makes it.  e_1 starts every run alike, and the translate's x e_1, its
+    column 0, differs from x's in the first entry only, so each run starts
+    past e_1, with the rest of column 0 read once per coset.
+    """
+    tail = tuple(rows[1:])
+    col0 = tuple(r[0] for r in tail)
+    e_1 = (1,) + (0,) * len(tail)
+    return [
+        len(_krylov_run(level, (r,) + tail, [list(e_1)], [e_1], (r[0],) + col0))
+        for r in rows0
+    ]
+
+
 def coset_charpoly(level, a, v):
     """The closed shift formula b = c(u_L x_F), x normalized with c(x_F) = a.
 
@@ -278,11 +331,11 @@ def coset_charpoly(level, a, v):
 def coset_rank(x: GroupPoint) -> int:
     """Rank of the linear map v -> c(ux) - c(x) on the U_Q row space."""
     lv = x.level()
-    rows = []
-    for unit in mat_identity(x.n - 1):
-        c_ux = charpoly(lv, left_translate(lv, x.rows, unit))
-        rows.append(tuple(map(lv.sub, c_ux, x.char)))
-    return mat_rank(lv, tuple(rows))
+    rows = tuple(
+        tuple(map(lv.sub, c_ux, x.char))
+        for c_ux in coset_charpolys(lv, x.rows, mat_identity(x.n - 1))
+    )
+    return mat_rank(lv, rows)
 
 
 # -- orbit census -------------------------------------------------------------

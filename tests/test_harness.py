@@ -507,6 +507,21 @@ def test_inconsistent_oracle_system_is_a_failed_check(monkeypatch):
     assert error.detail == f"SystemInconsistent: {check.detail}"
 
 
+def test_inconsistent_oracle_system_keeps_the_table_check(monkeypatch):
+    real = gl2._regular_system
+
+    def perturbed(traces, gamma_calc, table):
+        generic, unknown, rows, rhs = real(traces, gamma_calc, table)
+        return generic, unknown, rows, [rhs[0] + 1] + rhs[1:]
+
+    monkeypatch.setattr(gl2, "_regular_system", perturbed)
+    reports = run_suite(dict(BASE_CFG, suites=["oracle"]))
+    check, error = reports[0].checks
+    assert (check.name, check.passed) == ("character-table-orthogonality", True)
+    assert (error.name, error.passed) == ("suite-error", False)
+    assert error.detail == "SystemInconsistent: oracle system: residual nonzero"
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(cfg):
         raise ArithmeticError("nonzero remainder in exact polynomial division")

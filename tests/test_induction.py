@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from gammasums import induction
 from gammasums.errors import NotComputableLocus, NotTopStratum
 from gammasums.fields import build_tower
 from gammasums.induction import (
@@ -23,8 +24,10 @@ from gammasums.matrices import (
     all_matrices,
     char_coeffs_to_poly,
     charpoly,
+    mat_identity,
     mat_inv,
     mat_mul,
+    mat_rank,
     mat_vec,
     reduce_against,
     row_reduce,
@@ -69,6 +72,58 @@ def test_flag_fixed_point_examples(tower_f3):
     assert grads == [(1, 2), (2, 1)]
     nonsplit = group_point(tower_f3, [[0, 1], [2, 0]])
     assert flag_fixed_points(nonsplit, flags) == []
+
+
+def _per_flag_fixed_points(g, flags):
+    """The flags each of whose subspaces g maps into itself, by a rank test
+    per flag and subspace."""
+    lv = g.level()
+    return [
+        f
+        for f in flags
+        if all(
+            mat_rank(lv, basis + tuple(mat_vec(lv, g.rows, b) for b in basis))
+            == len(basis)
+            for basis in f
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,f,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)]
+)
+def test_flag_fixed_points_match_the_per_flag_route(p, f, n):
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    flags = full_flags(tower, n)
+    rng = random.Random(29)
+    points = [
+        group_point(tower, rows)
+        for rows in itertools.islice(all_matrices(lv, n, n), 0, None, 7)
+        if charpoly(lv, rows)[-1]
+    ]
+    points = rng.sample(points, min(60, len(points))) + [
+        group_point(tower, mat_identity(n)),
+        group_point(tower, companion_matrix(lv, (0,) * (n - 1) + (1,))),
+    ]
+    for g in points:
+        assert flag_fixed_points(g, flags) == _per_flag_fixed_points(g, flags)
+
+
+def test_flag_fixed_points_test_each_subspace_once(tower_f3, monkeypatch):
+    # at GL(3, F_3) the 52 flags hold 13 lines and 13 planes; the identity
+    # fixes all of them, so each is tested in full: 13 + 2 * 13 products
+    calls = []
+    real = induction.mat_vec
+
+    def counted(level, a, v):
+        calls.append(v)
+        return real(level, a, v)
+
+    monkeypatch.setattr(induction, "mat_vec", counted)
+    flags = full_flags(tower_f3, 3)
+    assert len(flag_fixed_points(group_point(tower_f3, mat_identity(3)), flags)) == 52
+    assert len(calls) == 13 + 2 * 13
 
 
 def test_induced_trace_examples(tower_f3, std2):

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from gammasums import harness, mirabolic
+from gammasums import harness, matrices, mirabolic
 from gammasums.harness import run_suite
 from gammasums.errors import CapExceeded, NotNormalized
 from gammasums.fields import build_tower
-from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul
+from gammasums.matrices import charpoly, mat_identity, mat_inv, mat_mul, mat_rank
 from gammasums.mirabolic import (
     bernstein_coords,
     companion_matrix,
@@ -180,6 +180,78 @@ def test_coset_charpoly_shift_formula(t3):
         assert harness.coset_failures(x, y, m) == ([], [])
 
 
+def point_in_stratum(tower, n, m, rng):
+    """A random point of stratum m: [[C, Y], [0, E]] with C a companion block
+    of size m, conjugated by a random element of Q_1, which keeps strata."""
+    lv = tower.level(1)
+    while True:
+        a = tuple(rng.randrange(lv.size) for _ in range(m - 1)) + (
+            rng.choice(list(lv.units())),
+        )
+        comp = companion_matrix(lv, a)
+        e = random_point(tower, n - m, rng).rows if m < n else ()
+        y = tuple(
+            tuple(comp[i]) + tuple(rng.randrange(lv.size) for _ in range(n - m))
+            for i in range(m)
+        ) + tuple((0,) * m + tuple(row) for row in e)
+        h = random_point(tower, n, rng).rows
+        h = tuple(((1 if i == 0 else 0),) + tuple(row[1:]) for i, row in enumerate(h))
+        try:
+            h_inv = mat_inv(lv, h)
+        except ValueError:
+            continue
+        x = group_point(tower, mat_mul(lv, h, mat_mul(lv, y, h_inv)))
+        assert stratum_index(x) == m
+        return x
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_coset_kernels_match_the_per_translate_route(p, f):
+    # every v, points of every stratum, and the m x m block translates that
+    # coset-charpoly-formula reads at m < n
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    rng = random.Random(p * f)
+    for n in range(1, 5):
+        vs = list(itertools.product(lv.elements(), repeat=n - 1))
+        for m in range(1, n + 1):
+            for _ in range(2 if lv.size ** (n - 1) <= 125 else 1):
+                x = point_in_stratum(tower, n, m, rng)
+                translates = [left_translate(lv, x.rows, v) for v in vs]
+                rows0 = mirabolic.coset_rows0(lv, x.rows, vs)
+                assert rows0 == [ux[0] for ux in translates]
+                assert mirabolic.coset_charpolys(lv, x.rows, vs) == [
+                    charpoly(lv, ux) for ux in translates
+                ]
+                assert mirabolic.coset_strata(lv, x.rows, rows0) == [
+                    len(krylov(lv, ux, [])) for ux in translates
+                ]
+                assert mirabolic.coset_points(x, rows0) == [
+                    group_point(tower, ux) for ux in translates
+                ]
+                _, y, _ = normalize_stratum(x)
+                x_f = tuple(row[:m] for row in y.rows[:m])
+                blocks = [v[: m - 1] for v in vs]
+                assert mirabolic.coset_charpolys(lv, x_f, blocks) == [
+                    charpoly(lv, left_translate(lv, x_f, v)) for v in blocks
+                ]
+                shifts = tuple(
+                    tuple(map(lv.sub, charpoly(lv, left_translate(lv, x.rows, u)), x.char))
+                    for u in mat_identity(n - 1)
+                )
+                assert mirabolic.coset_rank(x) == mat_rank(lv, shifts)
+
+
+def test_coset_points_refuse_a_singular_translate(t3):
+    # a point built without the invertibility check: its v = 0 translate is
+    # itself
+    lv = t3.level(1)
+    rows = ((1, 1), (1, 1))
+    x = mirabolic.GroupPoint(t3, 2, rows, charpoly(lv, rows))
+    with pytest.raises(ValueError, match="singular"):
+        mirabolic.coset_points(x, mirabolic.coset_rows0(lv, rows, [(0,), (1,)]))
+
+
 def test_krylov_makes_one_product_per_vector_after_the_first(t3, monkeypatch):
     # at stratum m < n the m-th product is read (it is in the span); at m = n
     # the loop stops before the product it would never read
@@ -210,16 +282,18 @@ def _mirabolic_check(name):
 
 
 def test_left_translation_stability_breaks_under_a_wrong_krylov(monkeypatch):
-    # the translates' Krylov runs see x with row 1 += row 0, the points' own
-    # strata do not
-    real = harness.krylov
+    # the translates' Krylov runs, which coset_strata starts past e_1, see the
+    # translate with row 1 += row 0; the points' own runs, from e_1, do not
+    real = mirabolic._krylov_run
 
-    def skewed(level, rows, basis):
-        row1 = tuple(map(level.add, rows[1], rows[0]))
-        return real(level, (rows[0], row1) + tuple(rows[2:]), basis)
+    def skewed(level, rows, basis, out, v):
+        if out:
+            row1 = tuple(map(level.add, rows[1], rows[0]))
+            rows = (rows[0], row1) + tuple(rows[2:])
+        return real(level, rows, basis, out, v)
 
     assert _mirabolic_check("left-translation-stability")
-    monkeypatch.setattr(harness, "krylov", skewed)
+    monkeypatch.setattr(mirabolic, "_krylov_run", skewed)
     assert not _mirabolic_check("left-translation-stability")
 
 
@@ -233,6 +307,39 @@ def test_coset_charpoly_formula_breaks_under_a_wrong_formula(monkeypatch):
     assert _mirabolic_check("coset-charpoly-formula")
     monkeypatch.setattr(harness, "coset_charpoly", shifted)
     assert not _mirabolic_check("coset-charpoly-formula")
+
+
+def test_coset_charpoly_formula_breaks_under_a_wrong_shared_prefix(monkeypatch):
+    # the shared prefix is the one Berkowitz run on rows that are longer than
+    # they are many (the trailing rows, index-reversed); its constant term
+    # is moved by 1, so every translate's charpoly is off
+    real = matrices._berkowitz
+
+    def perturbed(level, rows):
+        poly = real(level, rows)
+        if rows and len(rows[0]) > len(rows):
+            poly = poly[:-1] + (level.add(poly[-1], 1),)
+        return poly
+
+    assert _mirabolic_check("coset-charpoly-formula")
+    monkeypatch.setattr(matrices, "_berkowitz", perturbed)
+    assert not _mirabolic_check("coset-charpoly-formula")
+
+
+def test_coset_map_linearity_breaks_under_a_charpoly_not_affine_in_row_0(monkeypatch):
+    # a_1 gains the product of the first two entries of row 0, which is
+    # quadratic in v along a coset
+    real = harness.charpoly
+
+    def quadratic(level, a):
+        c = real(level, a)
+        if len(a) < 2:
+            return c
+        return (level.add(c[0], level.mul(a[0][0], a[0][1])),) + c[1:]
+
+    assert _mirabolic_check("coset-map-linearity")
+    monkeypatch.setattr(harness, "charpoly", quadratic)
+    assert not _mirabolic_check("coset-map-linearity")
 
 
 def test_coset_charpoly_m2_formula(t3):
