@@ -257,10 +257,9 @@ class GammaTrace:
         n = self.n
         if stratum_index(x) != n:
             raise NotTopStratum("coset vanishing needs a top-stratum point")
-        vs = itertools.product(lv.elements(), repeat=n - 1)
-        rows0 = coset_rows0(lv, x.rows, vs)
-        translates = coset_points(x, rows0)
-        if any(m != n for m in coset_strata(lv, x.rows, rows0)):
+        vs = list(itertools.product(lv.elements(), repeat=n - 1))
+        translates = coset_points(x, coset_rows0(lv, x.rows, vs))
+        if any(m != n for m in coset_strata(lv, x.rows, vs)):
             raise NotTopStratum("left translation left the top stratum")
         coset = tower.psi_ring.sum(self.phi_regular(ux) for ux in translates)
         det_fiber = tower.psi_ring.sum(

@@ -15,9 +15,10 @@ translate differs from x in row 0 alone.  The coset kernels take a whole
 coset at once: coset_rows0 forms every row 0 from one transposition of x,
 coset_charpolys and coset_points read the translates' characteristic
 polynomials off one Berkowitz prefix of rows 1..n-1 (row0_charpolys), and
-coset_strata runs each translate's own Krylov span from e_1.  On a
-normalized stratum-m point those polynomials follow a closed formula in
-(a, v) alone, coset_charpoly.
+coset_strata runs the translates' Krylov spans from e_1 as one trie, where
+translates whose Krylov vectors agree so far share each product and
+reduction.  On a normalized stratum-m point those polynomials follow a
+closed formula in (a, v) alone, coset_charpoly.
 
 An orbit census is one pass per n: orbit_census takes one charpoly of each
 n x n matrix and splits every fiber into Q_1-orbits, and census_prediction
@@ -88,12 +89,9 @@ def krylov(level, rows, basis):
 
     basis, an echelon basis as reduce_against keeps it, is extended by them.
     """
-    return _krylov_run(level, rows, basis, [], (1,) + (0,) * (len(rows) - 1))
-
-
-def _krylov_run(level, rows, basis, out, v):
-    """out extended by v, x v, ... while each extends basis; stops at n."""
     n = len(rows)
+    out = []
+    v = (1,) + (0,) * (n - 1)
     while reduce_against(level, basis, v):
         out.append(v)
         if len(out) == n:
@@ -296,21 +294,41 @@ def coset_points(x: GroupPoint, rows0):
     ]
 
 
-def coset_strata(level, rows, rows0):
-    """The stratum of each translate (r,) + rows[1:], r in rows0.
+def coset_strata(level, rows, vs):
+    """The stratum of each translate left_translate(level, rows, v), v in vs.
 
-    Each is its own Krylov run from e_1 on the translate's rows, as krylov
-    makes it.  e_1 starts every run alike, and the translate's x e_1, its
-    column 0, differs from x's in the first entry only, so each run starts
-    past e_1, with the rest of column 0 read once per coset.
+    The translates' Krylov runs from e_1 go together, as a trie.  Write a
+    run's k-th vector w as (alpha_k, t_k).  The translates share rows 1..n-1
+    of x, so t_{k+1} = x_tail w depends on w alone, and since e_1 heads every
+    basis, so does the reduction of (alpha_{k+1}, t_{k+1}) against the run's
+    basis.  Only alpha_{k+1} = (1, v) x w depends on the translate.  A node holds the
+    vector w its translates agree on so far and the basis of their runs: it
+    takes one product x w and one reduction, and each translate follows the
+    child its alpha_{k+1} picks.
     """
-    tail = tuple(rows[1:])
-    col0 = tuple(r[0] for r in tail)
-    e_1 = (1,) + (0,) * len(tail)
-    return [
-        len(_krylov_run(level, (r,) + tail, [list(e_1)], [e_1], (r[0],) + col0))
-        for r in rows0
-    ]
+    n = len(rows)
+    heads = [(1,) + tuple(v) for v in vs]
+    strata = [0] * len(heads)
+    e_1 = (1,) + (0,) * (n - 1)
+    stack = [(e_1, [list(e_1)], range(len(heads)))]
+    while stack:
+        w, basis, members = stack.pop()
+        if len(basis) < n:
+            xw = mat_vec(level, rows, w)
+            child_basis = list(basis)
+            if reduce_against(level, child_basis, xw):
+                children = {}
+                alphas = mat_vec(level, [heads[i] for i in members], xw)
+                for i, alpha in zip(members, alphas):
+                    children.setdefault(alpha, []).append(i)
+                stack.extend(
+                    ((alpha,) + xw[1:], child_basis, kids)
+                    for alpha, kids in children.items()
+                )
+                continue
+        for i in members:
+            strata[i] = len(basis)
+    return strata
 
 
 def coset_charpoly(level, a, v):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from gammasums.harness import (
     validate_config,
 )
 from gammasums.induction import GammaTrace, factor_monic
-from gammasums.matrices import char_coeffs_to_poly
+from gammasums.matrices import all_matrices, char_coeffs_to_poly, charpoly
 from gammasums.mirabolic import (
     StratumData,
     companion_matrix,
@@ -436,6 +437,20 @@ def test_validate_config_refuses_only_with_config_invalid(raw):
         return
     assert set(cfg["caps"]) == {"tower", "enumeration", "samples"}
     assert all(harness._is_int(v) and v >= 1 for v in cfg["caps"].values())
+
+
+@pytest.mark.parametrize("n,p,f", [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1)])
+def test_iter_invertible_is_all_matrices_without_the_singular_ones(n, p, f):
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    q = lv.size
+    want = []
+    for rows in all_matrices(lv, n, n):
+        if charpoly(lv, rows)[-1]:
+            want.append(group_point(tower, rows))
+    got = list(harness.iter_invertible(tower, n))
+    assert got == want
+    assert len(got) == math.prod(q**n - q**i for i in range(n))
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])

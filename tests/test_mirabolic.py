@@ -180,6 +180,24 @@ def test_coset_charpoly_shift_formula(t3):
         assert harness.coset_failures(x, y, m) == ([], [])
 
 
+def test_coset_failures_take_one_block_charpoly_per_prefix(t3, monkeypatch):
+    # at a stratum-2 point of GL(4, F_3): the block translates differ in
+    # v[:1] alone, 3 of them; the whole translates in all of v, 27; and
+    # coset_rank takes n - 1 = 3 rows at each of y and x
+    sizes = []
+    real = mirabolic.row0_charpolys
+
+    def counted(level, a, rows0):
+        sizes.append(len(rows0))
+        return real(level, a, rows0)
+
+    x = point_in_stratum(t3, 4, 2, random.Random(4))
+    _, y, m = normalize_stratum(x)
+    monkeypatch.setattr(mirabolic, "row0_charpolys", counted)
+    assert harness.coset_failures(x, y, m) == ([], [])
+    assert m == 2 and sorted(sizes) == [3, 3, 3, 27]
+
+
 def point_in_stratum(tower, n, m, rng):
     """A random point of stratum m: [[C, Y], [0, E]] with C a companion block
     of size m, conjugated by a random element of Q_1, which keeps strata."""
@@ -223,7 +241,7 @@ def test_coset_kernels_match_the_per_translate_route(p, f):
                 assert mirabolic.coset_charpolys(lv, x.rows, vs) == [
                     charpoly(lv, ux) for ux in translates
                 ]
-                assert mirabolic.coset_strata(lv, x.rows, rows0) == [
+                assert mirabolic.coset_strata(lv, x.rows, vs) == [
                     len(krylov(lv, ux, [])) for ux in translates
                 ]
                 assert mirabolic.coset_points(x, rows0) == [
@@ -282,19 +300,53 @@ def _mirabolic_check(name):
 
 
 def test_left_translation_stability_breaks_under_a_wrong_krylov(monkeypatch):
-    # the translates' Krylov runs, which coset_strata starts past e_1, see the
-    # translate with row 1 += row 0; the points' own runs, from e_1, do not
-    real = mirabolic._krylov_run
+    # the translates' Krylov trie runs on x with row 1 += row 0; the points'
+    # own runs, through krylov, do not
+    real = harness.coset_strata
 
-    def skewed(level, rows, basis, out, v):
-        if out:
-            row1 = tuple(map(level.add, rows[1], rows[0]))
-            rows = (rows[0], row1) + tuple(rows[2:])
-        return real(level, rows, basis, out, v)
+    def skewed(level, rows, vs):
+        row1 = tuple(map(level.add, rows[1], rows[0]))
+        return real(level, (rows[0], row1) + tuple(rows[2:]), vs)
 
     assert _mirabolic_check("left-translation-stability")
-    monkeypatch.setattr(mirabolic, "_krylov_run", skewed)
+    monkeypatch.setattr(harness, "coset_strata", skewed)
     assert not _mirabolic_check("left-translation-stability")
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_coset_strata_takes_one_product_per_distinct_krylov_vector(p, f, monkeypatch):
+    # the points of test_coset_kernels_match_the_per_translate_route; every
+    # translate's stratum is m, so a trie that shares a node between
+    # translates whose runs differ shows only in its count of products x w.
+    # Only products by the watched matrix count: the trie's other mat_vec,
+    # by the rows (1, v), forms each translate's next first entry
+    products, watched = [], None
+    real = mirabolic.mat_vec
+
+    def counted(level, a, v):
+        if a is watched:
+            products.append(v)
+        return real(level, a, v)
+
+    monkeypatch.setattr(mirabolic, "mat_vec", counted)
+    tower = build_tower(p, f, 1)
+    lv = tower.level(1)
+    rng = random.Random(p * f)
+    for n in range(1, 5):
+        vs = list(itertools.product(lv.elements(), repeat=n - 1))
+        for m in range(1, n + 1):
+            for _ in range(2 if lv.size ** (n - 1) <= 125 else 1):
+                x = point_in_stratum(tower, n, m, rng)
+                multiplied = set()
+                for v in vs:
+                    watched = left_translate(lv, x.rows, v)
+                    krylov(lv, watched, [])
+                    multiplied.update(products)
+                    products.clear()
+                watched = x.rows
+                mirabolic.coset_strata(lv, x.rows, vs)
+                assert len(products) == len(multiplied)
+                products.clear()
 
 
 def test_coset_charpoly_formula_breaks_under_a_wrong_formula(monkeypatch):
