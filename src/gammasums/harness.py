@@ -44,7 +44,6 @@ from .gl2 import (
     PAIRING,
     build_gl2_table,
     calibrate_generic_units,
-    class_of,
     gl2_order,
     oracle_phi,
 )
@@ -976,9 +975,9 @@ def vanishing_sweep_gl2(run) -> list:
     times row 1.  With c = g[1][0] nonzero, the coset holds one matrix h
     with a zero corner, and g is h translated by s = g[0][0] / c.  Every
     summand is a function of a translate's class key, so the translates of
-    h are classified on the first g of each coset (each matrix off B once),
-    the two routes are compared once per key, and the three coset sums are
-    formed once per multiset of keys.
+    h are classified together (coset_charpolys) on the first g of each coset
+    (each matrix off B once), the two routes are compared once per key, and
+    the three coset sums are formed once per multiset of keys.
     """
     checks = []
     tower, gamma = run.tower, run.gamma
@@ -998,6 +997,7 @@ def vanishing_sweep_gl2(run) -> list:
     bad = []
     route_mismatch = []
     swept = broken = 0
+    ws = [(w,) for w in lv.elements()]
     for rows in all_matrices(lv, 2, 2):
         (a, b), (c, d) = rows
         if in_borel(rows) or lv.mul(a, d) == lv.mul(b, c):
@@ -1006,7 +1006,8 @@ def vanishing_sweep_gl2(run) -> list:
         s = lv.mul(a, lv.inv(c))
         h = left_translate(lv, rows, (lv.neg(s),))
         if h not in cosets:
-            keys = [class_of(tower, left_translate(lv, h, (w,))) for w in lv.elements()]
+            # row 1 of h has c != 0, so no translate is scalar
+            keys = [(*c, False) for c in coset_charpolys(lv, h, ws)]
             for key in keys:
                 if key not in mismatch:
                     phi = gamma.value_for_charpoly(key[:2])

@@ -23,18 +23,17 @@ import itertools
 
 from .errors import CapExceeded, NotComputableLocus, NotTopStratum
 from .matrices import (
+    echelon,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_vec,
     pol_divmod,
     reduce_against,
-    row_reduce,
 )
 from .mirabolic import (
     GroupPoint,
-    coset_points,
-    coset_rows0,
+    coset_charpolys,
     coset_strata,
     group_point,
     stratum_index,
@@ -70,8 +69,8 @@ def full_flags(tower, n):
     for line in lines:
         seen = set()
         for v in itertools.product(lv.elements(), repeat=n):
-            rows, pivots = row_reduce(lv, [line[0], v], n)
-            if len(pivots) < 2:
+            rows = echelon(lv, [line[0], v])
+            if len(rows) < 2:
                 continue
             plane = tuple(tuple(r) for r in rows)
             if plane not in seen:
@@ -258,15 +257,17 @@ class GammaTrace:
         if stratum_index(x) != n:
             raise NotTopStratum("coset vanishing needs a top-stratum point")
         vs = list(itertools.product(lv.elements(), repeat=n - 1))
-        translates = coset_points(x, coset_rows0(lv, x.rows, vs))
         if any(m != n for m in coset_strata(lv, x.rows, vs)):
             raise NotTopStratum("left translation left the top stratum")
-        coset = tower.psi_ring.sum(self.phi_regular(ux) for ux in translates)
+        # e_1 is cyclic for every translate, so each one is regular and its
+        # gamma trace is read off its characteristic vector
+        chars = coset_charpolys(lv, x.rows, vs)
+        coset = tower.psi_ring.sum(map(self.value_for_charpoly, chars))
         det_fiber = tower.psi_ring.sum(
             self.value_for_charpoly(tuple(lead) + (x.char[-1],))
             for lead in itertools.product(lv.elements(), repeat=n - 1)
         )
-        if len({ux.char for ux in translates}) != tower.q ** (n - 1):
+        if len(set(chars)) != tower.q ** (n - 1):
             raise NotTopStratum("coset does not biject onto the det fiber")
         return coset, det_fiber
 

@@ -1,18 +1,19 @@
-"""Dense linear algebra over a tower level, F_p or Q.
+"""Dense linear algebra over a tower level, and polynomials over any field.
 
 Matrices are tuples of row tuples of field elements.  Two kinds of kernel:
 
-- Field-generic: row_reduce (Gaussian elimination), pol_mul and pol_divmod
-  take any field with add, sub, mul and inv: a tower level (encoded
-  elements), prime_field(p) (residues mod p, for building a tower's levels)
-  or EXACT (int and Fraction values, for cyclotomic polynomials, inverses in
-  Q(zeta_N) and weight-system ranks).  mat_inv and mat_rank go through
-  row_reduce.
 - Level-only and table-driven: mat_vec, mat_mul, charpoly and
   reduce_against (spans built one vector at a time) run over a tower Level
   alone.  They read its dlog, exp and Zech tables inline, with no Level
   method call per entry: mat_vec keeps each partial sum as a discrete log,
   and mat_mul and charpoly do their products through mat_vec.
+  reduce_against is the one elimination over F_q: echelon (the reduced row
+  echelon form), mat_inv (echelon of [a | I]) and mat_rank go through it.
+- Field-generic: pol_mul and pol_divmod take any field with add, sub, mul
+  and inv: a tower level (encoded elements), prime_field(p) (residues mod p,
+  for building a tower's levels) or EXACT (int and Fraction values, for
+  cyclotomic polynomials and inverses in Q(zeta_N)).  Linear systems over
+  Q(zeta_N), Q included, go to cyclotomic.solve_linear_system.
 
 all_matrices enumerates every n x k matrix over a level, for the exhaustive
 sweeps.  charpoly runs Berkowitz's division-free recursion in O(n^4) field
@@ -83,44 +84,11 @@ def mat_vec(level, a, v):
     return tuple(out)
 
 
-def row_reduce(field, rows, ncols):
-    """Reduced row echelon form of rows over field, and its pivot columns.
-
-    field supplies sub, mul and inv on its elements, whose zero is falsy: a
-    tower Level, or EXACT for int and Fraction values.  Pivots are
-    sought in the first ncols columns only; columns beyond them (an augmented
-    block) are carried along.  Returns (rows, pivots) with the rows as lists, the
-    pivot rows first in pivot order.
-    """
-    rows = [list(r) for r in rows]
-    sub, mul, inv = field.sub, field.mul, field.inv
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                break
-        else:
-            continue
-        lead = inv(rows[r][col])
-        prow = [mul(lead, c) if c else c for c in rows[r]]
-        rows[r] = rows[rank]
-        rows[rank] = prow
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != rank:
-                rows[i] = [sub(a, mul(f, b)) if b else a for a, b in zip(row, prow)]
-        pivots.append(col)
-    return rows, pivots
-
-
 def reduce_against(level, basis, v):
     """Extend an echelon basis by v; False, leaving it as is, if v is in its span.
 
     Each row of basis has a 1 at its pivot, its first nonzero entry, and a 0
-    at the pivots of the rows before it, as the pivot rows of row_reduce do.
+    at the pivots of the rows before it.
     A v outside the span is reduced against the rows and appended, scaled to
     a 1 at its pivot, so a span built one vector at a time keeps that form.
     The subtractions v - f row run on level's log tables, as in mat_vec.
@@ -155,7 +123,7 @@ def reduce_against(level, basis, v):
     return True
 
 
-# Q for the kernels, on int and Fraction values.
+# Q for pol_mul and pol_divmod, on int and Fraction values.
 EXACT = SimpleNamespace(
     add=operator.add, sub=operator.sub, mul=operator.mul,
     inv=lambda x: Fraction(1) / x,
@@ -163,7 +131,7 @@ EXACT = SimpleNamespace(
 
 
 def prime_field(p):
-    """F_p for the kernels, on the residues 0, ..., p - 1."""
+    """F_p for pol_mul and pol_divmod, on the residues 0, ..., p - 1."""
     return SimpleNamespace(
         add=lambda a, b: (a + b) % p,
         sub=lambda a, b: (a - b) % p,
@@ -172,19 +140,40 @@ def prime_field(p):
     )
 
 
+def echelon(level, rows):
+    """The reduced row echelon form of rows over level, its nonzero rows as
+    lists in pivot order.
+
+    reduce_against builds an echelon basis of the rows.  A basis row is 0 at
+    the pivots of the rows before it, so reducing it against the rows after
+    it, latest row first, clears its entries at their pivots and leaves its
+    own pivot alone.
+    """
+    basis = []
+    for row in rows:
+        reduce_against(level, basis, row)
+    for k in range(len(basis) - 2, -1, -1):
+        later = basis[k + 1:]
+        reduce_against(level, later, basis[k])
+        basis[k] = later[-1]
+    basis.sort(key=lambda row: row.index(1))
+    return basis
+
+
 def mat_inv(level, a):
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    """The inverse, the right half of echelon([a | I]); raises ValueError on
+    singular input."""
     n = len(a)
-    rows, pivots = row_reduce(
-        level, [list(r) + list(e) for r, e in zip(a, mat_identity(n))], n
-    )
-    if len(pivots) < n:
+    rows = echelon(level, [tuple(r) + e for r, e in zip(a, mat_identity(n))])
+    if rows and rows[-1].index(1) >= n:
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_rank(level, a):
-    return len(row_reduce(level, a, len(a[0]))[1]) if a else 0
+    """The number of rows of a that reduce_against appends to a basis."""
+    basis = []
+    return sum(reduce_against(level, basis, row) for row in a)
 
 
 def charpoly(level, a):

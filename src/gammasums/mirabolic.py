@@ -13,8 +13,8 @@ structure from the bottom row upward.
 The one coset map is left_translate, the rows of u x for u in U_Q; a
 translate differs from x in row 0 alone.  The coset kernels take a whole
 coset at once: coset_rows0 forms every row 0 from one transposition of x,
-coset_charpolys and coset_points read the translates' characteristic
-polynomials off one Berkowitz prefix of rows 1..n-1 (row0_charpolys), and
+coset_charpolys reads the translates' characteristic polynomials off one
+Berkowitz prefix of rows 1..n-1 (row0_charpolys), and
 coset_strata runs the translates' Krylov spans from e_1 as one trie, where
 translates whose Krylov vectors agree so far share each product and
 reduction.  On a normalized stratum-m point those polynomials follow a
@@ -36,6 +36,7 @@ from .matrices import (
     all_matrices,
     char_coeffs_to_poly,
     charpoly,
+    echelon,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -45,7 +46,6 @@ from .matrices import (
     poly_to_char_coeffs,
     reduce_against,
     row0_charpolys,
-    row_reduce,
 )
 
 
@@ -68,11 +68,7 @@ class GroupPoint:
 
 def group_point(tower, rows) -> GroupPoint:
     rows = tuple(tuple(r) for r in rows)
-    char = charpoly(tower.level(1), rows)
-    return _invertible(GroupPoint(tower, len(rows), rows, char))
-
-
-def _invertible(point):
+    point = GroupPoint(tower, len(rows), rows, charpoly(tower.level(1), rows))
     if point.det() == 0:
         raise ValueError("matrix is singular")
     return point
@@ -282,16 +278,6 @@ def coset_charpolys(level, rows, vs):
     """charpoly(level, left_translate(level, rows, v)) for each v in vs; the
     translates share every Berkowitz step but the last (row0_charpolys)."""
     return row0_charpolys(level, rows, coset_rows0(level, rows, vs))
-
-
-def coset_points(x: GroupPoint, rows0):
-    """group_point of each translate (r,) + x.rows[1:], r in rows0, with the
-    charpolys of row0_charpolys."""
-    tail = x.rows[1:]
-    return [
-        _invertible(GroupPoint(x.tower, x.n, (r,) + tail, char))
-        for r, char in zip(rows0, row0_charpolys(x.level(), x.rows, rows0))
-    ]
 
 
 def coset_strata(level, rows, vs):
@@ -542,15 +528,15 @@ def _pivot_form(n_rows, n_cols, r):
 def _field_smith(lv, c):
     """Invertible (A, B) with A C B = [[I_r, 0], [0, 0]]; returns (A, B, r).
 
-    Row reducing [C | I] gives R = A C in reduced echelon form.  B's first r
-    columns are the unit vectors at R's pivot columns; each other column j
-    is e_j minus R's column j spread over those pivot columns, so R B keeps
-    only the identity block.
+    [C | I] has full row rank, so its echelon form is A [C | I] with A
+    invertible, and R = A C is in reduced echelon form.  B's first r columns
+    are the unit vectors at R's pivot columns; each other column j is e_j
+    minus R's column j spread over those pivot columns, so R B keeps only
+    the identity block.
     """
     n_cols = len(c[0])
-    rows, pivots = row_reduce(
-        lv, [list(r) + list(e) for r, e in zip(c, mat_identity(len(c)))], n_cols
-    )
+    rows = echelon(lv, [tuple(r) + e for r, e in zip(c, mat_identity(len(c)))])
+    pivots = [p for p in (row.index(1) for row in rows) if p < n_cols]
     units = mat_identity(n_cols)
     cols = [units[p] for p in pivots]
     for j in range(n_cols):

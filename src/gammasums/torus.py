@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, CyclotomicRing, solve_linear_system
 from .errors import (
     InvalidTwistedPoint,
     NotConstant,
@@ -62,7 +62,10 @@ from .errors import (
     TowerTooShallow,
 )
 from .fields import FieldTower, MultCharacter, gauss_sum, psi_sum
-from .matrices import EXACT, mat_rank, pol_mul, poly_to_char_coeffs
+from .matrices import pol_mul, poly_to_char_coeffs
+
+# Q as Q(zeta_2), for the rank of a weight matrix; built once, at import
+RATIONALS = CyclotomicRing(2)
 
 # -- permutations (tuples mapping position i to image perm[i]) --------------
 
@@ -278,7 +281,10 @@ def validate_weight_system(shape, rep) -> WeightSystem:
             image[img] = image.get(img, 0) + mult
         if image != mult_map:
             raise NotWStable("weight multiset is not Weyl stable")
-    rank = mat_rank(EXACT, ws.slots)
+    _, rank, _ = solve_linear_system(
+        [[RATIONALS.from_int(c) for c in slot] for slot in ws.slots],
+        [RATIONALS.zero] * len(ws.slots),
+    )
     if rank < d:
         raise NotSurjective(
             f"weight matrix has rank {rank} < {d}: the representation "

@@ -358,12 +358,12 @@ def test_sweep_classifies_each_matrix_once_and_sums_each_coset_once(
         for g in harness.iter_invertible(run.tower, 2)
         if not harness.in_borel(g.rows)
     }
-    counts = {"class_of": 0, "sum": 0}
-    real_class_of, real_sum = harness.class_of, CyclotomicRing.sum
+    counts = {"translates": 0, "sum": 0}
+    real_charpolys, real_sum = harness.coset_charpolys, CyclotomicRing.sum
 
-    def counted_class_of(tower, rows):
-        counts["class_of"] += 1
-        return real_class_of(tower, rows)
+    def counted_charpolys(level, rows, vs):
+        counts["translates"] += len(vs)
+        return real_charpolys(level, rows, vs)
 
     def counted_sum(self, values, den=1):
         # only the sums the sweep makes itself, not those of the gamma
@@ -372,9 +372,9 @@ def test_sweep_classifies_each_matrix_once_and_sums_each_coset_once(
             counts["sum"] += 1
         return real_sum(self, values, den)
 
-    monkeypatch.setattr(harness, "class_of", counted_class_of)
+    monkeypatch.setattr(harness, "coset_charpolys", counted_charpolys)
     monkeypatch.setattr(CyclotomicRing, "sum", counted_sum)
     harness.vanishing_sweep_gl2(run)
     borel = (q - 1) ** 2 * q
-    assert counts["class_of"] == gl2_order(q) - borel
+    assert counts["translates"] == gl2_order(q) - borel
     assert 0 < counts["sum"] <= 3 * len(multisets)

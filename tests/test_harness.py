@@ -19,12 +19,13 @@ from gammasums.harness import (
     run_suite,
     validate_config,
 )
-from gammasums.induction import GammaTrace, factor_monic
+from gammasums.induction import GammaTrace, factor_monic, is_regular
 from gammasums.matrices import all_matrices, char_coeffs_to_poly, charpoly
 from gammasums.mirabolic import (
     StratumData,
     companion_matrix,
     group_point,
+    left_translate,
     stratum_index,
 )
 from gammasums.torus import TorusTraces, validate_weight_system
@@ -315,6 +316,31 @@ def test_top_stratum_sweep_reads_n_from_the_shape(p, n):
     with pytest.raises(VanishingFailed) as caught:
         harness.vanishing_sweep_gl3_top(run)
     assert len(caught.value.failures) == points
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (3, 4)])
+def test_top_stratum_translates_are_regular(p, n, monkeypatch):
+    """coset_vanishing_top reads the gamma trace of each U_Q translate off its
+    characteristic vector, with no regularity check: every translate of the
+    sweep's points is regular."""
+    run = harness.Run(validate_config({"p": p, "shape": [n], "suites": ["torus"]}))
+    points = []
+    real = GammaTrace.coset_vanishing_top
+
+    def recorded(self, x):
+        points.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(GammaTrace, "coset_vanishing_top", recorded)
+    harness.vanishing_sweep_gl3_top(run)
+    assert len(points) == p ** (n - 1) * (p - 1) + 100
+    lv = run.tower.level(1)
+    vs = list(itertools.product(lv.elements(), repeat=n - 1))
+    assert all(
+        is_regular(group_point(run.tower, left_translate(lv, x.rows, v)))
+        for x in points
+        for v in vs
+    )
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2"])

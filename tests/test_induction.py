@@ -24,13 +24,13 @@ from gammasums.matrices import (
     all_matrices,
     char_coeffs_to_poly,
     charpoly,
+    echelon,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_rank,
     mat_vec,
     reduce_against,
-    row_reduce,
 )
 from gammasums.mirabolic import GroupPoint, companion_matrix, group_point
 from gammasums.torus import (
@@ -296,7 +296,7 @@ def _rref_lines(tower, n):
     for v in itertools.product(lv.elements(), repeat=n):
         if not any(v):
             continue
-        basis = (tuple(row_reduce(lv, [v], n)[0][0]),)
+        basis = (tuple(echelon(lv, [v])[0]),)
         if basis not in seen:
             seen.add(basis)
             out.append(basis)

@@ -244,9 +244,6 @@ def test_coset_kernels_match_the_per_translate_route(p, f):
                 assert mirabolic.coset_strata(lv, x.rows, vs) == [
                     len(krylov(lv, ux, [])) for ux in translates
                 ]
-                assert mirabolic.coset_points(x, rows0) == [
-                    group_point(tower, ux) for ux in translates
-                ]
                 _, y, _ = normalize_stratum(x)
                 x_f = tuple(row[:m] for row in y.rows[:m])
                 blocks = [v[: m - 1] for v in vs]
@@ -258,16 +255,6 @@ def test_coset_kernels_match_the_per_translate_route(p, f):
                     for u in mat_identity(n - 1)
                 )
                 assert mirabolic.coset_rank(x) == mat_rank(lv, shifts)
-
-
-def test_coset_points_refuse_a_singular_translate(t3):
-    # a point built without the invertibility check: its v = 0 translate is
-    # itself
-    lv = t3.level(1)
-    rows = ((1, 1), (1, 1))
-    x = mirabolic.GroupPoint(t3, 2, rows, charpoly(lv, rows))
-    with pytest.raises(ValueError, match="singular"):
-        mirabolic.coset_points(x, mirabolic.coset_rows0(lv, rows, [(0,), (1,)]))
 
 
 def test_krylov_makes_one_product_per_vector_after_the_first(t3, monkeypatch):
