@@ -249,7 +249,6 @@ class OracleResult:
     gammas: dict  # irrep -> CycNum
     rank: int
     unknown_count: int
-    rank_deficient: bool
     generic: dict  # family -> {irrep: raw Mellin value}
     rows: list
     rhs: list
@@ -363,7 +362,6 @@ def oracle_phi(traces, gamma_calc, table) -> OracleResult:
         gammas=gammas,
         rank=rank,
         unknown_count=len(unknown),
-        rank_deficient=rank < len(unknown),
         generic=generic,
         rows=rows,
         rhs=rhs,

@@ -15,9 +15,10 @@ Matrices are tuples of row tuples of field elements.  Two kinds of kernel:
   cyclotomic polynomials and inverses in Q(zeta_N)).  Linear systems over
   Q(zeta_N), Q included, go to cyclotomic.solve_linear_system.
 
-all_matrices enumerates every n x k matrix over a level, for the exhaustive
-sweeps.  charpoly runs Berkowitz's division-free recursion in O(n^4) field
-operations, one step per block, and in two block orders:
+all_matrices enumerates every n x k matrix over a level, and
+invertible_matrices every point of GL(n, F_q), for the exhaustive sweeps.
+charpoly runs Berkowitz's division-free recursion in O(n^4) field operations,
+one step per block, and in two block orders:
 
 - charpoly: the leading blocks, a[:k][:k] for k = 1..n, so row k is read
   first by step k;
@@ -44,6 +45,24 @@ def all_matrices(level, n, k):
     """Every n x k matrix over level, in row-major lexicographic order."""
     for entries in itertools.product(level.elements(), repeat=n * k):
         yield tuple(entries[i * k:(i + 1) * k] for i in range(n))
+
+
+def invertible_matrices(level, n):
+    """Every invertible n x n matrix over level, in the order of all_matrices:
+    each row is taken only outside the span of the rows above it."""
+    candidates = list(itertools.product(level.elements(), repeat=n))
+    basis = []
+
+    def extend(rows):
+        if len(rows) == n:
+            yield rows
+            return
+        for row in candidates:
+            if reduce_against(level, basis, row):
+                yield from extend(rows + (row,))
+                basis.pop()
+
+    return extend(())
 
 
 def mat_identity(n):

@@ -21,9 +21,9 @@ reduction.  On a normalized stratum-m point those polynomials follow a
 closed formula in (a, v) alone, coset_charpoly.
 
 An orbit census is one pass per n: orbit_census takes one charpoly of each
-n x n matrix and splits every fiber into Q_1-orbits, and census_prediction
+invertible matrix and splits every fiber into Q_1-orbits, census_prediction
 counts every fiber's chart orbits from the factor pairs (a_t, c'), with
-GL(k) and its fibers built once per k.
+GL(k) and its fibers built once per k, both from invertible_matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .matrices import (
     char_coeffs_to_poly,
     charpoly,
     echelon,
+    invertible_matrices,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -96,9 +97,9 @@ def krylov(level, rows, basis):
     return out
 
 
-def companion_matrix(level, a, m=None):
+def companion_matrix(level, a):
     """Companion matrix with characteristic coefficients a = (a_1, ..., a_m)."""
-    m = m if m is not None else len(a)
+    m = len(a)
     rows = [[0] * m for _ in range(m)]
     for i in range(1, m):
         rows[i][i - 1] = 1
@@ -107,7 +108,7 @@ def companion_matrix(level, a, m=None):
     return tuple(tuple(r) for r in rows)
 
 
-def is_companion(level, block):
+def is_companion(block):
     m = len(block)
     for i in range(m):
         for j in range(m - 1):
@@ -157,7 +158,7 @@ class StratumData:
         lv = tower.level(1)
         n = self.m + len(self.x_e)
         m = self.m
-        comp = companion_matrix(lv, self.a, m)
+        comp = companion_matrix(lv, self.a)
 
         def unip(block):
             rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -191,7 +192,7 @@ def normalized_blocks(x: GroupPoint, m):
     x_f = tuple(row[:m] for row in rows[:m])
     if any(any(row[:m]) for row in rows[m:]):
         raise NotNormalized("lower-left block is not zero")
-    if not is_companion(x.level(), x_f):
+    if not is_companion(x_f):
         raise NotNormalized("top-left block is not a companion matrix")
     return x_f, tuple(row[m:] for row in rows[:m]), tuple(row[m:] for row in rows[m:])
 
@@ -352,22 +353,20 @@ def census_in_reach(n, q):
 
 
 def q1_elements(tower, n):
-    """All elements of the stabilizer of e_1 in GL(n, F_q)."""
+    """All elements [[1, r], [0, B]] of the stabilizer of e_1 in GL(n, F_q),
+    B in GL(n - 1, F_q), each with its inverse."""
     lv = tower.level(1)
     out = []
-    for rest in all_matrices(lv, n, n - 1):
-        mat = tuple((1 if i == 0 else 0,) + row for i, row in enumerate(rest))
-        try:
-            inv = mat_inv(lv, mat)
-        except ValueError:
-            continue
-        out.append((mat, inv))
+    for b in invertible_matrices(lv, n - 1):
+        for r in itertools.product(lv.elements(), repeat=n - 1):
+            mat = ((1,) + r,) + tuple((0,) + row for row in b)
+            out.append((mat, mat_inv(lv, mat)))
     return out
 
 
 def orbit_census(tower, n):
     """Partition of every charpoly fiber of GL(n, F_q) into Q_1-conjugation
-    orbits, from one pass over the n x n matrices.
+    orbits, from one pass over GL(n, F_q).
 
     Returns {a: {stratum: sorted orbit sizes}} for every characteristic
     vector a with unit constant term.
@@ -377,10 +376,8 @@ def orbit_census(tower, n):
         raise CapExceeded(f"census enumeration not supported for n={n}, q={q}")
     lv = tower.level(1)
     fibers = {}
-    for rows in all_matrices(lv, n, n):
-        a = charpoly(lv, rows)
-        if a[-1]:
-            fibers.setdefault(a, set()).add(rows)
+    for rows in invertible_matrices(lv, n):
+        fibers.setdefault(charpoly(lv, rows), set()).add(rows)
     group = q1_elements(tower, n)
     census = {}
     for a, pool in fibers.items():
@@ -451,12 +448,8 @@ def census_prediction(tower, n):
     for m in range(1, n):
         k = n - m
         gl, fibers = [], {}
-        for rows in all_matrices(lv, k, k):
-            try:
-                inv = mat_inv(lv, rows)
-            except ValueError:
-                continue
-            gl.append((rows, inv))
+        for rows in invertible_matrices(lv, k):
+            gl.append((rows, mat_inv(lv, rows)))
             fibers.setdefault(charpoly(lv, rows), []).append(rows)
         translations = list(all_matrices(lv, m, k))
         for a_t in _unit_constant_vectors(lv, m):

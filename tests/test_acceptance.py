@@ -14,7 +14,8 @@ import time
 from gammasums import harness
 from gammasums.fields import build_tower
 from gammasums.induction import GammaTrace
-from gammasums.mirabolic import normalize_stratum
+from gammasums.matrices import invertible_matrices
+from gammasums.mirabolic import group_point, normalize_stratum
 from gammasums.torus import TorusTraces, validate_weight_system
 
 TOWERS = {}
@@ -142,7 +143,7 @@ def test_criterion_09_induction_consistency():
     for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1)]:
         t = tower(p, f, 2)
         traces = TorusTraces(t, validate_weight_system([2], "std"))
-        pool = harness.iter_invertible(t, 2)
+        pool = (group_point(t, rows) for rows in invertible_matrices(t.level(1), 2))
         rss = [x for x in pool if harness._squarefree(t, x.char)]
         assert harness.flag_vs_ordering_failures(traces, rss) == [], q
         count += len(rss)

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 
 import pytest
@@ -20,7 +19,7 @@ from gammasums.harness import (
     validate_config,
 )
 from gammasums.induction import GammaTrace, factor_monic, is_regular
-from gammasums.matrices import all_matrices, char_coeffs_to_poly, charpoly
+from gammasums.matrices import char_coeffs_to_poly, invertible_matrices
 from gammasums.mirabolic import (
     StratumData,
     companion_matrix,
@@ -276,7 +275,7 @@ def test_gl3_top_failure_carries_every_failing_point():
     # the sweep's points: every companion matrix, then 100 random top-stratum
     # points drawn from the seed
     points = [
-        group_point(tower, companion_matrix(lv, tuple(lead) + (const,), 3))
+        group_point(tower, companion_matrix(lv, tuple(lead) + (const,)))
         for lead in itertools.product(lv.elements(), repeat=2)
         for const in lv.units()
     ]
@@ -418,7 +417,8 @@ def test_flag_vs_ordering_breaks_under_a_wrong_hyper_trace(monkeypatch):
     # point with eigenvalues {1, 2}: |GL(2, F_3)| / |T| = 12 of them
     tower = build_tower(3, 1, 2)
     ws = validate_weight_system([2], "std")
-    rss = [x for x in harness.iter_invertible(tower, 2) if harness._squarefree(tower, x.char)]
+    pool = [group_point(tower, rows) for rows in invertible_matrices(tower.level(1), 2)]
+    rss = [x for x in pool if harness._squarefree(tower, x.char)]
     assert len(rss) == 30
     assert not harness.flag_vs_ordering_failures(TorusTraces(tower, ws), rss)
     real = TorusTraces.hyper_trace
@@ -465,20 +465,6 @@ def test_validate_config_refuses_only_with_config_invalid(raw):
     assert all(harness._is_int(v) and v >= 1 for v in cfg["caps"].values())
 
 
-@pytest.mark.parametrize("n,p,f", [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1)])
-def test_iter_invertible_is_all_matrices_without_the_singular_ones(n, p, f):
-    tower = build_tower(p, f, 1)
-    lv = tower.level(1)
-    q = lv.size
-    want = []
-    for rows in all_matrices(lv, n, n):
-        if charpoly(lv, rows)[-1]:
-            want.append(group_point(tower, rows))
-    got = list(harness.iter_invertible(tower, n))
-    assert got == want
-    assert len(got) == math.prod(q**n - q**i for i in range(n))
-
-
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_squarefree_matches_factor_multiplicities(p, f):
     tower = build_tower(p, f, 1)
@@ -512,6 +498,23 @@ def test_gl2_suites_share_one_table_oracle_and_system(monkeypatch):
     single = run_suite(cfg, suites=["gl2-main"]) + run_suite(cfg, suites=["oracle"])
     assert emit(single) == both
     assert all(report.passed for report in single)
+
+
+def test_a_second_torus_run_validates_no_fixed_weight_system(monkeypatch):
+    # the crossed GL(1) systems and std-doubled are validated once per
+    # process; a later run validates only the config's own system
+    cfg = dict(BASE_CFG, suites=["torus"])
+    first = emit(run_suite(cfg))
+    calls = []
+    real = harness.validate_weight_system
+
+    def recorded(shape, rep):
+        calls.append((list(shape), rep))
+        return real(shape, rep)
+
+    monkeypatch.setattr(harness, "validate_weight_system", recorded)
+    assert emit(run_suite(cfg)) == first
+    assert calls == [([2], "std")]
 
 
 def test_corrupted_table_is_a_failed_check(monkeypatch):

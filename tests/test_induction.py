@@ -476,7 +476,7 @@ def test_coset_vanishing_top_gl3():
     gamma = GammaTrace(TorusTraces(tower, std3))
     lv = tower.level(1)
     # companion of the irreducible cubic t^3 + t + 1
-    x = group_point(tower, companion_matrix(lv, (0, 1, 1), 3))
+    x = group_point(tower, companion_matrix(lv, (0, 1, 1)))
     coset, det_fiber = gamma.coset_vanishing_top(x)
     assert coset.is_zero() and det_fiber.is_zero()
 

@@ -1,5 +1,6 @@
 """The elimination kernels and charpoly against independent implementations."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from gammasums.matrices import (
     all_matrices,
     charpoly,
     echelon,
+    invertible_matrices,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -282,3 +284,13 @@ def test_all_matrices_is_row_major_lexicographic():
     assert mats[1] == ((0, 0, 0), (0, 0, 1))
     assert mats[-1] == ((1, 1, 1), (1, 1, 1))
     assert list(all_matrices(lv, 3, 0)) == [((), (), ())]
+
+
+@pytest.mark.parametrize("n,p,f", [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (3, 3, 1)])
+def test_invertible_matrices_is_all_matrices_without_the_singular_ones(n, p, f):
+    lv = build_tower(p, f, 1).level(1)
+    q = lv.size
+    want = [rows for rows in all_matrices(lv, n, n) if charpoly(lv, rows)[-1]]
+    got = list(invertible_matrices(lv, n))
+    assert got == want
+    assert len(got) == math.prod(q**n - q**i for i in range(n))

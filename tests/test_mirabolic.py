@@ -160,7 +160,7 @@ def test_translation_map_bijective_including_shared_eigenvalues(t3):
     lv = t3.level(1)
     for a1 in range(3):
         for a2 in (1, 2):
-            x_f = companion_matrix(lv, (a1, a2), 2)
+            x_f = companion_matrix(lv, (a1, a2))
             for xe in (1, 2):
                 seen = set()
                 for v1 in range(3):
@@ -422,6 +422,22 @@ def test_orbit_census_takes_one_charpoly_per_matrix(monkeypatch):
     monkeypatch.setattr(mirabolic, "charpoly", counted)
     census = orbit_census(build_tower(2, 1, 1), 3)
     assert len(census) == 4 and len(calls) <= 2**9
+
+
+def test_orbit_census_takes_charpolys_of_invertible_matrices_only(monkeypatch):
+    # |GL(3, F_2)| = 168 of the 512 matrices of size 3 over F_2
+    tower = build_tower(2, 1, 1)
+    calls = []
+    real = mirabolic.charpoly
+
+    def counted(level, a):
+        calls.append(a)
+        return real(level, a)
+
+    monkeypatch.setattr(mirabolic, "charpoly", counted)
+    orbit_census(tower, 3)
+    assert len(calls) == 168
+    assert all(real(tower.level(1), a)[-1] for a in calls)
 
 
 def test_orbit_census_recursion_breaks_under_a_trivial_q1(monkeypatch):
