@@ -1,12 +1,14 @@
 """Verification suites, reports and the sweep drivers.
 
-Each suite is a list of named exact checks over one configuration
-(p, f, shape, representation).  Reports are deterministic: given the same
-config they serialize byte-for-byte (timings are opt-in precisely because
-they would break that), seeds are fixed and recorded, and exact values are
-stored as cyclotomic coefficient vectors.  run_suite hands its suites one
-Run, which builds the tower, the torus traces, the gamma trace, the GL(2)
-table and the oracle on first use, so suites that share a config share them.
+Each suite yields named exact checks over one configuration (p, f, shape,
+representation), and run_suite appends each to the suite's report as it
+comes, so a suite that raises keeps the checks it yielded before the error.
+Reports are deterministic: given the same config they serialize
+byte-for-byte (timings are opt-in precisely because they would break that),
+seeds are fixed and recorded, and exact values are stored as cyclotomic
+coefficient vectors.  run_suite hands its suites one Run, which builds the
+tower, the torus traces, the gamma trace, the GL(2) table and the oracle on
+first use, so suites that share a config share them.
 """
 
 from __future__ import annotations
@@ -414,16 +416,13 @@ def hasse_davenport_failures(tower):
     return bad
 
 
-def suite_arith(run) -> list:
-    checks = []
+def suite_arith(run):
     tower = run.tower
     ring = tower.ring
     lv1 = tower.level(1)
-    checks.append(
-        CheckResult(
-            "dlog-normalization",
-            lv1.dlog[lv1.gen] == 1 % (lv1.size - 1) and lv1.dlog[1] == 0,
-        )
+    yield CheckResult(
+        "dlog-normalization",
+        lv1.dlog[lv1.gen] == 1 % (lv1.size - 1) and lv1.dlog[1] == 0,
     )
     ok = True
     for a in tower.levels:
@@ -442,16 +441,16 @@ def suite_arith(run) -> list:
                     via = tower.embed(tower.embed(x, a, b), b, c)
                     if via != tower.embed(x, a, c):
                         ok = False
-    checks.append(CheckResult("embedding-compatibility", ok))
+    yield CheckResult("embedding-compatibility", ok)
     ok = all(
         tower.psi_ring.sum(tower.psi(x, m) for x in tower.level(m).elements()).is_zero()
         for m in tower.levels
     )
-    checks.append(CheckResult("psi-orthogonality", ok))
+    yield CheckResult("psi-orthogonality", ok)
     product_bad, magnitude_bad = gauss_failures(tower)
-    checks.append(CheckResult("gauss-product-identity", not product_bad))
-    checks.append(CheckResult("gauss-magnitude", not magnitude_bad))
-    checks.append(CheckResult("hasse-davenport", not hasse_davenport_failures(tower)))
+    yield CheckResult("gauss-product-identity", not product_bad)
+    yield CheckResult("gauss-magnitude", not magnitude_bad)
+    yield CheckResult("hasse-davenport", not hasse_davenport_failures(tower))
     rng = random.Random(run.cfg["seed"])
     ok = True
     triples = 200 if ring.degree <= 200 else 25
@@ -467,13 +466,10 @@ def suite_arith(run) -> list:
             ok = False
         if a.conjugate().conjugate() != a:
             ok = False
-    checks.append(
-        CheckResult("cyclotomic-ring-axioms", ok, detail=f"{triples} triples")
+    yield CheckResult("cyclotomic-ring-axioms", ok, detail=f"{triples} triples")
+    yield CheckResult(
+        "kloosterman-arity-one", kloosterman(tower, 1, 1) == -tower.psi(1)
     )
-    checks.append(
-        CheckResult("kloosterman-arity-one", kloosterman(tower, 1, 1) == -tower.psi(1))
-    )
-    return checks
 
 
 # -- suite: torus ----------------------------------------------------------------
@@ -574,8 +570,7 @@ def _aux_multiplicity_systems(cfg):
     return out
 
 
-def suite_torus(run) -> list:
-    checks = []
+def suite_torus(run):
     cfg = run.cfg
     tower, traces = run.tower, run.traces
     ws = traces.ws
@@ -583,10 +578,8 @@ def suite_torus(run) -> list:
     rng = random.Random(cfg["seed"])
     units = list(lv1.units())
     d = ws.d
-    checks.append(
-        CheckResult(
-            "hyper-equals-kloosterman", not kloosterman_failures(tower, (1, 2, 3))
-        )
+    yield CheckResult(
+        "hyper-equals-kloosterman", not kloosterman_failures(tower, (1, 2, 3))
     )
     # untwisted consistency
     ok = True
@@ -594,20 +587,18 @@ def suite_torus(run) -> list:
         pt = TwistedTorusPoint(perm_identity(d), t)
         if traces.twisted_stalk_trace(pt) != traces.hyper_trace(t):
             ok = False
-    checks.append(CheckResult("identity-twist-consistency", ok))
+    yield CheckResult("identity-twist-consistency", ok)
     # sign action of block permutations (content needs repeated weights)
     ok = True
     aux = [TorusTraces(tower, aux_ws) for _, aux_ws in _aux_multiplicity_systems(cfg)]
     for aux_tr in [traces] + aux:
         if sign_action_failures(aux_tr, _sample_torus_points(tower, aux_tr.ws.d, rng)):
             ok = False
-    checks.append(
-        CheckResult(
-            "block-permutation-sign-action",
-            ok,
-            detail="multiplicity-free blocks are vacuous; the crossed systems"
-            " carry the content",
-        )
+    yield CheckResult(
+        "block-permutation-sign-action",
+        ok,
+        detail="multiplicity-free blocks are vacuous; the crossed systems"
+        " carry the content",
     )
     # lift independence of the normalized twisted trace; lifts whose cycle
     # structure outruns the tower are skipped (their fibers need deeper
@@ -634,35 +625,26 @@ def suite_torus(run) -> list:
                     if got != ref:
                         ok = False
             lift_counts.append(len(tested))
-    checks.append(
-        CheckResult(
-            "lift-independence",
-            ok and all(c >= 2 for c in lift_counts),
-            detail=f"lifts tested per twist: {sorted(set(lift_counts))}",
-        )
+    yield CheckResult(
+        "lift-independence",
+        ok and all(c >= 2 for c in lift_counts),
+        detail=f"lifts tested per twist: {sorted(set(lift_counts))}",
     )
     # Mellin factorization for every twist and character
     unit = traces.mellin_unit()
-    checks.append(
-        CheckResult(
-            "mellin-factorization",
-            not mellin_failures(traces),
-            value=unit,
-            detail="unit frozen from the identity twist, trivial character",
-        )
+    yield CheckResult(
+        "mellin-factorization",
+        not mellin_failures(traces),
+        value=unit,
+        detail="unit frozen from the identity twist, trivial character",
     )
-    checks.append(
-        CheckResult("kummer-convolution-constant", not kummer_failures(traces))
-    )
+    yield CheckResult("kummer-convolution-constant", not kummer_failures(traces))
     ran = any(n >= 2 for n in ws.shape)
-    checks.append(
-        CheckResult(
-            "sigma-fiber-vanishing",
-            not sigma_fiber_failures(traces),
-            detail="" if ran else "no factor of rank >= 2",
-        )
+    yield CheckResult(
+        "sigma-fiber-vanishing",
+        not sigma_fiber_failures(traces),
+        detail="" if ran else "no factor of rank >= 2",
     )
-    return checks
 
 
 # -- suite: mirabolic --------------------------------------------------------------
@@ -740,8 +722,7 @@ def orbit_census_failures(tower, n):
     ]
 
 
-def suite_mirabolic(run) -> list:
-    checks = []
+def suite_mirabolic(run):
     cfg = run.cfg
     tower = run.tower
     n = cfg["shape"][0]
@@ -760,10 +741,8 @@ def suite_mirabolic(run) -> list:
         m = len(krylov(lv, rows, []))
         if any(s != m for s in coset_strata(lv, rows, vs)):
             ok = False
-    checks.append(
-        CheckResult(
-            "left-translation-stability", ok, detail=f"{len(pool)} points"
-        )
+    yield CheckResult(
+        "left-translation-stability", ok, detail=f"{len(pool)} points"
     )
     # normalization round trip, coset formulas, rank and linearity
     ok_round = ok_coset = ok_rank = ok_linear = True
@@ -785,29 +764,23 @@ def suite_mirabolic(run) -> list:
             )
             if d12 != tuple(map(lv.add, d1, d2)):
                 ok_linear = False
-    checks.append(CheckResult("normalization-roundtrip", ok_round))
-    checks.append(
-        CheckResult("coset-charpoly-formula", ok_coset, detail=f"{samples} points")
-    )
-    checks.append(CheckResult("coset-map-rank", ok_rank))
-    checks.append(CheckResult("coset-map-linearity", ok_linear))
+    yield CheckResult("normalization-roundtrip", ok_round)
+    yield CheckResult("coset-charpoly-formula", ok_coset, detail=f"{samples} points")
+    yield CheckResult("coset-map-rank", ok_rank)
+    yield CheckResult("coset-map-linearity", ok_linear)
     # simple transitivity brute force on the (companion, scalar) layout
     ran = n == 3 and q <= 3
-    checks.append(
-        CheckResult(
-            "translation-map-bijective",
-            not ran or not translation_map_failures(tower),
-            detail="" if ran else "layout needs shape [3] at q <= 3",
-        )
+    yield CheckResult(
+        "translation-map-bijective",
+        not ran or not translation_map_failures(tower),
+        detail="" if ran else "layout needs shape [3] at q <= 3",
     )
     # census vs recursion
     ran = census_in_reach(n, q)
-    checks.append(
-        CheckResult(
-            "orbit-census-recursion",
-            not ran or not orbit_census_failures(tower, n),
-            detail=f"{q ** (n - 1) * (q - 1) if ran else 0} charpolys",
-        )
+    yield CheckResult(
+        "orbit-census-recursion",
+        not ran or not orbit_census_failures(tower, n),
+        detail=f"{q ** (n - 1) * (q - 1) if ran else 0} charpolys",
     )
     # parabolic rank classification round trip
     ok = True
@@ -819,8 +792,7 @@ def suite_mirabolic(run) -> list:
             r2, _, rep2 = parabolic_rank_classify(rep, split)
             if r2 != r or rep2.rows != rep.rows:
                 ok = False
-    checks.append(CheckResult("parabolic-rank-classify-idempotent", ok))
-    return checks
+    yield CheckResult("parabolic-rank-classify-idempotent", ok)
 
 
 # -- suite: induction --------------------------------------------------------------
@@ -857,8 +829,7 @@ def levi_restriction_failures(gamma):
     ]
 
 
-def suite_induction(run) -> list:
-    checks = []
+def suite_induction(run):
     cfg = run.cfg
     tower = run.tower
     n = cfg["shape"][0]
@@ -872,12 +843,10 @@ def suite_induction(run) -> list:
         pool = [_random_group_point(tower, n, rng) for _ in range(200)]
     # flag sum vs eigenvalue-ordering sum on regular semisimple points
     rss = [x for x in pool if _squarefree(tower, x.char)]
-    checks.append(
-        CheckResult(
-            "flag-vs-ordering-consistency",
-            not flag_vs_ordering_failures(traces, rss),
-            detail=f"{len(rss)} rss points",
-        )
+    yield CheckResult(
+        "flag-vs-ordering-consistency",
+        not flag_vs_ordering_failures(traces, rss),
+        detail=f"{len(rss)} rss points",
     )
     # conjugation invariance of the gamma trace
     ok = True
@@ -893,7 +862,7 @@ def suite_induction(run) -> list:
         )
         if gamma.phi_regular(conj) != phi_x:
             ok = False
-    checks.append(CheckResult("conjugation-invariance", ok))
+    yield CheckResult("conjugation-invariance", ok)
     # standard weights: gamma trace is a frozen unit times psi(trace)
     if cfg["rep"] == "std":
         ok = True
@@ -910,13 +879,11 @@ def suite_induction(run) -> list:
                 tr_x = lv.add(tr_x, x.rows[i][i])
             if phi != sign * tower.psi(tr_x):
                 ok = False
-        checks.append(
-            CheckResult(
-                "gamma-trace-kernel-shape",
-                ok,
-                value=tower.ring.from_int(sign),
-                detail=f"unit (-1)^n over {seen} regular points",
-            )
+        yield CheckResult(
+            "gamma-trace-kernel-shape",
+            ok,
+            value=tower.ring.from_int(sign),
+            detail=f"unit (-1)^n over {seen} regular points",
         )
     # the trace refuses to evaluate off the regular locus
     scalar = 2 % q if q > 2 else 1
@@ -929,18 +896,15 @@ def suite_induction(run) -> list:
         ok = False
     except NotComputableLocus:
         ok = True
-    checks.append(CheckResult("off-locus-refusal", ok))
+    yield CheckResult("off-locus-refusal", ok)
     # restriction to the diagonal Levi: a frozen unit times the torus trace
     if n == 2 and q > 2:
-        checks.append(
-            CheckResult(
-                "levi-restriction-unit",
-                not levi_restriction_failures(gamma),
-                value=q,
-                detail="frozen unit q, exact on all distinct-eigenvalue points",
-            )
+        yield CheckResult(
+            "levi-restriction-unit",
+            not levi_restriction_failures(gamma),
+            value=q,
+            detail="frozen unit q, exact on all distinct-eigenvalue points",
         )
-    return checks
 
 
 # -- suite: gl2-main ----------------------------------------------------------------
@@ -950,12 +914,24 @@ def in_borel(rows):
     return rows[1][0] == 0
 
 
+def mismatched_classes(run):
+    """Keys of the non-central GL(2) classes where the geometric gamma value
+    and the oracle's differ."""
+    ring, gamma, values = run.tower.ring, run.gamma, run.oracle.values
+    return {
+        cls.key
+        for cls in run.table.classes
+        if cls.kind != "central"
+        and ring.embed(gamma.value_for_charpoly(cls.key[:2])) != values[cls.key]
+    }
+
+
 # A failed sweep carries at most this many failing cosets (gl3-top: points),
 # and as many route mismatches, as attributes of its VanishingFailed.
 WITNESS_CAP = 1000
 
 
-def vanishing_sweep_gl2(run) -> list:
+def vanishing_sweep_gl2(run):
     """The main GL(2) coset sweep, both routes, plus the mutation control.
 
     g runs over the invertible matrices off B in row-major order, and the
@@ -964,22 +940,21 @@ def vanishing_sweep_gl2(run) -> list:
     with a zero corner, and g is h translated by s = g[0][0] / c.  Every
     summand is a function of a translate's class key, so the translates of
     h are classified together (coset_charpolys) on the first g of each coset
-    (each matrix off B once), the two routes are compared once per key, and
-    the three coset sums are formed once per multiset of keys.
+    (each matrix off B once), the two routes are compared once per class
+    (mismatched_classes), and the three coset sums are formed once per
+    multiset of keys.
     """
-    checks = []
     tower, gamma = run.tower, run.gamma
     try:
         oracle = run.oracle
     except SystemInconsistent as exc:
-        exc.checks = [
-            CheckResult("oracle-solve", False, value=PAIRING, detail=str(exc))
-        ]
+        yield CheckResult("oracle-solve", False, value=PAIRING, detail=str(exc))
         raise
     lv, ring = tower.level(1), tower.ring
+    # the sweep's translates meet every non-central class
+    mismatched_keys = mismatched_classes(run)
     # mutation control: the untwisted descent must break at least one coset
     gamma_mut = GammaTrace(run.traces, weyl_sign=False)
-    mismatch = {}  # class key -> the geometric and oracle values differ
     coset_sums = {}  # sorted keys of a coset -> (vanishes, breaks)
     cosets = {}  # h -> (each w with a route mismatch at h + w row 1, vanishes, breaks)
     bad = []
@@ -996,10 +971,6 @@ def vanishing_sweep_gl2(run) -> list:
         if h not in cosets:
             # row 1 of h has c != 0, so no translate is scalar
             keys = [(*c, False) for c in coset_charpolys(lv, h, ws)]
-            for key in keys:
-                if key not in mismatch:
-                    phi = gamma.value_for_charpoly(key[:2])
-                    mismatch[key] = ring.embed(phi) != oracle.values[key]
             multiset = tuple(sorted(keys))
             if multiset not in coset_sums:
                 geo = ring.sum(gamma.value_for_charpoly(k[:2]) for k in multiset)
@@ -1008,7 +979,9 @@ def vanishing_sweep_gl2(run) -> list:
                 coset_sums[multiset] = (
                     geo.is_zero() and orc.is_zero(), not mut.is_zero()
                 )
-            mismatched = [w for w, key in zip(lv.elements(), keys) if mismatch[key]]
+            mismatched = [
+                w for w, key in zip(lv.elements(), keys) if key in mismatched_keys
+            ]
             cosets[h] = (mismatched, *coset_sums[multiset])
         mismatched, vanishes, breaks = cosets[h]
         # g + v0 row 1 is h + w row 1 for w = s + v0
@@ -1018,46 +991,37 @@ def vanishing_sweep_gl2(run) -> list:
         if not vanishes:
             bad.append(rows)
         broken += breaks
-    checks.append(
-        CheckResult(
-            "coset-vanishing-both-routes",
-            not bad and not route_mismatch,
-            detail=f"{swept} cosets swept; failures={len(bad)}, "
-            f"route mismatches={len(route_mismatch)}",
-        )
+    yield CheckResult(
+        "coset-vanishing-both-routes",
+        not bad and not route_mismatch,
+        detail=f"{swept} cosets swept; failures={len(bad)}, "
+        f"route mismatches={len(route_mismatch)}",
     )
-    checks.append(
-        CheckResult(
-            "mutation-control-breaks",
-            broken > 0,
-            detail=f"{broken} of {swept} cosets break under the untwisted descent",
-        )
+    yield CheckResult(
+        "mutation-control-breaks",
+        broken > 0,
+        detail=f"{broken} of {swept} cosets break under the untwisted descent",
     )
-    checks.append(
-        CheckResult(
-            "oracle-solve",
-            True,
-            value=PAIRING,
-            detail=f"rank {oracle.rank}/{oracle.unknown_count}",
-        )
+    yield CheckResult(
+        "oracle-solve",
+        True,
+        value=PAIRING,
+        detail=f"rank {oracle.rank}/{oracle.unknown_count}",
     )
     if bad or route_mismatch:
         exc = VanishingFailed(
             f"vanishing failed on {len(bad)} cosets, first {bad[:2]}; "
             f"{len(route_mismatch)} route mismatches, first {route_mismatch[:2]}"
         )
-        exc.checks = checks
         exc.failures = bad[:WITNESS_CAP]
         exc.route_mismatches = route_mismatch[:WITNESS_CAP]
         raise exc
-    return checks
 
 
 # -- suite: gl3-top -----------------------------------------------------------------
 
 
-def vanishing_sweep_gl3_top(run) -> list:
-    checks = []
+def vanishing_sweep_gl3_top(run):
     tower, traces, gamma = run.tower, run.traces, run.gamma
     lv = tower.level(1)
     n = run.cfg["shape"][0]
@@ -1078,73 +1042,47 @@ def vanishing_sweep_gl3_top(run) -> list:
         coset, det_fiber = gamma.coset_vanishing_top(x)
         if not coset.is_zero() or coset != det_fiber:
             bad.append((x.rows, serialize_value(coset), serialize_value(det_fiber)))
-    checks.append(
-        CheckResult(
-            "top-stratum-coset-vanishing",
-            not bad,
-            detail=f"{len(points)} points tested ({extras} random), both routes",
-        )
+    yield CheckResult(
+        "top-stratum-coset-vanishing",
+        not bad,
+        detail=f"{len(points)} points tested ({extras} random), both routes",
     )
-    checks.append(
-        CheckResult("sigma-fiber-gl3-torus", not sigma_fiber_failures(traces))
-    )
+    yield CheckResult("sigma-fiber-gl3-torus", not sigma_fiber_failures(traces))
     if bad:
         exc = VanishingFailed(
             f"gl3 coset vanishing failed at {[rows for rows, _, _ in bad[:3]]}"
         )
-        exc.checks = checks
         exc.failures = bad[:WITNESS_CAP]
         raise exc
-    return checks
 
 
 # -- suite: oracle ------------------------------------------------------------------
 
 
-def suite_oracle(run) -> list:
-    checks = []
-    tower, gamma = run.tower, run.gamma
+def suite_oracle(run):
+    tower = run.tower
     try:
         table = run.table
     except TableNotOrthogonal as exc:
-        exc.checks = [
-            CheckResult("character-table-orthogonality", False, detail=str(exc))
-        ]
+        yield CheckResult("character-table-orthogonality", False, detail=str(exc))
         raise
-    checks.append(
-        CheckResult(
-            "character-table-orthogonality",
-            True,
-            detail=f"{len(table.classes)} classes, group order "
-            f"{gl2_order(tower.q)}",
-        )
+    yield CheckResult(
+        "character-table-orthogonality",
+        True,
+        detail=f"{len(table.classes)} classes, group order "
+        f"{gl2_order(tower.q)}",
     )
-    try:
-        result = run.oracle
-    except SystemInconsistent as exc:
-        exc.checks = checks
-        raise
-    ok = True
-    for cls in table.classes:
-        if cls.kind == "central":
-            continue
-        phi = gamma.value_for_charpoly(cls.key[:2])
-        if result.values[cls.key] != tower.ring.embed(phi):
-            ok = False
-    checks.append(
-        CheckResult(
-            "oracle-matches-geometry",
-            ok,
-            detail=f"convention={PAIRING}, rank {result.rank}"
-            f"/{result.unknown_count}",
-        )
+    result = run.oracle
+    yield CheckResult(
+        "oracle-matches-geometry",
+        not mismatched_classes(run),
+        detail=f"convention={PAIRING}, rank {result.rank}"
+        f"/{result.unknown_count}",
     )
-    checks.append(
-        CheckResult(
-            "oracle-full-rank",
-            result.rank == result.unknown_count,
-            detail="rank deficiency is reported, never masked",
-        )
+    yield CheckResult(
+        "oracle-full-rank",
+        result.rank == result.unknown_count,
+        detail="rank deficiency is reported, never masked",
     )
     u_p, u_c, rank, n_unknowns = calibrate_generic_units(result)
     full = rank == n_unknowns
@@ -1153,16 +1091,13 @@ def suite_oracle(run) -> list:
     ok = (u_c == expect_c if full else True) and (
         u_p == expect_p if (full and u_p is not None) else True
     )
-    checks.append(
-        CheckResult(
-            "generic-gamma-calibration",
-            ok,
-            value=[u_p, u_c],
-            detail=f"rank {rank}/{n_unknowns}"
-            + ("" if full else " (scales not pinned at this rank)"),
-        )
+    yield CheckResult(
+        "generic-gamma-calibration",
+        ok,
+        value=[u_p, u_c],
+        detail=f"rank {rank}/{n_unknowns}"
+        + ("" if full else " (scales not pinned at this rank)"),
     )
-    return checks
 
 
 # -- driver -------------------------------------------------------------------------
@@ -1173,7 +1108,7 @@ class Suite(NamedTuple):
     validate_config reads to refuse a config the suite cannot run."""
 
     statement: str
-    checks: object  # run -> list of CheckResult
+    checks: object  # generator function: run -> yields CheckResult
     shape: tuple = None  # the one shape it runs at
     q_max: int = None
     min_tower: int = 1  # smallest caps.tower
@@ -1277,9 +1212,9 @@ def run_suite(cfg_raw, suites=None, include_timings=False):
         report = SuiteReport(suite=name, params=params, seed=cfg["seed"])
         started = time.perf_counter()
         try:
-            report.checks = SUITES[name].checks(run)
+            for check in SUITES[name].checks(run):
+                report.checks.append(check)
         except GammasumsError as exc:
-            report.checks = list(getattr(exc, "checks", []))
             report.checks.append(
                 CheckResult(
                     "suite-error", False, detail=f"{type(exc).__name__}: {exc}"

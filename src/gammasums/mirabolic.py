@@ -479,10 +479,9 @@ def parabolic_rank_classify(x: GroupPoint, split):
     n = x.n
     if n1 + n2 != n:
         raise ValueError("split does not match the matrix size")
+    if not n2:
+        return 0, (mat_identity(n1), ()), x
     c_block = tuple(tuple(x.rows[n1 + i][j] for j in range(n1)) for i in range(n2))
-    rank_direct = mat_rank(lv, c_block) if n2 else 0
-    if c_block == _pivot_form(n2, n1, rank_direct):
-        return rank_direct, (mat_identity(n1), mat_identity(n2)), x
     a_mat, b_mat, r = _field_smith(lv, c_block)
     # a_mat * C * b_mat has identity in the leading r x r corner; permute
     # the columns so the pivots land on the antidiagonal of the top-right
@@ -509,13 +508,6 @@ def parabolic_rank_classify(x: GroupPoint, split):
     big = tuple(tuple(rw) for rw in big)
     rep = mat_mul(lv, big, mat_mul(lv, x.rows, mat_inv(lv, big)))
     return r, (g1, g2), group_point(x.tower, rep)
-
-
-def _pivot_form(n_rows, n_cols, r):
-    rows = [[0] * n_cols for _ in range(n_rows)]
-    for i in range(r):
-        rows[i][n_cols - r + i] = 1
-    return tuple(tuple(rw) for rw in rows)
 
 
 def _field_smith(lv, c):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from gammasums import gl2, harness
 from gammasums.cli import main
 from gammasums.cyclotomic import CycNum, CyclotomicRing
-from gammasums.errors import ConfigInvalid, VanishingFailed
+from gammasums.errors import CapExceeded, ConfigInvalid, VanishingFailed
 from gammasums.fields import build_tower
 from gammasums.harness import (
     SUITE_NAMES,
@@ -292,14 +293,16 @@ def test_gl3_top_failure_carries_every_failing_point():
             want.append(
                 (x.rows, harness.serialize_value(coset), harness.serialize_value(det_fiber))
             )
+    checks = []  # those the sweep yields before it raises
     with pytest.raises(VanishingFailed) as caught:
-        harness.vanishing_sweep_gl3_top(run)
+        for check in harness.vanishing_sweep_gl3_top(run):
+            checks.append(check)
     exc = caught.value
     assert want and exc.failures == want[: harness.WITNESS_CAP]
     # the witnesses are values of Q(zeta_p)
     assert {w[1]["conductor"] for w in want} == {2}
     assert str(exc) == f"gl3 coset vanishing failed at {[w[0] for w in want[:3]]}"
-    assert [c.passed for c in exc.checks] == [False, True]
+    assert [c.passed for c in checks] == [False, True]
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (2, 4), (3, 4)])
@@ -307,13 +310,13 @@ def test_top_stratum_sweep_reads_n_from_the_shape(p, n):
     """The gl3-top sweep at GL(n): q^(n-1)(q-1) companion points and 100
     random ones, all vanishing, and each broken by the untwisted descent."""
     run = harness.Run(validate_config({"p": p, "shape": [n], "suites": ["torus"]}))
-    checks = harness.vanishing_sweep_gl3_top(run)
+    checks = list(harness.vanishing_sweep_gl3_top(run))
     assert [c.passed for c in checks] == [True, True]
     points = p ** (n - 1) * (p - 1) + 100
     assert checks[0].detail == f"{points} points tested (100 random), both routes"
     run.__dict__["gamma"] = GammaTrace(run.traces, weyl_sign=False)
     with pytest.raises(VanishingFailed) as caught:
-        harness.vanishing_sweep_gl3_top(run)
+        list(harness.vanishing_sweep_gl3_top(run))
     assert len(caught.value.failures) == points
 
 
@@ -331,7 +334,7 @@ def test_top_stratum_translates_are_regular(p, n, monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(GammaTrace, "coset_vanishing_top", recorded)
-    harness.vanishing_sweep_gl3_top(run)
+    list(harness.vanishing_sweep_gl3_top(run))
     assert len(points) == p ** (n - 1) * (p - 1) + 100
     lv = run.tower.level(1)
     vs = list(itertools.product(lv.elements(), repeat=n - 1))
@@ -586,6 +589,30 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     cfg_path.write_text(json.dumps(BASE_CFG))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "[FAIL] arith\n"
+
+
+def test_an_error_mid_suite_keeps_the_checks_yielded_before_it(monkeypatch):
+    def refused(tower):
+        raise CapExceeded("translation map sweep refused")
+
+    monkeypatch.setattr(harness, "translation_map_failures", refused)
+    (report,) = run_suite(
+        {"p": 3, "shape": [3], "suites": ["mirabolic"], "caps": {"tower": 1}}
+    )
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("left-translation-stability", True),
+        ("normalization-roundtrip", True),
+        ("coset-charpoly-formula", True),
+        ("coset-map-rank", True),
+        ("coset-map-linearity", True),
+        ("suite-error", False),
+    ]
+    assert report.checks[-1].detail == "CapExceeded: translation map sweep refused"
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_is_a_generator_function(name):
+    assert inspect.isgeneratorfunction(SUITES[name].checks)
 
 
 def test_run_suite_reports_pass():

@@ -465,6 +465,7 @@ def test_parabolic_rank_classify(t3):
     xp = group_point(t3, [[1, 1], [0, 1]])
     r, (g1, g2), rep = parabolic_rank_classify(xp, (1, 1))
     assert r == 0 and rep.rows == xp.rows
+    assert g1 == g2 == mat_identity(1)
     # generic: rank one, pivot in the corner
     xq = group_point(t3, [[0, 1], [1, 0]])
     r, _, rep = parabolic_rank_classify(xq, (1, 1))
@@ -479,6 +480,12 @@ def test_parabolic_rank_classify(t3):
             block = [row[: split[0]] for row in rep.rows[split[0] :]]
             if r == 1:
                 assert block[0][split[0] - 1] == 1
+    # the degenerate splits: an empty lower-left block, or none at all
+    x = random_point(t3, 3, rng)
+    r, (g1, g2), rep = parabolic_rank_classify(x, (0, 3))
+    assert (r, g1, g2, rep.rows) == (0, (), mat_identity(3), x.rows)
+    r, (g1, g2), rep = parabolic_rank_classify(x, (3, 0))
+    assert (r, g1, g2, rep.rows) == (0, mat_identity(3), (), x.rows)
 
 
 def test_charpoly_conjugation_invariance(t3):
