@@ -609,10 +609,13 @@ def solve_linear_system(rows, rhs):
     rows is a list of equal-length CycNum lists and rhs a CycNum list, every
     entry in a subfield of the ring of rhs[0].  Each equation is reduced
     against the pivot rows found so far, and one that stays nonzero becomes
-    a pivot row, until the rank equals the number of unknowns.  The pivot
-    columns are the ones independent of the columns before them, and free
-    variables are set to zero.  Returns (solution, rank, consistent), where
-    consistent means the solution satisfies every equation by substitution.
+    a pivot row, until the rank equals the number of unknowns.  An equation
+    whose coefficients repeat an earlier one's is not reduced: it cannot add
+    a pivot.  The pivot columns are the ones independent of the columns
+    before them, so they do not depend on the order of the equations, and
+    free variables are set to zero.  Returns (solution, rank, consistent),
+    where consistent means the solution satisfies every equation by
+    substitution.
     """
     if not rows:
         return [], 0, True
@@ -620,9 +623,14 @@ def solve_linear_system(rows, rhs):
     # (column, row) in the order found; a pivot row is 1 at its column, its
     # first nonzero, and 0 at the columns of the pivots found before it
     pivots = []
+    seen = set()  # the coefficients of each equation reduced so far
     for row, b in zip(rows, rhs):
         if len(pivots) == ncols:
             break
+        key = tuple((x.ring.conductor, x.num, x.den) for x in row)
+        if key in seen:
+            continue
+        seen.add(key)
         row = list(row) + [b]
         for col, prow in pivots:
             f = row[col]

@@ -168,8 +168,8 @@ class Gl2Table:
     """
 
     def __init__(self, tower):
-        if tower.q > 11:
-            raise CapExceeded("table construction is limited to q <= 11")
+        if tower.q > 13:
+            raise CapExceeded("table construction is limited to q <= 13")
         if tower.max_level < 2:
             raise ValueError("the table needs level 2 in the tower")
         self.tower = tower
@@ -259,7 +259,7 @@ class OracleResult:
 # the parametrizing torus (identity for principal series, the long element for
 # cuspidal): calibrate_generic_units solves for the scales, and the
 # regular-class system pins exactly these values wherever it has full rank
-# (q in {3, 4, 5, 7}, standard weights).
+# (q in {3, 4, 5, 7, 9, 11, 13}, standard weights).
 GENERIC_SIGNS = {"principal": 1, "cuspidal": -1}
 
 
@@ -324,10 +324,22 @@ def calibrate_generic_units(oracle: OracleResult):
     (u_principal, u_cuspidal, rank, unknown_count); when the rank is full the
     scales are forced and must equal (q, -q).  q = 2 has no principal series
     and the scale slot is returned as None.
+
+    The scale columns, dense in the tower's ring, are pivoted last, so every
+    pivot before them is inverted in the table's small ring.  At full rank
+    the solution is unique; below it, the system is solved again scales
+    first, whose free variables (set to zero) are the ones reported.
     """
-    solution, rank = _solve(oracle.rows, oracle.rhs, "family-scale calibration")
+    what = "family-scale calibration"
+    k, n = len(oracle.generic), len(oracle.rows[0])
+    scales_last = [row[k:] + row[:k] for row in oracle.rows]
+    solution, rank = _solve(scales_last, oracle.rhs, what)
+    if rank == n:
+        solution = solution[-k:]
+    else:
+        solution, rank = _solve(oracle.rows, oracle.rhs, what)
     scales = dict(zip(oracle.generic, solution))
-    return scales.get("principal"), scales["cuspidal"], rank, len(oracle.rows[0])
+    return scales.get("principal"), scales["cuspidal"], rank, n
 
 
 def oracle_phi(traces, gamma_calc, table) -> OracleResult:

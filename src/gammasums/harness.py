@@ -947,6 +947,9 @@ def vanishing_sweep_gl2(run):
     tower, gamma = run.tower, run.gamma
     try:
         oracle = run.oracle
+    except TableNotOrthogonal as exc:
+        yield CheckResult("character-table-orthogonality", False, detail=str(exc))
+        raise
     except SystemInconsistent as exc:
         yield CheckResult("oracle-solve", False, value=PAIRING, detail=str(exc))
         raise
@@ -1119,11 +1122,10 @@ class Suite(NamedTuple):
 
 
 # q_max: gl2-main and gl3-top sweep every coset, and gl2-main, which builds
-# the GL(2) table and oracle, keeps to the oracle's q.  The oracle's exact
-# solve in Q(zeta_N) is the limit there: q = 9 finishes in a few seconds,
-# q = 11 takes about 250 s, all but 1.2 s of it in the family-scale
-# calibration, whose generic-scale columns pivot in Q(zeta_1320) (2-vCPU
-# machine, one run).
+# the GL(2) table and oracle, keeps to the oracle's q.  At q = 13, oracle std
+# takes 6.6 s and gl2-main sym2 3.4 s; at q = 11, 1.8 s and 1.7 s (2-vCPU
+# machine, one run each).  The table's orthogonality check grows fastest
+# above that: 7.8 s of the 10.2 s oracle run at q = 16.
 #
 # translates_max: the mirabolic suite translates each of up to 300 pool
 # points and 60 samples by all q^(n-1) vectors v.  Single runs at caps.tower 1
@@ -1175,7 +1177,7 @@ SUITES = {
         "pointwise agreement of the two routes on regular classes; replacing "
         "the sign-twisted Weyl descent by the untwisted one breaks the "
         "vanishing.",
-        vanishing_sweep_gl2, shape=(2,), q_max=9, min_tower=2,
+        vanishing_sweep_gl2, shape=(2,), q_max=13, min_tower=2,
     ),
     "gl3-top": Suite(
         "For top-stratum points of GL(3, F_q) outside the mirabolic subgroup "
@@ -1190,7 +1192,7 @@ SUITES = {
         "trace expands over irreducible characters with generic coefficients "
         "given by torus Mellin transforms scaled by q times the twist sign, "
         "and the overdetermined regular-class system closes exactly.",
-        suite_oracle, shape=(2,), q_max=9, min_tower=2,
+        suite_oracle, shape=(2,), q_max=13, min_tower=2,
     ),
 }
 SUITE_NAMES = tuple(SUITES)

@@ -608,3 +608,25 @@ def test_linear_solver_exact():
         sol, rank, consistent = mixed
         assert (rank, consistent) == (2, want)
         assert all(x.ring is big for x in sol)
+
+
+def test_linear_solver_skips_a_repeated_equation(monkeypatch):
+    ring = CyclotomicRing(12)
+    z = ring.zeta_power(1)
+    r1, r2 = [ring.one, z, z * z], [z, ring.one, ring.zero]
+    r3 = [a + b for a, b in zip(r1, r2)]  # rank 2, column 2 free
+    rhs = [ring.from_int(2), z, ring.from_int(2) + z]
+    want = solve_linear_system([r1, r2, r3], rhs)
+    assert want[1:] == (2, True)
+    # the pivot columns, and so the solution, do not depend on equation order
+    assert solve_linear_system([r3, r2, r1], rhs[::-1]) == want
+    # a repeat of r1 costs no elimination step, but substitution still checks it
+    steps = []
+    real = CycNum.__sub__
+    monkeypatch.setattr(CycNum, "__sub__", lambda x, y: steps.append(x) or real(x, y))
+    solve_linear_system([r1, r2, r3], rhs)
+    once, steps[:] = len(steps), []
+    assert solve_linear_system([r1, r1, r2, r3], [rhs[0]] + rhs) == want
+    assert len(steps) == once
+    bad = solve_linear_system([r1, r1, r2, r3], [rhs[0] + 1] + rhs)
+    assert bad[1:] == (2, False)

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from gammasums import gl2, harness
-from gammasums.cyclotomic import CyclotomicRing
+from gammasums.cyclotomic import CyclotomicRing, solve_linear_system
 from gammasums.errors import (
     CapExceeded,
     SystemInconsistent,
@@ -135,7 +135,7 @@ def test_orthogonality_matches_dense_reference(monkeypatch, p, f, corrupt):
 
 
 def test_table_cap():
-    tower = build_tower(13, 1, 2)
+    tower = build_tower(17, 1, 2)
     with pytest.raises(CapExceeded):
         build_gl2_table(tower)
 
@@ -194,6 +194,50 @@ def test_calibration_pins_family_scales(tower_f3):
     assert rank == n_unknowns
     assert u_p == tower_f3.ring.from_int(3)
     assert u_c == tower_f3.ring.from_int(-3)
+
+
+def calibration_oracle(p, f, rep):
+    tower = build_tower(p, f, 2)
+    traces = TorusTraces(tower, validate_weight_system([2], rep))
+    return tower, oracle_phi(traces, GammaTrace(traces), build_gl2_table(tower))
+
+
+@pytest.mark.parametrize(
+    "p,f,rep",
+    [(3, 1, "std"), (5, 1, "std"), (7, 1, "std"), (7, 1, "sym2"), (3, 2, "std")],
+)
+def test_calibration_at_full_rank_is_the_scales_first_solution(p, f, rep):
+    _, oracle = calibration_oracle(p, f, rep)
+    u_p, u_c, rank, n_unknowns = calibrate_generic_units(oracle)
+    solution, first_rank, consistent = solve_linear_system(oracle.rows, oracle.rhs)
+    assert consistent and rank == first_rank == n_unknowns
+    assert [u_p, u_c] == solution[:2]
+
+
+# the configs whose calibration system is short of full rank, with the scales
+# the scales-first solve reports there: its free variables are set to zero
+SHORT_RANK = [
+    ((2, 1, "std"), [None, -3], 2, 3),
+    ((3, 1, "sym2"), [6, -4], 5, 6),
+    ((2, 2, "std*det^1"), [3, -5], 7, 8),
+]
+
+
+@pytest.mark.parametrize("config,scales,rank,n_unknowns", SHORT_RANK)
+def test_calibration_below_full_rank_reports_the_scales_first_scales(
+    config, scales, rank, n_unknowns
+):
+    tower, oracle = calibration_oracle(*config)
+    want = [None if s is None else tower.ring.from_int(s) for s in scales]
+    u_p, u_c, got_rank, got_unknowns = calibrate_generic_units(oracle)
+    assert ([u_p, u_c], got_rank, got_unknowns) == (want, rank, n_unknowns)
+    # a scales-last solve alone frees other variables and reports other scales
+    k = len(oracle.generic)
+    last, last_rank, consistent = solve_linear_system(
+        [row[k:] + row[:k] for row in oracle.rows], oracle.rhs
+    )
+    assert consistent and last_rank == rank
+    assert last[-k:] != want[-k:]
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -117,8 +117,8 @@ PER_SUITE_REFUSALS = [
         {"rep": [[[1, 1], 1]]},
         {"suites": ["oracle"], "caps": {"tower": 1}},
         {"suites": ["gl2-main"], "caps": {"tower": 1}},
-        {"p": 11, "suites": ["gl2-main"]},
-        {"p": 11, "suites": ["oracle"]},
+        {"p": 17, "suites": ["gl2-main"]},
+        {"p": 17, "suites": ["oracle"]},
         {"p": 5, "shape": [3], "suites": ["gl3-top"], "caps": {"tower": 3}},
         {"shape": [3], "suites": ["induction"], "caps": {"tower": 2}},
         {"shape": [3], "suites": ["gl3-top"], "caps": {"tower": 2}},
@@ -520,7 +520,7 @@ def test_a_second_torus_run_validates_no_fixed_weight_system(monkeypatch):
     assert calls == [([2], "std")]
 
 
-def test_corrupted_table_is_a_failed_check(monkeypatch):
+def _corrupt_table(monkeypatch):
     real = gl2.character_value
 
     def corrupted(tower, irrep, cls):
@@ -530,8 +530,22 @@ def test_corrupted_table_is_a_failed_check(monkeypatch):
         return terms
 
     monkeypatch.setattr(gl2, "character_value", corrupted)
+
+
+def test_corrupted_table_is_a_failed_check(monkeypatch):
+    _corrupt_table(monkeypatch)
     reports = run_suite(dict(BASE_CFG, suites=["oracle"]))
     check, error = reports[0].checks
+    assert (check.name, check.passed) == ("character-table-orthogonality", False)
+    assert check.detail.startswith("row orthogonality fails for ")
+    assert (error.name, error.passed) == ("suite-error", False)
+    assert error.detail == f"TableNotOrthogonal: {check.detail}"
+
+
+def test_corrupted_table_is_a_failed_check_in_the_gl2_sweep(monkeypatch):
+    _corrupt_table(monkeypatch)
+    (report,) = run_suite(dict(BASE_CFG, suites=["gl2-main"]))
+    check, error = report.checks
     assert (check.name, check.passed) == ("character-table-orthogonality", False)
     assert check.detail.startswith("row orthogonality fails for ")
     assert (error.name, error.passed) == ("suite-error", False)
