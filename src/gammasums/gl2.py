@@ -2,21 +2,23 @@
 
 The table is built from the classical four families (one-dimensional twists
 of det, their Steinberg companions, principal series, cuspidal) and verified
-by exact row and column orthogonality in build_gl2_table.  Every value lies
-in the table's ring Q(zeta_M), M = q^2 - 1, and is held as group-ring terms
-((exponent mod M, integer), ...), read off the eigenvalues' discrete logs;
-the orthogonality sums are collected in Z[Z/M], where conjugation negates an
-exponent, and each is reduced modulo Phi_M once.  The oracle reads the terms
-as well: a non-generic column, the expansion of one character with gamma 1,
-is a value of the table's ring, and a generic column or a phi value, a sum
-of gamma values times character values, is one ZetaSum of the tower's
-Q(zeta_N), its gamma values shifted by the terms' exponents times N/M.  The
-oracle expands the gamma trace over irreducible characters, read at g itself
-(the pairing chi_r(g)): the generic coefficients come from the torus Mellin
-transform (identity twist for principal-series parameters, the long twist
-for cuspidal parameters), the non-generic ones are solved for exactly, and
-the overdetermined system must close on every regular class.  It keeps the
-system it solved; the family-scale calibration solves it with the scales free.
+by exact row orthogonality in build_gl2_table; the table is square, so its
+columns are then orthogonal too.  Every value lies in the table's ring
+Q(zeta_M), M = q^2 - 1, and is held as group-ring terms ((exponent mod M,
+integer), ...), read off the eigenvalues' discrete logs; the orthogonality
+sums are collected in Z[Z/M], where conjugation negates an exponent, over the
+classes where both rows are nonzero, and each is reduced modulo Phi_M once.
+The oracle reads the terms as well: a non-generic column, the expansion of
+one character with gamma 1, is a value of the table's ring, and a generic
+column or a phi value, a sum of gamma values times character values, is one
+ZetaSum of the tower's Q(zeta_N), its gamma values shifted by the terms'
+exponents times N/M.  The oracle expands the gamma trace over irreducible
+characters, read at g itself (the pairing chi_r(g)): the generic
+coefficients come from the torus Mellin transform (identity twist for
+principal-series parameters, the long twist for cuspidal parameters), the
+non-generic ones are solved for exactly, and the overdetermined system must
+close on every regular class.  It keeps the system it solved; the
+family-scale calibration solves it with the scales free.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .cyclotomic import CyclotomicRing, solve_linear_system
 from .errors import CapExceeded, SystemInconsistent, TableNotOrthogonal
 from .mirabolic import group_point
 from .torus import TorusCharacter
+
+# Largest q whose table is built; gl2-main and oracle are refused above it.
+TABLE_Q_MAX = 16
 
 # -- conjugacy classes ---------------------------------------------------------
 
@@ -168,8 +173,10 @@ class Gl2Table:
     """
 
     def __init__(self, tower):
-        if tower.q > 13:
-            raise CapExceeded("table construction is limited to q <= 13")
+        if tower.q > TABLE_Q_MAX:
+            raise CapExceeded(
+                f"table construction is limited to q <= {TABLE_Q_MAX}"
+            )
         if tower.max_level < 2:
             raise ValueError("the table needs level 2 in the tower")
         self.tower = tower
@@ -183,42 +190,58 @@ class Gl2Table:
         }
 
     def verify_orthogonality(self):
-        """Exact row and column orthogonality, read from the terms.
+        """Exact row orthogonality of a square table, read from the terms.
 
-        Each sum of chi(c) * conj(chi'(c)) (times |c| for rows), less its
-        integer target, is collected in Z[Z/M]: the terms (e1, m1) and
-        (e2, m2) contribute m1 * m2 at exponent e1 - e2.  The sum is reduced
-        to Q(zeta_M) once and must be zero.
+        Row orthogonality is X D X* = |G| I, with D the diagonal of class
+        sizes.  For a square X over the field Q(zeta_M) this makes D X* / |G|
+        a two-sided inverse of X, so X* X = |G| D^-1, which is column
+        orthogonality; a table with more or fewer irreps than classes fails.
+
+        Each sum of |c| * chi(c) * conj(chi'(c)), less its integer target, is
+        collected in Z[Z/M] over the classes where both rows are nonzero: the
+        terms (e1, m1) and (e2, m2) contribute m1 * m2 at exponent e1 - e2.
+        A sum that is not already zero there is reduced to Q(zeta_M) once and
+        must be zero.
         """
+        if len(self.irreps) != len(self.classes):
+            raise TableNotOrthogonal(
+                f"table is not square: {len(self.irreps)} irreps, "
+                f"{len(self.classes)} classes"
+            )
         ring = self.ring
         order = gl2_order(self.tower.q)
-
-        def differs(terms1, terms2, weights, want):
-            coeffs = [-want] + [0] * (ring.conductor - 1)
-            for t1, t2, weight in zip(terms1, terms2, weights):
-                for e1, m1 in t1:
-                    for e2, m2 in t2:
-                        # e1 - e2 lies in (-M, M), and a negative index
-                        # counts from the end of the list, so it folds mod M
-                        coeffs[e1 - e2] += weight * m1 * m2
-            return bool(ring.from_coeffs(coeffs))
-
-        rows = [[self.terms[(r, c.key)] for c in self.classes] for r in self.irreps]
-        sizes = [c.size for c in self.classes]
-        for i, r1 in enumerate(self.irreps):
+        # rows are grouped by support, the classes where they are nonzero;
+        # per row: its support's index, its terms and its terms times |c|
+        supports, rows = {}, []
+        for r in self.irreps:
+            row = [self.terms[(r, c.key)] for c in self.classes]
+            support = tuple(k for k, t in enumerate(row) if t)
+            weighted = [
+                [(e, m * c.size) for e, m in t] for t, c in zip(row, self.classes)
+            ]
+            rows.append((supports.setdefault(support, len(supports)), row, weighted))
+        shared = {  # (support, support) -> the classes in both
+            (s1, s2): sorted(set(support1).intersection(support2))
+            for support1, s1 in supports.items()
+            for support2, s2 in supports.items()
+        }
+        for i, (s1, _, weighted) in enumerate(rows):
             for j in range(i, len(rows)):
-                if differs(rows[i], rows[j], sizes, order if i == j else 0):
+                s2, row2, _ = rows[j]
+                coeffs = [0] * ring.conductor
+                if i == j:
+                    coeffs[0] = -order
+                for k in shared[(s1, s2)]:
+                    t2 = row2[k]
+                    for e1, w1 in weighted[k]:
+                        for e2, m2 in t2:
+                            # e1 - e2 lies in (-M, M), and a negative index
+                            # counts from the end of the list, so it folds mod M
+                            coeffs[e1 - e2] += w1 * m2
+                if any(coeffs) and any(ring._reduce(coeffs)):
                     raise TableNotOrthogonal(
-                        f"row orthogonality fails for {r1} vs {self.irreps[j]}"
-                    )
-        cols = list(zip(*rows))
-        ones = [1] * len(rows)
-        for i, c1 in enumerate(self.classes):
-            for j in range(i, len(cols)):
-                if differs(cols[i], cols[j], ones, order // c1.size if i == j else 0):
-                    raise TableNotOrthogonal(
-                        f"column orthogonality fails for {c1.key} vs "
-                        f"{self.classes[j].key}"
+                        f"row orthogonality fails for {self.irreps[i]} vs "
+                        f"{self.irreps[j]}"
                     )
         return True
 
@@ -259,7 +282,7 @@ class OracleResult:
 # the parametrizing torus (identity for principal series, the long element for
 # cuspidal): calibrate_generic_units solves for the scales, and the
 # regular-class system pins exactly these values wherever it has full rank
-# (q in {3, 4, 5, 7, 9, 11, 13}, standard weights).
+# (q in {3, 4, 5, 7, 9, 11, 13, 16}, standard weights).
 GENERIC_SIGNS = {"principal": 1, "cuspidal": -1}
 
 

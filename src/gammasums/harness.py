@@ -44,6 +44,7 @@ from .fields import (
 )
 from .gl2 import (
     PAIRING,
+    TABLE_Q_MAX,
     build_gl2_table,
     calibrate_generic_units,
     gl2_order,
@@ -1121,11 +1122,12 @@ class Suite(NamedTuple):
     translates_max: int = None  # largest q^(n-1)
 
 
-# q_max: gl2-main and gl3-top sweep every coset, and gl2-main, which builds
-# the GL(2) table and oracle, keeps to the oracle's q.  At q = 13, oracle std
-# takes 6.6 s and gl2-main sym2 3.4 s; at q = 11, 1.8 s and 1.7 s (2-vCPU
-# machine, one run each).  The table's orthogonality check grows fastest
-# above that: 7.8 s of the 10.2 s oracle run at q = 16.
+# q_max: gl2-main and gl3-top sweep every coset, and gl2-main and oracle,
+# which build the GL(2) table, keep to its cap, gl2.TABLE_Q_MAX.  At q = 16,
+# oracle std takes 5.4 s and gl2-main std 5.3 s; at q = 11, oracle std 1.8 s
+# (2-vCPU machine, one run each).  Of the q = 16 oracle run, the table's
+# orthogonality check, by rows only on the classes both rows share, takes
+# 1.8 s, the oracle solve 2.6 s and the calibration 1.6 s.
 #
 # translates_max: the mirabolic suite translates each of up to 300 pool
 # points and 60 samples by all q^(n-1) vectors v.  Single runs at caps.tower 1
@@ -1177,7 +1179,7 @@ SUITES = {
         "pointwise agreement of the two routes on regular classes; replacing "
         "the sign-twisted Weyl descent by the untwisted one breaks the "
         "vanishing.",
-        vanishing_sweep_gl2, shape=(2,), q_max=13, min_tower=2,
+        vanishing_sweep_gl2, shape=(2,), q_max=TABLE_Q_MAX, min_tower=2,
     ),
     "gl3-top": Suite(
         "For top-stratum points of GL(3, F_q) outside the mirabolic subgroup "
@@ -1192,7 +1194,7 @@ SUITES = {
         "trace expands over irreducible characters with generic coefficients "
         "given by torus Mellin transforms scaled by q times the twist sign, "
         "and the overdetermined regular-class system closes exactly.",
-        suite_oracle, shape=(2,), q_max=13, min_tower=2,
+        suite_oracle, shape=(2,), q_max=TABLE_Q_MAX, min_tower=2,
     ),
 }
 SUITE_NAMES = tuple(SUITES)

@@ -88,9 +88,12 @@ def test_table_never_builds_the_tower_ring():
 
 
 def dense_orthogonal(table):
-    """Reference verdict: the sums taken on CycNum values, conjugated in the field."""
+    """Reference: the first row pair that is not orthogonal (None if none) and
+    whether the columns are orthogonal, both summed on CycNum values and
+    conjugated in the field."""
     ring = table.ring
     order = gl2_order(table.tower.q)
+    first = None
     for i, r1 in enumerate(table.irreps):
         for r2 in table.irreps[i:]:
             acc = ring.zero
@@ -100,8 +103,9 @@ def dense_orthogonal(table):
                     * entry(table, r2, cls.key).conjugate()
                     * cls.size
                 )
-            if acc != ring.from_int(order if r1 is r2 else 0):
-                return False
+            if first is None and acc != ring.from_int(order if r1 is r2 else 0):
+                first = (r1, r2)
+    columns = True
     for i, c1 in enumerate(table.classes):
         for c2 in table.classes[i:]:
             acc = ring.zero
@@ -109,29 +113,69 @@ def dense_orthogonal(table):
                 value = entry(table, r, c1.key) * entry(table, r, c2.key).conjugate()
                 acc = acc + value
             if acc != ring.from_int(order // c1.size if c1 is c2 else 0):
-                return False
-    return True
+                columns = False
+    return first, columns
 
 
-@pytest.mark.parametrize("corrupt", [False, True])
-@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
-def test_orthogonality_matches_dense_reference(monkeypatch, p, f, corrupt):
+def corrupt_entries(monkeypatch, hit):
+    """Add 1 to every character value at which hit(irrep, cls) holds."""
     real = gl2.character_value
 
     def corrupted(tower, irrep, cls):
         terms = real(tower, irrep, cls)
-        if irrep.family == "cuspidal" and cls.kind == "nonss":
+        if hit(irrep, cls):
             return terms + ((0, 1),)
         return terms
 
-    if corrupt:
-        monkeypatch.setattr(gl2, "character_value", corrupted)
-    table = Gl2Table(build_tower(p, f, 2))
+    monkeypatch.setattr(gl2, "character_value", corrupted)
+
+
+def assert_matches_dense_reference(table):
+    """verify_orthogonality agrees with dense_orthogonal on the verdict and
+    names its first failing row pair; rows and columns fail together."""
+    first, columns = dense_orthogonal(table)
     try:
-        verdict = table.verify_orthogonality()
-    except TableNotOrthogonal:
-        verdict = False
-    assert verdict == dense_orthogonal(table) == (not corrupt)
+        verdict, detail = table.verify_orthogonality(), None
+    except TableNotOrthogonal as exc:
+        verdict, detail = False, str(exc)
+    assert (first is None) == columns == verdict
+    if first is not None:
+        assert detail == f"row orthogonality fails for {first[0]} vs {first[1]}"
+    return verdict
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_orthogonality_matches_dense_reference(monkeypatch, p, f, corrupt):
+    if corrupt:
+        corrupt_entries(
+            monkeypatch, lambda r, c: r.family == "cuspidal" and c.kind == "nonss"
+        )
+    table = Gl2Table(build_tower(p, f, 2))
+    assert assert_matches_dense_reference(table) == (not corrupt)
+
+
+@pytest.mark.parametrize("kind", ["central", "nonss", "split", "nonsplit"])
+@pytest.mark.parametrize("family", ["onedim", "steinberg", "principal", "cuspidal"])
+def test_first_failing_row_pair_matches_dense_reference(monkeypatch, family, kind):
+    # one row of the family is corrupted on every class of the kind; on a zero
+    # entry (steinberg on nonss, principal on nonsplit, cuspidal on split) it
+    # leaves the support the rest of its family shares
+    tower = build_tower(2, 2, 2)
+    last = [r for r in gl2_irreps(tower) if r.family == family][-1]
+    corrupt_entries(monkeypatch, lambda r, c: r == last and c.kind == kind)
+    table = Gl2Table(tower)
+    assert assert_matches_dense_reference(table) is False
+
+
+def test_non_square_table_is_not_orthogonal():
+    table = Gl2Table(build_tower(3, 1, 2))
+    table.irreps = table.irreps[:3] + table.irreps[4:]
+    first, columns = dense_orthogonal(table)
+    # the remaining rows are orthogonal; only the columns show the loss
+    assert (first, columns) == (None, False)
+    with pytest.raises(TableNotOrthogonal, match="not square: 7 irreps, 8 classes"):
+        table.verify_orthogonality()
 
 
 def test_table_cap():
