@@ -52,10 +52,9 @@ from .gl2 import (
 )
 from .induction import (
     GammaTrace,
-    FLAG_N_MAX,
-    full_flags,
     induced_trace,
     levi_restriction_sum,
+    subspaces,
 )
 from .matrices import (
     char_coeffs_to_poly,
@@ -808,12 +807,12 @@ def flag_vs_ordering_failures(traces, points):
     on either side shows."""
     tower = traces.tower
     fiber_sums = traces.fiber_sums(perm_identity(traces.ws.d))
-    flags = full_flags(tower, traces.ws.d)
+    spaces = subspaces(tower, traces.ws.d)
     zero = tower.psi_ring.zero
     return [
         x.rows
         for x in points
-        if induced_trace(traces, x, flags) != fiber_sums.get(x.char, zero)
+        if induced_trace(traces, x, spaces) != fiber_sums.get(x.char, zero)
     ]
 
 
@@ -1134,7 +1133,9 @@ class Suite(NamedTuple):
 # (2-vCPU x86-64, Python 3.11): q^(n-1) = 64 at GL(7), q=2, 0.5 s; 128 at
 # GL(8), q=2, 0.94 s; 256 at GL(9), q=2, 1.8 s; 343 at GL(4), q=7, 0.63 s.
 #
-# n_max: the induction suite enumerates full flags.
+# n_max: single induction runs (2-vCPU machine): GL(4) 0.08 s at q=2,
+# 0.18/0.26 s std/sym2 at q=3, 0.52 s at q=4, 1.6/8.2 s at q=5; GL(5) 0.44 s
+# at q=2.  GL(5) at q=3 is refused at tower 6 by the ring-degree rule.
 SUITES = {
     "arith": Suite(
         "Gauss sums satisfy g(chi) g(conj chi) = chi(-1) q^m exactly and have "
@@ -1170,7 +1171,7 @@ SUITES = {
         "times the additive character of the trace on the whole regular "
         "locus; restriction to the diagonal Levi is a frozen unit times the "
         "torus trace.",
-        suite_induction, twisted=True, single_factor=True, n_max=FLAG_N_MAX,
+        suite_induction, twisted=True, single_factor=True, n_max=5,
     ),
     "gl2-main": Suite(
         "For every g outside the Borel of GL(2, F_q) the sum of the gamma "

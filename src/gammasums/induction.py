@@ -2,9 +2,11 @@
 
 For a regular-semisimple element the induced trace can be computed two ways:
 summing the torus trace over stable full flags, or summing over orderings of
-the eigenvalue multiset that are fixed by a Weyl twist of Frobenius.  Those
-orderings form the Steinberg fiber in the twisted torus.  Each twist's
-points and normalized traces are collected once in TorusTraces, grouped by
+the eigenvalue multiset that are fixed by a Weyl twist of Frobenius.  The
+stable flags are found at every n by one walk, which chains the g-stable
+proper subspaces of F_q^n, in reduced echelon form, by containment.  The
+orderings form the Steinberg fiber in the twisted torus.  Each twist's points
+and normalized traces are collected once in TorusTraces, grouped by
 twisted_charpoly and summed per fiber (TorusTraces.fiber_sums), and the
 gamma trace is one table, built on first use, of the Weyl averages of those
 fiber sums.  Like the torus traces it is built from, every value lies in
@@ -19,11 +21,11 @@ with the reduce_against kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .errors import CapExceeded, NotComputableLocus, NotTopStratum
+from .errors import NotComputableLocus, NotTopStratum
 from .matrices import (
-    echelon,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -40,63 +42,60 @@ from .mirabolic import (
 )
 from .torus import perm_sign
 
-# Largest n whose full flags are enumerated; validate_config refuses above it.
-FLAG_N_MAX = 3
-
 # -- subspaces and flags ------------------------------------------------------
 
 
-def enumerate_lines(tower, n):
-    """Lines of F_q^n as their vectors with first nonzero entry 1, which
-    come first in product order since 1 encodes the smallest unit."""
-    lv = tower.level(1)
-    return [
-        (v,)
-        for v in itertools.product(lv.elements(), repeat=n)
-        if next((c for c in v if c), None) == 1
-    ]
+def subspaces(tower, n):
+    """Every proper nonzero subspace of F_q^n as its reduced echelon basis, a
+    tuple of rows, smallest dimension first.  A basis is fixed by its pivot
+    set and its free entries: those after a row's pivot and off the pivots.
+    """
+    elements = tower.level(1).elements()
+    spaces = []
+    for dim in range(1, n):
+        for pivots in itertools.combinations(range(n), dim):
+            free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)]
+            free = [(i, j) for i, j in free if j not in pivots]
+            for values in itertools.product(elements, repeat=len(free)):
+                rows = [[int(j == p) for j in range(n)] for p in pivots]
+                for (i, j), c in zip(free, values):
+                    rows[i][j] = c
+                spaces.append(tuple(map(tuple, rows)))
+    return spaces
 
 
-def full_flags(tower, n):
-    """All full flags of F_q^n as tuples of echelon bases (n <= FLAG_N_MAX)."""
-    if n > FLAG_N_MAX:
-        raise CapExceeded(f"flag enumeration is limited to n <= {FLAG_N_MAX}")
-    lv = tower.level(1)
-    lines = enumerate_lines(tower, n)
-    if n <= 2:
-        return [(basis,) for basis in lines]
-    flags = []
-    for line in lines:
-        seen = set()
-        for v in itertools.product(lv.elements(), repeat=n):
-            rows = echelon(lv, [line[0], v])
-            if len(rows) < 2:
-                continue
-            plane = tuple(tuple(r) for r in rows)
-            if plane not in seen:
-                seen.add(plane)
-                flags.append((line, plane))
-    return flags
+def _in_span(lv, basis, vectors):
+    """Whether each of vectors lies in the span of the echelon basis."""
+    span = list(basis)
+    return not any(reduce_against(lv, span, v) for v in vectors)
 
 
-def flag_fixed_points(g: GroupPoint, flags):
-    """The g-stable flags among flags, the full flags of F_q^n.
+def flag_fixed_points(g: GroupPoint, spaces):
+    """The g-stable full flags of F_q^n, spaces its proper nonzero subspaces
+    as subspaces builds them.
 
-    A flag is stable when each of its subspaces is; each subspace is tested
-    once, however many flags hold it.
+    A flag V_1 < ... < V_(n-1) is grown one dimension at a time, by each space
+    that holds its last subspace and is g-stable.  A space is tested for
+    stability at most once, and only when it extends a stable flag.  Only
+    stable flags are built: at most n! at a regular semisimple point, all of
+    them at a scalar one.
     """
     lv = g.level()
-    stable = {}
 
+    @functools.cache
     def is_stable(basis):
-        if basis not in stable:
-            span = list(basis)
-            stable[basis] = not any(
-                reduce_against(lv, span, mat_vec(lv, g.rows, b)) for b in basis
-            )
-        return stable[basis]
+        return _in_span(lv, basis, (mat_vec(lv, g.rows, b) for b in basis))
 
-    return [f for f in flags if all(map(is_stable, f))]
+    flags = [()]
+    for _, layer in itertools.groupby(spaces, len):
+        layer = list(layer)
+        flags = [
+            f + (space,)
+            for f in flags
+            for space in layer
+            if (not f or _in_span(lv, space, f[-1])) and is_stable(space)
+        ]
+    return flags
 
 
 def flag_grading(g: GroupPoint, flag):
@@ -118,9 +117,9 @@ def flag_grading(g: GroupPoint, flag):
     )
 
 
-def induced_trace(traces, g: GroupPoint, flags):
-    """Flag-sum trace of the induced object at g, flags the full flags of
-    F_q^n as full_flags builds them.
+def induced_trace(traces, g: GroupPoint, spaces):
+    """Flag-sum trace of the induced object at g, spaces the proper nonzero
+    subspaces of F_q^n as subspaces builds them.
 
     The degree shift is d = n^2 - n, which is even for every n, so the global
     sign is +1; it is written out anyway to keep the normalization visible.
@@ -128,7 +127,7 @@ def induced_trace(traces, g: GroupPoint, flags):
     sign = (-1) ** (g.n * g.n - g.n)
     total = g.tower.psi_ring.sum(
         traces.hyper_trace(flag_grading(g, flag))
-        for flag in flag_fixed_points(g, flags)
+        for flag in flag_fixed_points(g, spaces)
     )
     return total * sign
 

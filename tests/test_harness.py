@@ -97,7 +97,7 @@ PER_SUITE_REFUSALS = [
     # single_factor
     {"shape": [2, 1], "rep": _std(3), "suites": ["induction"], "caps": {}},
     # n_max
-    {"shape": [4], "suites": ["induction"], "caps": {}},
+    {"p": 2, "shape": [6], "suites": ["induction"], "caps": {}},
     # twisted: caps.tower at least the largest Weyl order
     {"p": 2, "shape": [2, 3], "rep": _std(5), "suites": ["torus"], "caps": {"tower": 5}},
     # q_max
@@ -123,7 +123,7 @@ PER_SUITE_REFUSALS = [
         {"shape": [3], "suites": ["induction"], "caps": {"tower": 2}},
         {"shape": [3], "suites": ["gl3-top"], "caps": {"tower": 2}},
         {"shape": [2], "suites": ["torus"], "caps": {"tower": 1}},
-        {"p": 2, "shape": [4], "suites": ["induction"], "caps": {"tower": 4}},
+        {"p": 2, "shape": [6], "suites": ["induction"], "caps": {"tower": 6}},
         {"p": 2, "shape": [5], "suites": ["torus"], "caps": {"tower": 5}},
         {"shape": 5},
         {"suites": 5},

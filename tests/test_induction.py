@@ -10,15 +10,14 @@ from gammasums.errors import NotComputableLocus, NotTopStratum
 from gammasums.fields import build_tower
 from gammasums.induction import (
     GammaTrace,
-    enumerate_lines,
     factor_monic,
     flag_fixed_points,
     flag_grading,
-    full_flags,
     induced_trace,
     is_regular,
     levi_restriction_sum,
     minimal_polynomial_degree,
+    subspaces,
 )
 from gammasums.matrices import (
     all_matrices,
@@ -55,23 +54,52 @@ def gamma_std2(std2):
     return GammaTrace(std2)
 
 
-def test_flag_counts(tower_f3):
-    assert len(full_flags(tower_f3, 2)) == 4
-    assert len(full_flags(tower_f3, 3)) == 52  # (q^2+q+1)(q+1)
+def test_flag_counts():
+    # the identity fixes every full flag: [n]_q! of them
+    for (p, n), count in {(3, 2): 4, (3, 3): 52, (2, 4): 315, (3, 4): 2080}.items():
+        tower = build_tower(p, 1, 1)
+        identity = group_point(tower, mat_identity(n))
+        assert len(flag_fixed_points(identity, subspaces(tower, n))) == count
+
+
+def test_subspace_counts():
+    # sums of Gaussian binomials [n choose k]_q over 0 < k < n
+    for (p, n), count in {(3, 4): 210, (5, 4): 1118, (3, 5): 2662}.items():
+        assert len(subspaces(build_tower(p, 1, 1), n)) == count
 
 
 def test_flag_fixed_point_examples(tower_f3):
-    flags = full_flags(tower_f3, 2)
+    spaces = subspaces(tower_f3, 2)
     central = group_point(tower_f3, [[2, 0], [0, 2]])
-    assert len(flag_fixed_points(central, flags)) == 4
+    assert len(flag_fixed_points(central, spaces)) == 4
     split = group_point(tower_f3, [[1, 0], [0, 2]])
-    fixed = flag_fixed_points(split, flags)
+    fixed = flag_fixed_points(split, spaces)
     assert len(fixed) == 2
     # the gradings are the two eigenvalue orderings
     grads = sorted(flag_grading(split, f) for f in fixed)
     assert grads == [(1, 2), (2, 1)]
     nonsplit = group_point(tower_f3, [[0, 1], [2, 0]])
-    assert flag_fixed_points(nonsplit, flags) == []
+    assert flag_fixed_points(nonsplit, spaces) == []
+
+
+def _echelon_basis(lv, rows):
+    return tuple(tuple(row) for row in echelon(lv, rows))
+
+
+def _all_flags(tower, n):
+    """Every full flag of F_q^n by row reduction: each step is the echelon
+    form of the step below and one more vector, deduplicated."""
+    lv = tower.level(1)
+    vectors = list(itertools.product(lv.elements(), repeat=n))
+    flags = {()}
+    for dim in range(1, n):
+        flags = {
+            f + (basis,)
+            for f in flags
+            for v in vectors
+            if len(basis := _echelon_basis(lv, (f[-1] if f else ()) + (v,))) == dim
+        }
+    return sorted(flags)
 
 
 def _per_flag_fixed_points(g, flags):
@@ -89,30 +117,61 @@ def _per_flag_fixed_points(g, flags):
     ]
 
 
+def _flag_test_points(tower, n, count):
+    """count random points of GL(n, F_q), then the identity, a companion
+    matrix and a single unipotent Jordan block."""
+    lv = tower.level(1)
+    rng = random.Random(29)
+    points = []
+    while len(points) < count:
+        rows = [[rng.randrange(lv.size) for _ in range(n)] for _ in range(n)]
+        if charpoly(lv, rows)[-1]:
+            points.append(group_point(tower, rows))
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return points + [
+        group_point(tower, mat_identity(n)),
+        group_point(tower, companion_matrix(lv, (0,) * (n - 1) + (1,))),
+        group_point(tower, jordan),
+    ]
+
+
 @pytest.mark.parametrize(
-    "p,f,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)]
+    "p,f,n",
+    [
+        (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3),
+        (2, 1, 4), (3, 1, 4), (2, 1, 5),
+    ],
 )
 def test_flag_fixed_points_match_the_per_flag_route(p, f, n):
     tower = build_tower(p, f, 1)
-    lv = tower.level(1)
-    flags = full_flags(tower, n)
-    rng = random.Random(29)
-    points = [
-        group_point(tower, rows)
-        for rows in itertools.islice(all_matrices(lv, n, n), 0, None, 7)
-        if charpoly(lv, rows)[-1]
-    ]
-    points = rng.sample(points, min(60, len(points))) + [
-        group_point(tower, mat_identity(n)),
-        group_point(tower, companion_matrix(lv, (0,) * (n - 1) + (1,))),
-    ]
-    for g in points:
-        assert flag_fixed_points(g, flags) == _per_flag_fixed_points(g, flags)
+    spaces = subspaces(tower, n)
+    flags = _all_flags(tower, n)
+    # up to 60 random points, fewer where there are many flags to check
+    count = max(4, min(60, 40000 // len(flags)))
+    for g in _flag_test_points(tower, n, count):
+        assert sorted(flag_fixed_points(g, spaces)) == _per_flag_fixed_points(g, flags)
 
 
-def test_flag_fixed_points_test_each_subspace_once(tower_f3, monkeypatch):
-    # at GL(3, F_3) the 52 flags hold 13 lines and 13 planes; the identity
-    # fixes all of them, so each is tested in full: 13 + 2 * 13 products
+def test_chaining_without_containment_fails_the_per_flag_route(monkeypatch):
+    """Mutation control: every stable space extends every flag.  The walk
+    asks whether a space holds a flag's last subspace, a tuple of rows; the
+    stability test passes the images of a basis as a generator."""
+    real = induction._in_span
+
+    def no_containment(lv, basis, vectors):
+        return isinstance(vectors, tuple) or real(lv, basis, vectors)
+
+    monkeypatch.setattr(induction, "_in_span", no_containment)
+    tower = build_tower(3, 1, 1)
+    spaces = subspaces(tower, 3)
+    flags = _all_flags(tower, 3)
+    g = group_point(tower, mat_identity(3))
+    assert sorted(flag_fixed_points(g, spaces)) != _per_flag_fixed_points(g, flags)
+
+
+def test_flag_fixed_points_test_each_subspace_once(monkeypatch):
+    # the identity fixes every subspace, so each is tested in full, once:
+    # k products for each subspace of dimension k
     calls = []
     real = induction.mat_vec
 
@@ -121,18 +180,21 @@ def test_flag_fixed_points_test_each_subspace_once(tower_f3, monkeypatch):
         return real(level, a, v)
 
     monkeypatch.setattr(induction, "mat_vec", counted)
-    flags = full_flags(tower_f3, 3)
-    assert len(flag_fixed_points(group_point(tower_f3, mat_identity(3)), flags)) == 52
-    assert len(calls) == 13 + 2 * 13
+    for p, n, products in ((3, 3, 13 + 2 * 13), (2, 4, 15 + 2 * 35 + 3 * 15)):
+        tower = build_tower(p, 1, 1)
+        identity = group_point(tower, mat_identity(n))
+        calls.clear()
+        flag_fixed_points(identity, subspaces(tower, n))
+        assert len(calls) == products
 
 
 def test_induced_trace_examples(tower_f3, std2):
     lv = tower_f3.level(1)
-    flags = full_flags(tower_f3, 2)
+    spaces = subspaces(tower_f3, 2)
     split = group_point(tower_f3, [[1, 0], [0, 2]])
-    assert induced_trace(std2, split, flags) == tower_f3.psi(lv.add(1, 2)) * 2
+    assert induced_trace(std2, split, spaces) == tower_f3.psi(lv.add(1, 2)) * 2
     nonsplit = group_point(tower_f3, [[0, 1], [2, 0]])
-    assert induced_trace(std2, nonsplit, flags).is_zero()
+    assert induced_trace(std2, nonsplit, spaces).is_zero()
 
 
 def test_factor_and_roots(tower_f3):
@@ -288,26 +350,31 @@ def test_gl5_std_table_needs_no_tower_ring(ring_conductors):
     assert ring_conductors == [3]
 
 
-def _rref_lines(tower, n):
-    """Lines of F_q^n by row reduction, the first vector of each one kept."""
+def _rref_subspaces(tower, n):
+    """Proper nonzero subspaces of F_q^n by row reduction: the echelon form
+    of each span of one of dimension k - 1 and one more vector, deduplicated."""
     lv = tower.level(1)
-    out = []
-    seen = set()
-    for v in itertools.product(lv.elements(), repeat=n):
-        if not any(v):
-            continue
-        basis = (tuple(echelon(lv, [v])[0]),)
-        if basis not in seen:
-            seen.add(basis)
-            out.append(basis)
-    return out
+    vectors = list(itertools.product(lv.elements(), repeat=n))
+    spaces, layer = set(), {()}
+    for dim in range(1, n):
+        layer = {
+            basis
+            for span in layer
+            for v in vectors
+            if len(basis := _echelon_basis(lv, span + (v,))) == dim
+        }
+        spaces |= layer
+    return spaces
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
-def test_enumerate_lines_matches_row_reduction(p, f):
+def test_subspaces_match_row_reduction(p, f):
     tower = build_tower(p, f, 1)
-    for n in (1, 2, 3):
-        assert enumerate_lines(tower, n) == _rref_lines(tower, n)
+    for n in (1, 2, 3, 4):
+        spaces = subspaces(tower, n)
+        assert len(set(spaces)) == len(spaces)
+        assert set(spaces) == _rref_subspaces(tower, n)
+        assert [len(basis) for basis in spaces] == sorted(map(len, spaces))
 
 
 def test_phi_regular_examples(tower_f3, gamma_std2):
@@ -434,7 +501,7 @@ def ordering_route(traces, x):
 def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
     # flag route equals the identity-twist ordering route on rss classes
     tower = tower_f3
-    flags = full_flags(tower, 2)
+    spaces = subspaces(tower, 2)
     for entries in itertools.product(range(3), repeat=4):
         rows = ((entries[0], entries[1]), (entries[2], entries[3]))
         try:
@@ -444,7 +511,7 @@ def test_induction_consistency_exhaustive_gl2(tower_f3, std2):
         fac = factor_monic(tower, char_coeffs_to_poly(x.char))
         if any(mult > 1 for _, mult in fac):
             continue
-        assert induced_trace(std2, x, flags) == ordering_route(std2, x)
+        assert induced_trace(std2, x, spaces) == ordering_route(std2, x)
 
 
 def test_induction_consistency_split_gl3_q5():
@@ -453,11 +520,11 @@ def test_induction_consistency_split_gl3_q5():
     # routes vanish, whatever the sign between them
     tower = build_tower(5, 1, 3)
     std3 = TorusTraces(tower, validate_weight_system([3], "std"))
-    flags = full_flags(tower, 3)
+    spaces = subspaces(tower, 3)
     for diag in itertools.combinations(range(1, 5), 3):
         rows = [[diag[0], 1, 2], [0, diag[1], 1], [0, 0, diag[2]]]
         x = group_point(tower, rows)
-        flag_route = induced_trace(std3, x, flags)
+        flag_route = induced_trace(std3, x, spaces)
         assert not flag_route.is_zero()
         assert flag_route == ordering_route(std3, x)
 
